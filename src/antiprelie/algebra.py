@@ -8,7 +8,7 @@ rings the verdicts are exact polynomial identities.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product as iproduct
 
 from .errors import FieldMismatchError, ParseError, ShapeMismatchError
@@ -373,15 +373,21 @@ def _mixed_conditions(P: AlgebraPair):
             if not _vec_is_zero(r)]
 
 
+def _relabel(report: CheckReport, prefix: str) -> CheckReport:
+    """Prefix every witness's identity with the member's name, keeping the
+    member's full failure count and witness order."""
+    witnesses = tuple(replace(w, identity=prefix + w.identity)
+                      for w in report.witnesses)
+    return replace(report, witnesses=witnesses)
+
+
 def check_compatible_pair(P: AlgebraPair) -> CheckReport:
     """Both members anti-pre-Lie plus the two mixed conditions; equivalent
     to every pencil k1*circ + k2*star being anti-pre-Lie."""
     rc = check_identity(P.circ, "anti_pre_lie")
     rs = check_identity(P.star, "anti_pre_lie")
-    rc = make_report([(f"circ_{w.identity}", w.indices, w.residual)
-                      for w in rc.witnesses]) if not rc.passed else rc
-    rs = make_report([(f"star_{w.identity}", w.indices, w.residual)
-                      for w in rs.witnesses]) if not rs.passed else rs
+    rc = _relabel(rc, "circ_")
+    rs = _relabel(rs, "star_")
     mixed = make_report(_mixed_conditions(P))
     return merge_reports(rc, rs, mixed)
 
@@ -390,10 +396,8 @@ def check_compatible_lie(P: AlgebraPair) -> CheckReport:
     """Two Lie brackets with the vanishing six-term mixed Jacobi sum."""
     r1 = check_identity(P.circ, "jacobi")
     r2 = check_identity(P.star, "jacobi")
-    r1 = make_report([(f"bracket1_{w.identity}", w.indices, w.residual)
-                      for w in r1.witnesses]) if not r1.passed else r1
-    r2 = make_report([(f"bracket2_{w.identity}", w.indices, w.residual)
-                      for w in r2.witnesses]) if not r2.passed else r2
+    r1 = _relabel(r1, "bracket1_")
+    r2 = _relabel(r2, "bracket2_")
     n = P.dim
     e = [P.circ.basis_vector(i) for i in range(n)]
     failures = []
@@ -415,10 +419,8 @@ def check_compatible_associative(P: AlgebraPair) -> CheckReport:
     """Two associative products with the four-term mixed condition."""
     r1 = check_identity(P.circ, "associative")
     r2 = check_identity(P.star, "associative")
-    r1 = make_report([(f"prod1_{w.identity}", w.indices, w.residual)
-                      for w in r1.witnesses]) if not r1.passed else r1
-    r2 = make_report([(f"prod2_{w.identity}", w.indices, w.residual)
-                      for w in r2.witnesses]) if not r2.passed else r2
+    r1 = _relabel(r1, "prod1_")
+    r2 = _relabel(r2, "prod2_")
     n = P.dim
     e = [P.circ.basis_vector(i) for i in range(n)]
     failures = []

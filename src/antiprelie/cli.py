@@ -204,13 +204,10 @@ def cmd_z2(args) -> int:
         return 0 if ok else 1
 
     assignment = {"lambda": lam} if needs_lambda else {}
-    pair_q = cat.instantiate(fam, assignment)
-    base_q = pair_q.circ
-    pair_p = cat.instantiate(fam, assignment, prime=args.prime)
-    base_p = pair_p.circ
+    base_p = cat.instantiate(fam, assignment, prime=args.prime).circ
 
     if args.mode == "linear":
-        basis_q = linear_space(base_q)
+        basis_q = linear_space(cat.instantiate(fam, assignment).circ)
         basis_p = linear_space(base_p)
         report["linear_dimension_Q"] = len(basis_q)
         report["linear_dimension_GF"] = len(basis_p)

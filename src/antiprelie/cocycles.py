@@ -7,6 +7,8 @@ product are: (i)-(ii) phi is itself anti-pre-Lie, (iii)-(iv) the mixed
 compatibility conditions with the base.  (i)-(ii) are quadratic in phi,
 (iii)-(iv) are linear, so the solver pairs an exact nullspace stage with
 exhaustive enumeration instead of general polynomial solving.
+Both read their coefficients off the residuals of the generic table of
+indeterminates t_a; the scan tests the linear part in split-digit form.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import numpy as np
 from .algebra import (Algebra, AlgebraPair, CheckReport, make_report,
                       anti_pre_lie_residuals, mixed_pair_residuals)
 from .errors import (BudgetExceededError, FieldMismatchError,
-                     NotInvertibleError, PreconditionError,
+                     NotInvertibleError, ParseError, PreconditionError,
                      ShapeMismatchError)
 from .linalg import Matrix
 from .scalars import GF, Field
@@ -64,31 +66,35 @@ def check_step1_conditions(d: Deformation) -> CheckReport:
     return make_report(failures)
 
 
-def _elementary_tables(field, dim):
-    """The n^3 elementary phi tables, in row-major flattening order."""
-    out = []
-    for i, j, k in iproduct(range(dim), repeat=3):
-        out.append(Algebra.from_entries(field, dim,
-                                        [(i + 1, j + 1, k + 1, 1)]))
-    return out
+def _indeterminate_tables(A: Algebra):
+    """(base, phi) over Q[t_0, ..., t_{n^3-1}]: the base lifted to
+    constants and phi the generic table with entry t_a at flat index a."""
+    n = A.dim
+    names = [f"t{a}" for a in range(n ** 3)]
+    ring = Field("poly", variables=names)
+    t = [ring.variable(v) for v in names]
+    base = Algebra(ring, n, [[[ring.scalar(x.value) for x in row]
+                              for row in plane] for plane in A.sc], A.basis)
+    phi = Algebra(ring, n, [[[t[(i * n + j) * n + k] for k in range(n)]
+                             for j in range(n)] for i in range(n)], A.basis)
+    return base, phi
+
+
+def _components(residuals):
+    """Residual polynomials (coefficient dicts) in component order."""
+    return [x.value for _, _, vec in residuals for x in vec]
 
 
 def _linear_rows(A: Algebra):
-    """Coefficient matrix of conditions iii-iv in the n^3 phi unknowns.
-
-    Conditions iii-iv are linear in phi for a fixed base, so column a is
-    the residual vector of the a-th elementary table.
-    """
-    elems = _elementary_tables(A.field, A.dim)
-    cols = []
-    for E in elems:
-        comps = []
-        for _, _, vec in mixed_pair_residuals(AlgebraPair(A, E)):
-            comps.extend(vec)
-        cols.append(comps)
-    rows = [[cols[a][r] for a in range(len(cols))]
-            for r in range(len(cols[0]))]
-    return Matrix(A.field, rows)
+    """Coefficient matrix of conditions iii-iv in the n^3 phi unknowns,
+    read off one evaluation on the indeterminate table; exact over Q and
+    GF(p), since residuals commute with the map Z -> GF(p)."""
+    base, phi = _indeterminate_tables(A)
+    n3 = A.dim ** 3
+    units = [tuple(int(b == a) for b in range(n3)) for a in range(n3)]
+    comps = _components(mixed_pair_residuals(AlgebraPair(base, phi)))
+    return Matrix.from_rows(A.field, [[c.get(u, 0) for u in units]
+                                      for c in comps])
 
 
 def linear_space(A: Algebra):
@@ -111,60 +117,37 @@ def linear_space(A: Algebra):
 def _quadratic_coefficients(A: Algebra, p: int):
     """Integer tables (L, Q, nq) describing the Step-1 residuals mod p.
 
-    Linear part: residual_c(phi) = sum_a L[c][a] phi_a for iii-iv.
+    Linear part: residual_c(phi) = sum_a L[a][c] phi_a for iii-iv.
     Quadratic part (i-ii, no linear terms): residual_c(phi) =
-    sum_{a<=b} Q[(a,b)][c] phi_a phi_b, built by polarization.
+    sum_{a<=b} Q[(a,b)][c] phi_a phi_b.  Both are read off the residuals
+    of the indeterminate table; only nonzero Q rows are kept.
     """
-    field = A.field
-    n = A.dim
-    n3 = n ** 3
-    elems = _elementary_tables(field, n)
-
-    def quad_residuals(phi):
-        comps = []
-        for _, _, vec in anti_pre_lie_residuals(phi):
-            comps.extend(int(x.value) for x in vec)
-        return np.array(comps, dtype=np.int64)
-
-    def lin_residuals(phi):
-        comps = []
-        for _, _, vec in mixed_pair_residuals(AlgebraPair(A, phi)):
-            comps.extend(int(x.value) for x in vec)
-        return np.array(comps, dtype=np.int64)
-
-    L = np.stack([lin_residuals(E) for E in elems]) % p  # (n3, n_lin)
-    singles = [quad_residuals(E) for E in elems]
-    nq = singles[0].shape[0]
+    L = np.array([[x.value for x in row] for row in _linear_rows(A).entries],
+                 dtype=np.int64).T
+    quad = _components(anti_pre_lie_residuals(_indeterminate_tables(A)[1]))
+    nq = len(quad)
     Q = {}
-    for a in range(n3):
-        if singles[a].any():
-            Q[(a, a)] = singles[a] % p
-    for a in range(n3):
-        for b in range(a + 1, n3):
-            sum_table = Algebra(field, n, [[[
-                elems[a].sc[i][j][k] + elems[b].sc[i][j][k]
-                for k in range(n)] for j in range(n)] for i in range(n)])
-            cross = (quad_residuals(sum_table) - singles[a] - singles[b]) % p
-            if cross.any():
-                Q[(a, b)] = cross
-    return L, Q, nq
+    for c, poly in enumerate(quad):
+        for mono, coef in poly.items():
+            a, b = [i for i, e in enumerate(mono) for _ in range(e)]
+            row = Q.setdefault((a, b), np.zeros(nq, dtype=np.int64))
+            row[c] = int(coef) % p
+    return L, {ab: Q[ab] for ab in sorted(Q) if Q[ab].any()}, nq
 
 
-def _decode(start, stop, p, n3):
-    idx = np.arange(start, stop, dtype=np.int64)
-    digits = np.empty((idx.shape[0], n3), dtype=np.int64)
-    for a in range(n3):
-        digits[:, a] = (idx // (p ** (n3 - 1 - a))) % p
-    return digits
+def _digit_rows(width, p):
+    """All p^width digit rows of the given width, in lexicographic order."""
+    grid = np.indices((p,) * width, dtype=np.int64)
+    return grid.reshape(width, p ** width).T
 
 
 def _scan_chunk(args):
-    start, stop, p, n3, L, Q, nq = args
-    E = _decode(start, stop, p, n3)
-    ok = ~((E @ L) % p).any(axis=1)
-    S = E[ok]
-    if S.shape[0] == 0:
-        return S
+    """Step-1 survivors, in lexicographic order, among the candidates
+    whose high block is one of rows h0..h1-1 of D_hi."""
+    h0, h1, p, D_hi, D_lo, N_hi, R_lo, Q, nq = args
+    ok = (R_lo[None, :, :] == N_hi[h0:h1, None, :]).all(axis=2)
+    hi, lo = np.nonzero(ok)
+    S = np.concatenate([D_hi[h0 + hi], D_lo[lo]], axis=1)
     acc = np.zeros((S.shape[0], nq), dtype=np.int64)
     for (a, b), coef in Q.items():
         prod = S[:, a] * S[:, b]
@@ -174,17 +157,19 @@ def _scan_chunk(args):
 
 
 def worker_count(requested=None) -> int:
-    """Effective worker count; the APL_WORKERS variable overrides any
-    requested value."""
-    env = os.environ.get("APL_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    if requested is not None:
-        return max(1, int(requested))
-    return 1
+    """Effective worker count: an explicit request wins, APL_WORKERS
+    applies only when none is given, and the default is 1.  A count that
+    is not an integer >= 1 raises ParseError."""
+    if requested is None:
+        requested = os.environ.get("APL_WORKERS") or 1
+    try:
+        count = int(requested)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ParseError(f"worker count must be an integer >= 1, "
+                         f"got {requested!r}")
+    return count
 
 
 def brute_force_Z2(A: Algebra, budget: int = DEFAULT_BUDGET,
@@ -195,6 +180,13 @@ def brute_force_Z2(A: Algebra, budget: int = DEFAULT_BUDGET,
     Every candidate is tested against all four conditions (the linear
     iii-iv residuals first, the quadratic i-ii residuals on survivors);
     the output is therefore closed under the checks by construction.
+    Split-digit residual: a candidate's first n^3 // 2 digits are its
+    high block h, the rest its low block l.  By linearity its residual
+    E @ L is R_hi[h] + R_lo[l] mod p, from per-base tables of partial
+    residuals; it vanishes exactly when R_lo[l] == N_hi[h] = -R_hi[h]
+    on every component, so each candidate's full residual is tested.
+    Each chunk is a range of high blocks covering about `chunk`
+    candidates, and at least one block.
     """
     if A.field.kind != "GF":
         raise FieldMismatchError("brute force runs over GF(p)")
@@ -205,11 +197,15 @@ def brute_force_Z2(A: Algebra, budget: int = DEFAULT_BUDGET,
     if total > budget:
         raise BudgetExceededError(
             f"{p}^{n3} = {total} exceeds the budget of {budget}")
-    L, Q, nq = _quadratic_coefficients(A, p)
-    Lm = L  # (n3, n_lin): E @ L gives residuals
-    bounds = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
-    jobs = [(s, t, p, n3, Lm, Q, nq) for s, t in bounds]
     nw = worker_count(workers)
+    L, Q, nq = _quadratic_coefficients(A, p)
+    D_hi, D_lo = _digit_rows(n3 // 2, p), _digit_rows(n3 - n3 // 2, p)
+    small = np.min_scalar_type(p - 1)
+    N_hi = (-(D_hi @ L[:n3 // 2]) % p).astype(small)
+    R_lo = (D_lo @ L[n3 // 2:] % p).astype(small)
+    step = max(1, chunk // len(D_lo))
+    jobs = [(h, min(h + step, len(D_hi)), p, D_hi, D_lo, N_hi, R_lo, Q, nq)
+            for h in range(0, len(D_hi), step)]
     if nw > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=nw) as pool:
             parts = list(pool.map(_scan_chunk, jobs))

@@ -234,6 +234,30 @@ def test_witness_cap():
     assert rep.failure_count >= len(rep.witnesses)
 
 
+def test_compatible_checkers_keep_member_failure_count():
+    # paired with the zero product the mixed conditions vanish, so each
+    # checker reports the member's own count, past the 16-witness limit
+    f = GF(5)
+    A = Algebra.from_entries(f, 3, [
+        (1, 1, 3, 2), (1, 2, 1, 4), (1, 2, 3, 4), (1, 3, 2, 3),
+        (2, 2, 3, 1), (2, 3, 1, 4), (2, 3, 2, 3), (2, 3, 3, 2),
+        (3, 1, 1, 2), (3, 3, 3, 3)])
+    P = AlgebraPair(A, Algebra.zero_algebra(f, 3))
+    assert check_compatible_pair(P).failure_count == 24
+    for checker, kind, prefix in (
+            (check_compatible_pair, "anti_pre_lie", "circ_"),
+            (check_compatible_lie, "jacobi", "bracket1_"),
+            (check_compatible_associative, "associative", "prod1_")):
+        own = check_identity(A, kind)
+        rep = checker(P)
+        assert rep.failure_count == own.failure_count > 16
+        assert [w.identity for w in rep.witnesses] == \
+            [prefix + w.identity for w in own.witnesses]
+        assert [(w.indices, w.residual) for w in rep.witnesses] == \
+            [(w.indices, w.residual) for w in own.witnesses]
+        assert len(rep.witnesses) == 16
+
+
 def test_json_round_trip():
     pair = instantiate(get_family("CA38"),
                        {"lambda": 2, "alpha": 1, "beta": -2}, branch=1)

@@ -244,3 +244,25 @@ def test_workers_env_override(capsys, monkeypatch):
     monkeypatch.setenv("APL_WORKERS", "3")
     code, report, _ = run(capsys, "z2", "--family", "A7", "--mode", "brute")
     assert code == 0 and report["solution_count"] == 125
+
+
+def test_workers_flag_beats_env(capsys, monkeypatch):
+    monkeypatch.setenv("APL_WORKERS", "abc")
+    code, report, _ = run(capsys, "z2", "--family", "A7", "--mode", "brute",
+                          "--workers", "2")
+    assert code == 0 and report["solution_count"] == 125
+
+
+@pytest.mark.parametrize("env", ["abc", "0", "-2", "1.5"])
+def test_workers_env_garbage_exits_2(capsys, monkeypatch, env):
+    monkeypatch.setenv("APL_WORKERS", env)
+    code, report, err = run(capsys, "z2", "--family", "A7", "--mode", "brute")
+    assert code == 2 and report is None
+    assert "worker count" in err
+
+
+def test_workers_flag_below_one_exits_2(capsys, monkeypatch):
+    monkeypatch.delenv("APL_WORKERS", raising=False)
+    code, _, err = run(capsys, "z2", "--family", "A7", "--mode", "brute",
+                       "--workers", "0")
+    assert code == 2 and "worker count" in err

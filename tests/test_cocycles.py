@@ -1,15 +1,21 @@
+import random
 from itertools import product as iproduct
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from antiprelie import (GF, QQ, Algebra, BudgetExceededError,
-                        Deformation, Matrix, NotInvertibleError,
+from antiprelie import (GF, QQ, Algebra, AlgebraPair, BudgetExceededError,
+                        Deformation, Matrix, NotInvertibleError, ParseError,
                         PreconditionError, brute_force_Z2,
                         check_identity, check_step1_conditions, get_family,
                         instantiate, is_automorphism, linear_space,
                         transform_deformation, verify_family_membership,
                         poly_ring)
-from antiprelie.cocycles import instantiate_family_gf
+from antiprelie.algebra import anti_pre_lie_residuals, mixed_pair_residuals
+from antiprelie.cocycles import (_quadratic_coefficients,
+                                 instantiate_family_gf, worker_count)
 from antiprelie.catalog import cocycle_families_of
 
 LINEAR_DIMS = {
@@ -130,6 +136,120 @@ def test_brute_force_gf3_cross_check():
         if check_step1_conditions(d).passed:
             direct.add(flat)
     assert sols == direct
+
+
+def _polarized_coefficients(A, p):
+    """Reference (L, Q, nq) by polarization: the residuals of the n^3
+    elementary tables E_a and of every pairwise sum E_a + E_b."""
+    field, n = A.field, A.dim
+    n3 = n ** 3
+    elems = [Algebra.from_entries(field, n, [(i + 1, j + 1, k + 1, 1)])
+             for i, j, k in iproduct(range(n), repeat=3)]
+
+    def comps(residuals):
+        return np.array([int(x.value) for _, _, vec in residuals
+                         for x in vec], dtype=np.int64)
+
+    L = np.stack([comps(mixed_pair_residuals(AlgebraPair(A, E)))
+                  for E in elems]) % p
+    singles = [comps(anti_pre_lie_residuals(E)) for E in elems]
+    Q = {(a, a): singles[a] % p for a in range(n3) if singles[a].any()}
+    for a in range(n3):
+        for b in range(a + 1, n3):
+            both = Algebra(field, n, [[[
+                elems[a].sc[i][j][k] + elems[b].sc[i][j][k]
+                for k in range(n)] for j in range(n)] for i in range(n)])
+            cross = (comps(anti_pre_lie_residuals(both))
+                     - singles[a] - singles[b]) % p
+            if cross.any():
+                Q[(a, b)] = cross
+    return L, Q, singles[0].shape[0]
+
+
+def _random_table(rng, field, n):
+    return Algebra(field, n, [[[field.scalar(rng.randrange(field.p))
+                                for _ in range(n)] for _ in range(n)]
+                               for _ in range(n)])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_quadratic_coefficients_match_polarization(p, dim):
+    rng = random.Random(100 * p + dim)
+    bases = [Algebra.zero_algebra(GF(p), dim)]
+    bases += [_random_table(rng, GF(p), dim) for _ in range(2)]
+    if dim == 2:
+        bases.append(base_algebra("A3", prime=p))
+    for base in bases:
+        L, Q, nq = _quadratic_coefficients(base, p)
+        L0, Q0, nq0 = _polarized_coefficients(base, p)
+        assert nq == nq0 and np.array_equal(L, L0)
+        assert sorted(Q) == sorted(Q0)
+        assert all(np.array_equal(Q[ab], Q0[ab]) for ab in Q0)
+
+
+def _direct_step1(base):
+    """Flattened candidates passing check_step1_conditions, in order."""
+    f, n = base.field, base.dim
+    out = []
+    for flat in iproduct(range(f.p), repeat=n ** 3):
+        sc = [[[f.scalar(flat[(i * n + j) * n + k]) for k in range(n)]
+               for j in range(n)] for i in range(n)]
+        if check_step1_conditions(Deformation(base, Algebra(f, n, sc))):
+            out.append(flat)
+    return out
+
+
+def _flats(sols):
+    return [tuple(int(x.value) for x in d.flat()) for d in sols]
+
+
+def test_brute_force_chunking_and_workers_keep_order():
+    # chunks of one high block (1, 7, p^4 + 1), three blocks with a short
+    # last chunk (3 p^4 + 1), and the default single chunk
+    p = 5
+    base = base_algebra("A2", prime=p)
+    ref = _flats(brute_force_Z2(base, workers=1))
+    assert len(ref) == Z2_COUNTS[("A2", None)] and ref == sorted(ref)
+    for chunk in (1, 7, p ** 4 + 1, 3 * p ** 4 + 1, 1 << 19):
+        for workers in (1, 3):
+            sols = brute_force_Z2(base, workers=workers, chunk=chunk)
+            assert _flats(sols) == ref, (chunk, workers)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_brute_force_dim1_empty_high_block(p):
+    f = GF(p)
+    for c in range(p):
+        base = Algebra.from_entries(f, 1, [(1, 1, 1, c)])
+        direct = _direct_step1(base)
+        for chunk in (1, 1 << 19):
+            sols = brute_force_Z2(base, workers=3, chunk=chunk)
+            assert _flats(sols) == direct, (c, chunk)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=8, max_size=8))
+def test_brute_force_equals_step1_filter_gf2(flat):
+    f = GF(2)
+    base = Algebra(f, 2, [[[f.scalar(flat[(i * 2 + j) * 2 + k])
+                            for k in range(2)] for j in range(2)]
+                          for i in range(2)])
+    assert _flats(brute_force_Z2(base)) == _direct_step1(base)
+
+
+def test_worker_count_precedence(monkeypatch):
+    monkeypatch.delenv("APL_WORKERS", raising=False)
+    assert worker_count() == 1 and worker_count(3) == 3
+    monkeypatch.setenv("APL_WORKERS", "")
+    assert worker_count() == 1
+    monkeypatch.setenv("APL_WORKERS", "2")
+    assert worker_count() == 2 and worker_count(1) == 1
+    monkeypatch.setenv("APL_WORKERS", "abc")
+    assert worker_count(3) == 3
+    for bad in (None, 0, -1, "x"):
+        with pytest.raises(ParseError):
+            worker_count(bad)
 
 
 def test_brute_force_budget():
