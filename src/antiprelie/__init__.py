@@ -25,7 +25,7 @@ from .cocycles import (Deformation, brute_force_Z2, check_step1_conditions,
                        verify_family_membership)
 from .errors import (BudgetExceededError, ConstraintError, FieldMismatchError,
                      NotInvertibleError, ParseError, PreconditionError,
-                     ShapeMismatchError, ToolkitError)
+                     ShapeMismatchError, ToolkitError, UnknownEntryError)
 from .forms import (BilinearForm, check_comm_2cocycle, check_form,
                     check_invariant, construct_from_vectors,
                     induce_from_cocycle, invariant_form_space, pairing_form)

@@ -4,6 +4,12 @@ An Algebra stores one bilinear product as the table sc[i][j][k], the
 coefficient of e_k in e_i * e_j.  All identities are verified on basis
 tuples only; multilinearity makes that complete, and over polynomial
 rings the verdicts are exact polynomial identities.
+
+The checkers never multiply basis vectors: e_i * e_j is the row
+sc[i][j], and each checker builds the tables of the degree-3 words it
+needs, e_a * (e_b * e_c) and (e_a * e_b) * e_c, once for all triples by
+scaling table rows (zero coefficients skipped, a coefficient of one not
+multiplied).  Exact arithmetic makes the residuals equal to `multiply`'s.
 """
 from __future__ import annotations
 
@@ -15,6 +21,7 @@ from .errors import FieldMismatchError, ParseError, ShapeMismatchError
 from .scalars import Field, Scalar, cast_scalar, format_scalar
 
 MAX_WITNESSES = 16
+MAX_DIM = 64  # .alg.json input; the toolkit's own tables stay far below
 
 IDENTITY_KINDS = ("anti_pre_lie", "pre_lie", "jacobi", "associative",
                   "commutative")
@@ -83,7 +90,8 @@ class Algebra:
         for p in sc:
             for r in p:
                 for x in r:
-                    if not isinstance(x, Scalar) or x.field != field:
+                    if not isinstance(x, Scalar) or (
+                            x.field is not field and x.field != field):
                         raise FieldMismatchError("table entry field mismatch")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "dim", dim)
@@ -176,29 +184,62 @@ class AlgebraPair:
 # products and derived tables
 # ---------------------------------------------------------------------------
 
+def _accumulate(out, c, row):
+    """out += c * row, skipping zero entries and a coefficient of one."""
+    one = c.is_one()
+    for k, s in enumerate(row):
+        if not s.is_zero():
+            out[k] = out[k] + (s if one else c * s)
+
+
 def multiply(A: Algebra, x, y):
     """Bilinear extension of the structure constants to coefficient vectors."""
+    f = A.field
     if len(x) != A.dim or len(y) != A.dim:
         raise ShapeMismatchError("vector length mismatch")
-    zero = A.field.zero()
-    x = [v if isinstance(v, Scalar) else A.field.scalar(v) for v in x]
-    y = [v if isinstance(v, Scalar) else A.field.scalar(v) for v in y]
+    x = [v if isinstance(v, Scalar) else f.scalar(v) for v in x]
+    y = [v if isinstance(v, Scalar) else f.scalar(v) for v in y]
     for v in x + y:
-        if v.field != A.field:
+        if v.field is not f and v.field != f:
             raise FieldMismatchError("vector entries off-field")
-    out = [zero] * A.dim
-    for i in range(A.dim):
-        if x[i].is_zero():
+    out = [f.zero()] * A.dim
+    for i, xi in enumerate(x):
+        if xi.is_zero():
             continue
-        for j in range(A.dim):
-            if y[j].is_zero():
-                continue
-            c = x[i] * y[j]
-            row = A.sc[i][j]
-            for k in range(A.dim):
-                if not row[k].is_zero():
-                    out[k] = out[k] + c * row[k]
+        for j, yj in enumerate(y):
+            if not yj.is_zero():
+                _accumulate(out, xi * yj, A.sc[i][j])
     return out
+
+
+def _left(A: Algebra, i: int, v):
+    """e_i * v, read off the rows sc[i][j] of the table."""
+    out = [A.field.zero()] * A.dim
+    for j, c in enumerate(v):
+        if not c.is_zero():
+            _accumulate(out, c, A.sc[i][j])
+    return out
+
+
+def _right(A: Algebra, v, k: int):
+    """v * e_k, read off the rows sc[i][k] of the table."""
+    out = [A.field.zero()] * A.dim
+    for i, c in enumerate(v):
+        if not c.is_zero():
+            _accumulate(out, c, A.sc[i][k])
+    return out
+
+
+def _inner_words(A: Algebra, B: Algebra):
+    """W[a][b][c] = e_a *A (e_b *B e_c) on every basis triple."""
+    r = range(A.dim)
+    return [[[_left(A, a, B.sc[b][c]) for c in r] for b in r] for a in r]
+
+
+def _outer_words(A: Algebra, B: Algebra):
+    """W[a][b][c] = (e_a *B e_b) *A e_c on every basis triple."""
+    r = range(A.dim)
+    return [[[_right(A, B.sc[a][b], c) for c in r] for b in r] for a in r]
 
 
 def commutator(A: Algebra) -> Algebra:
@@ -256,6 +297,12 @@ def _vadd(*vs):
     return out
 
 
+def _vtable(U, W):
+    """Entrywise sum of two word tables."""
+    return [[[_vadd(u, w) for u, w in zip(ur, wr)] for ur, wr in zip(up, wp)]
+            for up, wp in zip(U, W)]
+
+
 def anti_pre_lie_residuals(A: Algebra):
     """Residual vectors of both anti-pre-Lie identities on every triple:
 
@@ -264,18 +311,13 @@ def anti_pre_lie_residuals(A: Algebra):
     Returned for all triples, zero or not, in lexicographic order.
     """
     n = A.dim
-    e = [A.basis_vector(i) for i in range(n)]
-    br = commutator(A)
+    xyz = _inner_words(A, A)                 # x*(y*z)
+    bxyz = _outer_words(A, commutator(A))    # [x,y]*z
     out = []
     for i, j, k in iproduct(range(n), repeat=3):
-        x, y, z = e[i], e[j], e[k]
-        r1 = _vsub(_vsub(multiply(A, x, multiply(A, y, z)),
-                         multiply(A, y, multiply(A, x, z))),
-                   multiply(A, multiply(br, y, x), z))
+        r1 = _vsub(_vsub(xyz[i][j][k], xyz[j][i][k]), bxyz[j][i][k])
         out.append(("anti_pre_lie_1", (i, j, k), r1))
-        r2 = _vadd(multiply(A, multiply(br, x, y), z),
-                   multiply(A, multiply(br, y, z), x),
-                   multiply(A, multiply(br, z, x), y))
+        r2 = _vadd(bxyz[i][j][k], bxyz[j][k][i], bxyz[k][i][j])
         out.append(("anti_pre_lie_2", (i, j, k), r2))
     return out
 
@@ -289,12 +331,12 @@ def check_identity(A: Algebra, kind: str) -> CheckReport:
     if kind not in IDENTITY_KINDS:
         raise ValueError(f"unknown identity kind {kind!r}")
     n = A.dim
-    e = [A.basis_vector(i) for i in range(n)]
+    sc = A.sc
     failures = []
 
     if kind == "commutative":
         for i, j in iproduct(range(n), repeat=2):
-            r = _vsub(multiply(A, e[i], e[j]), multiply(A, e[j], e[i]))
+            r = _vsub(sc[i][j], sc[j][i])
             if not _vec_is_zero(r):
                 failures.append(("commutative", (i, j), r))
         return make_report(failures)
@@ -306,30 +348,22 @@ def check_identity(A: Algebra, kind: str) -> CheckReport:
 
     if kind == "jacobi":
         for i, j in iproduct(range(n), repeat=2):
-            r = _vadd(multiply(A, e[i], e[j]), multiply(A, e[j], e[i]))
+            r = _vadd(sc[i][j], sc[j][i])
             if not _vec_is_zero(r):
                 failures.append(("antisymmetric", (i, j), r))
 
+    xy_z = _outer_words(A, A)                                # (x*y)*z
+    x_yz = None if kind == "jacobi" else _inner_words(A, A)  # x*(y*z)
     for i, j, k in iproduct(range(n), repeat=3):
-        x, y, z = e[i], e[j], e[k]
         if kind == "pre_lie":
-            r = _vsub(_vsub(multiply(A, multiply(A, x, y), z),
-                            multiply(A, x, multiply(A, y, z))),
-                      _vsub(multiply(A, multiply(A, y, x), z),
-                            multiply(A, y, multiply(A, x, z))))
-            if not _vec_is_zero(r):
-                failures.append(("pre_lie", (i, j, k), r))
+            r = _vsub(_vsub(xy_z[i][j][k], x_yz[i][j][k]),
+                      _vsub(xy_z[j][i][k], x_yz[j][i][k]))
         elif kind == "jacobi":
-            r = _vadd(multiply(A, multiply(A, x, y), z),
-                      multiply(A, multiply(A, y, z), x),
-                      multiply(A, multiply(A, z, x), y))
-            if not _vec_is_zero(r):
-                failures.append(("jacobi", (i, j, k), r))
-        elif kind == "associative":
-            r = _vsub(multiply(A, multiply(A, x, y), z),
-                      multiply(A, x, multiply(A, y, z)))
-            if not _vec_is_zero(r):
-                failures.append(("associative", (i, j, k), r))
+            r = _vadd(xy_z[i][j][k], xy_z[j][k][i], xy_z[k][i][j])
+        else:
+            r = _vsub(xy_z[i][j][k], x_yz[i][j][k])
+        if not _vec_is_zero(r):
+            failures.append((kind, (i, j, k), r))
     return make_report(failures)
 
 
@@ -344,25 +378,15 @@ def mixed_pair_residuals(P: AlgebraPair):
     """
     C, S = P.circ, P.star
     n = P.dim
-    e = [C.basis_vector(i) for i in range(n)]
-    b1 = commutator(C)
-    b2 = commutator(S)
+    # x.(y*z) + x*(y.z), and [x,y]_2 . z + [x,y]_1 * z
+    inner = _vtable(_inner_words(C, S), _inner_words(S, C))
+    brk = _vtable(_outer_words(C, commutator(S)),
+                  _outer_words(S, commutator(C)))
     out = []
     for i, j, k in iproduct(range(n), repeat=3):
-        x, y, z = e[i], e[j], e[k]
-        lhs = _vadd(multiply(C, x, multiply(S, y, z)),
-                    multiply(S, x, multiply(C, y, z)))
-        lhs = _vsub(lhs, multiply(C, y, multiply(S, x, z)))
-        lhs = _vsub(lhs, multiply(S, y, multiply(C, x, z)))
-        rhs = _vadd(multiply(C, multiply(b2, y, x), z),
-                    multiply(S, multiply(b1, y, x), z))
-        out.append(("compatible_mixed_1", (i, j, k), _vsub(lhs, rhs)))
-        r2 = _vadd(multiply(C, multiply(b2, x, y), z),
-                   multiply(S, multiply(b1, x, y), z),
-                   multiply(C, multiply(b2, y, z), x),
-                   multiply(S, multiply(b1, y, z), x),
-                   multiply(C, multiply(b2, z, x), y),
-                   multiply(S, multiply(b1, z, x), y))
+        r1 = _vsub(_vsub(inner[i][j][k], inner[j][i][k]), brk[j][i][k])
+        out.append(("compatible_mixed_1", (i, j, k), r1))
+        r2 = _vadd(brk[i][j][k], brk[j][k][i], brk[k][i][j])
         out.append(("compatible_mixed_2", (i, j, k), r2))
     return out
 
@@ -399,17 +423,11 @@ def check_compatible_lie(P: AlgebraPair) -> CheckReport:
     r1 = _relabel(r1, "bracket1_")
     r2 = _relabel(r2, "bracket2_")
     n = P.dim
-    e = [P.circ.basis_vector(i) for i in range(n)]
+    # (x.y)*z + (x*y).z
+    w = _vtable(_outer_words(P.star, P.circ), _outer_words(P.circ, P.star))
     failures = []
     for i, j, k in iproduct(range(n), repeat=3):
-        x, y, z = e[i], e[j], e[k]
-        r = _vadd(
-            multiply(P.star, multiply(P.circ, x, y), z),
-            multiply(P.star, multiply(P.circ, y, z), x),
-            multiply(P.star, multiply(P.circ, z, x), y),
-            multiply(P.circ, multiply(P.star, x, y), z),
-            multiply(P.circ, multiply(P.star, y, z), x),
-            multiply(P.circ, multiply(P.star, z, x), y))
+        r = _vadd(w[i][j][k], w[j][k][i], w[k][i][j])
         if not _vec_is_zero(r):
             failures.append(("compatible_lie_mixed", (i, j, k), r))
     return merge_reports(r1, r2, make_report(failures))
@@ -422,15 +440,12 @@ def check_compatible_associative(P: AlgebraPair) -> CheckReport:
     r1 = _relabel(r1, "prod1_")
     r2 = _relabel(r2, "prod2_")
     n = P.dim
-    e = [P.circ.basis_vector(i) for i in range(n)]
+    # (x.y)*z + (x*y).z - x.(y*z) - x*(y.z)
+    w = _vtable(_outer_words(P.star, P.circ), _outer_words(P.circ, P.star))
+    v = _vtable(_inner_words(P.circ, P.star), _inner_words(P.star, P.circ))
     failures = []
     for i, j, k in iproduct(range(n), repeat=3):
-        x, y, z = e[i], e[j], e[k]
-        r = _vsub(
-            _vadd(multiply(P.star, multiply(P.circ, x, y), z),
-                  multiply(P.circ, multiply(P.star, x, y), z)),
-            _vadd(multiply(P.circ, x, multiply(P.star, y, z)),
-                  multiply(P.star, x, multiply(P.circ, y, z))))
+        r = _vsub(w[i][j][k], v[i][j][k])
         if not _vec_is_zero(r):
             failures.append(("compatible_assoc_mixed", (i, j, k), r))
     return merge_reports(r1, r2, make_report(failures))
@@ -473,6 +488,8 @@ def algebra_from_json(obj):
     """Returns (circ, star_or_None)."""
     try:
         dim = int(obj["dim"])
+        if dim > MAX_DIM:
+            raise ParseError(f"dim {dim} exceeds {MAX_DIM}")
         field = Field.from_json(obj["field"])
         basis = obj.get("basis")
         circ = _algebra_from_product(obj, field, dim, basis, "circ")

@@ -19,7 +19,7 @@ from .algebra import (Algebra, AlgebraPair, cast_algebra,
                       check_compatible_pair, check_identity)
 from .cocycles import (Deformation, is_automorphism, transform_deformation,
                        verify_family_membership)
-from .errors import ConstraintError
+from .errors import ConstraintError, UnknownEntryError
 from .linalg import Matrix
 from .scalars import GF, QQ, Field, substitute
 
@@ -114,8 +114,8 @@ def family_names():
 def get_family(name: str) -> Family:
     data = load_catalog()["families"]
     if name not in data:
-        raise KeyError(f"unknown family {name!r}; valid names are "
-                       f"A1..A9 and CA1..CA45")
+        raise UnknownEntryError(f"unknown family {name!r}; valid names "
+                                f"are A1..A9 and CA1..CA45")
     raw = data[name]
     return Family(
         name=name, dim=raw["dim"], params=tuple(raw["params"]),
@@ -217,7 +217,7 @@ class AutomorphismFamily:
 def automorphism_families_of(name: str):
     data = load_catalog()["automorphisms"]
     if name not in data:
-        raise KeyError(f"no automorphism data for {name!r}")
+        raise UnknownEntryError(f"no automorphism data for {name!r}")
     out = []
     for idx, raw in enumerate(data[name]):
         out.append(AutomorphismFamily(
@@ -234,7 +234,8 @@ def automorphism_of(name: str, assignment: dict | None = None,
     intertwining property is verified exactly before returning."""
     fams = automorphism_families_of(name)
     if not 0 <= index < len(fams):
-        raise KeyError(f"{name} has {len(fams)} automorphism families")
+        raise UnknownEntryError(
+            f"{name} has {len(fams)} automorphism families")
     theta = fams[index].concrete_matrix(assignment or {})
     parent = get_family(name)
     # verify on a concrete instance of the parent product (lambda-free
@@ -261,10 +262,19 @@ def automorphism_of(name: str, assignment: dict | None = None,
 _CASES = {"A6": ("0", "-1", "generic"), "A8": ("0", "-2", "generic")}
 
 
+def case_for(name: str, lam):
+    """The deformation case of base `name` at lambda = lam: A6 and A8
+    split on their special values of lambda, other bases have no case."""
+    if name not in _CASES:
+        return None
+    special = {Fraction(c): c for c in _CASES[name] if c != "generic"}
+    return special.get(lam, "generic")
+
+
 def cocycle_cases_of(name: str):
     data = load_catalog()["cocycle_families"]
     if name not in data:
-        raise KeyError(f"no deformation family data for {name!r}")
+        raise UnknownEntryError(f"no deformation family data for {name!r}")
     return tuple(data[name].keys())
 
 
@@ -274,8 +284,8 @@ def cocycle_families_of(name: str, case: str | None = None):
     {'0','-2','generic'} respectively."""
     data = load_catalog()["cocycle_families"]
     if name not in data:
-        raise KeyError(f"no deformation family data for {name!r} "
-                       "(only A2..A9 are tabulated)")
+        raise UnknownEntryError(f"no deformation family data for {name!r} "
+                                "(only A2..A9 are tabulated)")
     cases = data[name]
     if name in _CASES:
         if case is None or case not in cases:
@@ -293,7 +303,7 @@ def cocycle_families_of(name: str, case: str | None = None):
     return out
 
 
-def _base_for(name: str, case: str | None):
+def base_for(name: str, case: str | None):
     """Symbolic base product for a deformation case (lambda kept symbolic
     for the generic cases)."""
     fam = get_family(name)
@@ -400,7 +410,7 @@ def _cocycle_jobs():
     data = load_catalog()["cocycle_families"]
     for name in sorted(data, key=lambda s: (len(s), s)):
         for case in data[name]:
-            base = _base_for(name, case or None)
+            base = base_for(name, case or None)
             for idx, phi in enumerate(
                     cocycle_families_of(name, case or None)):
                 label = name + (f"@{case}" if case else "") + f"#{idx+1}"

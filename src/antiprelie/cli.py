@@ -157,22 +157,6 @@ def cmd_catalog(args) -> int:
     return 0 if report.passed else 1
 
 
-def _z2_case(name: str, lam):
-    if name == "A6":
-        if lam == 0:
-            return "0"
-        if lam == -1:
-            return "-1"
-        return "generic"
-    if name == "A8":
-        if lam == 0:
-            return "0"
-        if lam == -2:
-            return "-2"
-        return "generic"
-    return None
-
-
 def cmd_z2(args) -> int:
     params = parse_params(args.params)
     name = args.family
@@ -189,9 +173,8 @@ def cmd_z2(args) -> int:
 
     if args.mode == "verify":
         items = []
-        for case in (cat.cocycle_cases_of(name) if name in ("A6", "A8")
-                     else ("",)):
-            base = cat._base_for(name, case or None)
+        for case in cat.cocycle_cases_of(name):
+            base = cat.base_for(name, case or None)
             for idx, phi in enumerate(
                     cat.cocycle_families_of(name, case or None)):
                 rep = verify_family_membership(base, phi)
@@ -223,7 +206,7 @@ def cmd_z2(args) -> int:
     # brute force + containment tallies
     sols = brute_force_Z2(base_p, budget=args.budget, workers=args.workers)
     flat_sols = {tuple(int(x.value) for x in d.flat()) for d in sols}
-    case = _z2_case(name, lam) if needs_lambda else None
+    case = cat.case_for(name, lam)
     union = set()
     tallies = []
     for idx, phi in enumerate(cat.cocycle_families_of(name, case)):
@@ -434,7 +417,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ConstraintError, BudgetExceededError, KeyError,
+    except (ParseError, ConstraintError, BudgetExceededError,
             FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

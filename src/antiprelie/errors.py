@@ -31,3 +31,7 @@ class ConstraintError(ToolkitError):
 
 class BudgetExceededError(ToolkitError):
     """An exhaustive search would exceed the configured candidate budget."""
+
+
+class UnknownEntryError(ToolkitError, KeyError):
+    """A catalog lookup names an entry the catalog does not have."""

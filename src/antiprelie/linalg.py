@@ -6,7 +6,7 @@ cofactor fallbacks for polynomial entries where division is unavailable.
 """
 from __future__ import annotations
 
-from .errors import (FieldMismatchError, NotInvertibleError,
+from .errors import (FieldMismatchError, NotInvertibleError, ParseError,
                      ShapeMismatchError)
 from .scalars import Field, Scalar
 
@@ -296,7 +296,11 @@ class Matrix:
 
     @staticmethod
     def from_json(obj, field: Field) -> Matrix:
-        entries = [[field.parse(s) for s in row] for row in obj["entries"]]
+        try:
+            rows = obj["entries"]
+        except (KeyError, TypeError) as exc:
+            raise ParseError(f"map JSON needs an entries list: {exc}") from exc
+        entries = [[field.parse(s) for s in row] for row in rows]
         m = Matrix(field, entries)
         if m.rows != obj.get("rows", m.rows) or m.cols != obj.get("cols", m.cols):
             raise ShapeMismatchError("declared shape disagrees with entries")

@@ -135,6 +135,11 @@ def induce_on_domain(T: Matrix, R: RepresentationPair) -> AlgebraPair:
     if not base.passed:
         raise PreconditionError("T is not an anti-O-operator "
                                 f"({base.failure_count} failures)")
+    return _domain_pair(T, R)
+
+
+def _domain_pair(T: Matrix, R: RepresentationPair) -> AlgebraPair:
+    """The products of `induce_on_domain`, for a T already checked."""
     m = R.v_dim
     f = R.field
     u = _unit_vectors(f, m)
@@ -174,7 +179,7 @@ def induce_on_image(T: Matrix, R: RepresentationPair):
     if not strong.passed:
         raise PreconditionError("T is not strong "
                                 f"({strong.failure_count} failures)")
-    domain = induce_on_domain(T, R)
+    domain = _domain_pair(T, R)  # check_strong has checked anti-O
     m = R.v_dim
     f = R.field
     u = _unit_vectors(f, m)

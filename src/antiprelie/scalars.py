@@ -4,15 +4,30 @@ Every value is immutable and kept in canonical form: rationals fully
 reduced, prime-field residues in [0, p), polynomials without zero
 coefficients.  Negative exponents are allowed only on variables declared
 as units of their ring.
+
+The public ``Scalar(field, value)`` enforces the form: it drops zero
+polynomial coefficients and rejects negative exponents on non-units.
+The ring operations keep it by construction and skip those checks
+(``_make``): Fraction results are reduced, residues are taken mod p,
+sums drop cancelled terms, and products only add exponents, so a
+negative one appears only where an operand had one, on a unit.  Values
+are never mutated, so results may share them, and ``Field.zero()`` and
+``Field.one()`` are built once per field.
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add
 
 from .errors import FieldMismatchError, NotInvertibleError, ParseError
 
 _NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
+
+# input limits, checked before any work: primality is trial division and
+# x^N expands a polynomial N-fold
+MAX_MODULUS = 2 ** 31
+MAX_EXPONENT = 64
 
 
 def _is_prime(n: int) -> bool:
@@ -29,14 +44,15 @@ def _is_prime(n: int) -> bool:
 class Field:
     """A coefficient domain: Q, GF(p), or a Laurent polynomial ring over Q."""
 
-    __slots__ = ("kind", "p", "variables", "units")
+    __slots__ = ("kind", "p", "variables", "units", "_zero", "_one")
 
     def __init__(self, kind, p=None, variables=(), units=()):
         if kind not in ("Q", "GF", "poly"):
             raise ValueError(f"unknown field kind {kind!r}")
         if kind == "GF":
-            if p is None or not _is_prime(p):
-                raise ValueError(f"GF modulus must be prime, got {p!r}")
+            if p is None or p > MAX_MODULUS or not _is_prime(p):
+                raise ValueError(
+                    f"GF modulus must be a prime <= 2^31, got {p!r}")
         variables = tuple(variables)
         if len(set(variables)) != len(variables):
             raise ValueError("duplicate variable names")
@@ -55,6 +71,8 @@ class Field:
         raise AttributeError("Field is immutable")
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, Field) and self.kind == other.kind
                 and self.p == other.p and self.variables == other.variables
                 and self.units == other.units)
@@ -73,10 +91,18 @@ class Field:
     # -- constructors ------------------------------------------------------
 
     def zero(self) -> Scalar:
-        return self.scalar(0)
+        try:
+            return self._zero
+        except AttributeError:  # built on first use, then shared
+            object.__setattr__(self, "_zero", self.scalar(0))
+            return self._zero
 
     def one(self) -> Scalar:
-        return self.scalar(1)
+        try:
+            return self._one
+        except AttributeError:
+            object.__setattr__(self, "_one", self.scalar(1))
+            return self._one
 
     def scalar(self, value) -> Scalar:
         """Coerce an int, Fraction or Scalar into this field."""
@@ -166,15 +192,13 @@ class Scalar:
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        if self.field.kind == "poly":
-            return not self.value
-        return self.value == 0
+        return not self.value
 
     def is_one(self) -> bool:
         return self == self.field.one()
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.value)
 
     def __eq__(self, other):
         if not isinstance(other, Scalar):
@@ -189,50 +213,53 @@ class Scalar:
 
     # -- ring operations ---------------------------------------------------
 
-    def _check(self, other: Scalar):
+    def _check(self, other: Scalar) -> Field:
         if not isinstance(other, Scalar):
             raise TypeError(f"expected Scalar, got {type(other).__name__}")
-        if self.field != other.field:
-            raise FieldMismatchError(f"{self.field!r} vs {other.field!r}")
+        f = self.field
+        if other.field is not f and other.field != f:
+            raise FieldMismatchError(f"{f!r} vs {other.field!r}")
+        return f
 
     def __add__(self, other):
-        self._check(other)
-        f = self.field
-        if f.kind == "Q":
-            return Scalar(f, self.value + other.value)
-        if f.kind == "GF":
-            return Scalar(f, (self.value + other.value) % f.p)
-        out = dict(self.value)
-        for m, c in other.value.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return Scalar(f, out)
+        f = self._check(other)
+        a, b = self.value, other.value
+        if f.kind == "poly":
+            return self if not b else other if not a else \
+                _make(f, _poly_add(a, b))
+        return _make(f, a + b if f.kind == "Q" else (a + b) % f.p)
+
+    def __sub__(self, other):
+        f = self._check(other)
+        a, b = self.value, other.value
+        if f.kind == "poly":
+            return self if not b else -other if not a else \
+                _make(f, _poly_add(a, b, -1))
+        return _make(f, a - b if f.kind == "Q" else (a - b) % f.p)
 
     def __neg__(self):
         f = self.field
         if f.kind == "Q":
-            return Scalar(f, -self.value)
+            return _make(f, -self.value)
         if f.kind == "GF":
-            return Scalar(f, (-self.value) % f.p)
-        return Scalar(f, {m: -c for m, c in self.value.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
+            return _make(f, -self.value % f.p)
+        return _make(f, {m: -c for m, c in self.value.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
             other = self.field.scalar(other)
-        self._check(other)
-        f = self.field
+        f = self._check(other)
         if f.kind == "Q":
-            return Scalar(f, self.value * other.value)
+            return _make(f, self.value * other.value)
         if f.kind == "GF":
-            return Scalar(f, self.value * other.value % f.p)
+            return _make(f, self.value * other.value % f.p)
         out = {}
         for m1, c1 in self.value.items():
             for m2, c2 in other.value.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return Scalar(f, out)
+                m = tuple(map(add, m1, m2))
+                c = out.get(m)
+                out[m] = c1 * c2 if c is None else c + c1 * c2
+        return _make(f, {m: c for m, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -305,6 +332,29 @@ class Scalar:
 
     def __str__(self):
         return format_scalar(self)
+
+
+_set = object.__setattr__
+
+
+def _make(field: Field, value) -> Scalar:
+    """A Scalar from a value already in canonical form (no filtering)."""
+    x = object.__new__(Scalar)
+    _set(x, "field", field)
+    _set(x, "value", value)
+    return x
+
+
+def _poly_add(a: dict, b: dict, sign: int = 1) -> dict:
+    """a + sign*b on coefficient dicts, dropping cancelled terms."""
+    out = dict(a)
+    for m, c in b.items():
+        c = c if sign > 0 else -c
+        s = out.pop(m, None)
+        s = c if s is None else s + c
+        if s:
+            out[m] = s
+    return out
 
 
 def cast_scalar(x: Scalar, field: Field) -> Scalar:
@@ -439,7 +489,10 @@ class _Parser:
         node = self.parse_atom()
         if self.peek() == ("op", "^"):
             self.next()
-            node = node ** self.parse_int()
+            exp = self.parse_int()
+            if abs(exp) > MAX_EXPONENT:
+                raise ParseError(f"exponent {exp} exceeds {MAX_EXPONENT}")
+            node = node ** exp
         if sign < 0:
             node = -node
         return node

@@ -17,7 +17,7 @@ from antiprelie import (GF, QQ, Algebra, AlgebraPair, BilinearForm, Matrix,
                         invariant_form_space, left_multiplication_pair,
                         pairing_form, semidirect_product, verify_catalog,
                         verify_family_membership)
-from antiprelie.catalog import cocycle_families_of, _base_for
+from antiprelie.catalog import base_for, case_for, cocycle_families_of
 from antiprelie.cli import main as cli_main
 from antiprelie.cocycles import instantiate_family_gf
 from conftest import random_instance, record_acceptance
@@ -54,7 +54,7 @@ def test_criterion_2_lemma_membership():
               ("A6", "0"), ("A6", "-1"), ("A6", "generic"), ("A7", None),
               ("A8", "0"), ("A8", "-2"), ("A8", "generic"), ("A9", None)]
     for name, case in blocks:
-        base = _base_for(name, case)
+        base = base_for(name, case)
         for idx, fam in enumerate(cocycle_families_of(name, case)):
             rep = verify_family_membership(base, fam)
             checked += 1
@@ -78,14 +78,6 @@ ORACLE_BASES = {
 }
 
 
-def _case_for(name, lam):
-    if name == "A6":
-        return {0: "0", -1: "-1"}.get(lam, "generic")
-    if name == "A8":
-        return {0: "0", -2: "-2"}.get(lam, "generic")
-    return None
-
-
 def test_criterion_3_oracle_containment():
     t0 = time.time()
     findings = []
@@ -98,7 +90,7 @@ def test_criterion_3_oracle_containment():
         sols = {tuple(int(x.value) for x in d.flat())
                 for d in brute_force_Z2(base)}
         union = set()
-        for fam in cocycle_families_of(name, _case_for(name, lam)):
+        for fam in cocycle_families_of(name, case_for(name, lam)):
             members = instantiate_family_gf(fam, 5)
             if not members <= sols:
                 ok = False

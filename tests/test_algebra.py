@@ -1,7 +1,10 @@
 import json
 import random
+from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antiprelie import (GF, QQ, Algebra, AlgebraPair, FieldMismatchError,
                         ParseError, algebra_from_json, algebra_to_json,
@@ -9,6 +12,9 @@ from antiprelie import (GF, QQ, Algebra, AlgebraPair, FieldMismatchError,
                         check_compatible_lie, check_compatible_pair,
                         check_identity, commutator, get_family, instantiate,
                         multiply, pair_to_json, pencil, poly_ring)
+from antiprelie.algebra import (MAX_DIM, _relabel, _vadd, _vec_is_zero, _vsub,
+                                anti_pre_lie_residuals, make_report,
+                                merge_reports, mixed_pair_residuals)
 from conftest import rand_fraction, random_instance
 
 A5 = Algebra.from_entries(QQ, 2, [(1, 1, 2, -1), (2, 1, 1, -1)])
@@ -283,3 +289,190 @@ def test_json_rejects_malformed():
 def test_field_mismatch_in_pair():
     with pytest.raises(FieldMismatchError):
         AlgebraPair(A5, Algebra.zero_algebra(GF(5), 2))
+
+
+def test_json_dim_limit():
+    blob = {"dim": MAX_DIM, "field": {"kind": "GF", "p": 2},
+            "products": {"circ": [[MAX_DIM, MAX_DIM, 1, "1"]]}}
+    circ, _ = algebra_from_json(blob)
+    assert circ.dim == MAX_DIM
+    with pytest.raises(ParseError, match="exceeds"):
+        algebra_from_json({**blob, "dim": MAX_DIM + 1})
+
+
+# ---------------------------------------------------------------------------
+# oracles: the checkers' former bodies, which multiply basis vectors
+# ---------------------------------------------------------------------------
+
+def _basis(A):
+    return [A.basis_vector(i) for i in range(A.dim)]
+
+
+def old_anti_pre_lie_residuals(A):
+    n = A.dim
+    e = _basis(A)
+    br = commutator(A)
+    out = []
+    for i, j, k in iproduct(range(n), repeat=3):
+        x, y, z = e[i], e[j], e[k]
+        r1 = _vsub(_vsub(multiply(A, x, multiply(A, y, z)),
+                         multiply(A, y, multiply(A, x, z))),
+                   multiply(A, multiply(br, y, x), z))
+        out.append(("anti_pre_lie_1", (i, j, k), r1))
+        r2 = _vadd(multiply(A, multiply(br, x, y), z),
+                   multiply(A, multiply(br, y, z), x),
+                   multiply(A, multiply(br, z, x), y))
+        out.append(("anti_pre_lie_2", (i, j, k), r2))
+    return out
+
+
+def old_check_identity(A, kind):
+    n = A.dim
+    e = _basis(A)
+    failures = []
+    if kind == "commutative":
+        for i, j in iproduct(range(n), repeat=2):
+            r = _vsub(multiply(A, e[i], e[j]), multiply(A, e[j], e[i]))
+            if not _vec_is_zero(r):
+                failures.append(("commutative", (i, j), r))
+        return make_report(failures)
+    if kind == "anti_pre_lie":
+        return make_report([(name, idx, r) for name, idx, r
+                            in old_anti_pre_lie_residuals(A)
+                            if not _vec_is_zero(r)])
+    if kind == "jacobi":
+        for i, j in iproduct(range(n), repeat=2):
+            r = _vadd(multiply(A, e[i], e[j]), multiply(A, e[j], e[i]))
+            if not _vec_is_zero(r):
+                failures.append(("antisymmetric", (i, j), r))
+    for i, j, k in iproduct(range(n), repeat=3):
+        x, y, z = e[i], e[j], e[k]
+        if kind == "pre_lie":
+            r = _vsub(_vsub(multiply(A, multiply(A, x, y), z),
+                            multiply(A, x, multiply(A, y, z))),
+                      _vsub(multiply(A, multiply(A, y, x), z),
+                            multiply(A, y, multiply(A, x, z))))
+        elif kind == "jacobi":
+            r = _vadd(multiply(A, multiply(A, x, y), z),
+                      multiply(A, multiply(A, y, z), x),
+                      multiply(A, multiply(A, z, x), y))
+        else:
+            r = _vsub(multiply(A, multiply(A, x, y), z),
+                      multiply(A, x, multiply(A, y, z)))
+        if not _vec_is_zero(r):
+            failures.append((kind, (i, j, k), r))
+    return make_report(failures)
+
+
+def old_mixed_pair_residuals(P):
+    C, S = P.circ, P.star
+    n = P.dim
+    e = _basis(C)
+    b1 = commutator(C)
+    b2 = commutator(S)
+    out = []
+    for i, j, k in iproduct(range(n), repeat=3):
+        x, y, z = e[i], e[j], e[k]
+        lhs = _vadd(multiply(C, x, multiply(S, y, z)),
+                    multiply(S, x, multiply(C, y, z)))
+        lhs = _vsub(lhs, multiply(C, y, multiply(S, x, z)))
+        lhs = _vsub(lhs, multiply(S, y, multiply(C, x, z)))
+        rhs = _vadd(multiply(C, multiply(b2, y, x), z),
+                    multiply(S, multiply(b1, y, x), z))
+        out.append(("compatible_mixed_1", (i, j, k), _vsub(lhs, rhs)))
+        r2 = _vadd(multiply(C, multiply(b2, x, y), z),
+                   multiply(S, multiply(b1, x, y), z),
+                   multiply(C, multiply(b2, y, z), x),
+                   multiply(S, multiply(b1, y, z), x),
+                   multiply(C, multiply(b2, z, x), y),
+                   multiply(S, multiply(b1, z, x), y))
+        out.append(("compatible_mixed_2", (i, j, k), r2))
+    return out
+
+
+def old_check_compatible_lie(P):
+    e = _basis(P.circ)
+    failures = []
+    for i, j, k in iproduct(range(P.dim), repeat=3):
+        x, y, z = e[i], e[j], e[k]
+        r = _vadd(
+            multiply(P.star, multiply(P.circ, x, y), z),
+            multiply(P.star, multiply(P.circ, y, z), x),
+            multiply(P.star, multiply(P.circ, z, x), y),
+            multiply(P.circ, multiply(P.star, x, y), z),
+            multiply(P.circ, multiply(P.star, y, z), x),
+            multiply(P.circ, multiply(P.star, z, x), y))
+        if not _vec_is_zero(r):
+            failures.append(("compatible_lie_mixed", (i, j, k), r))
+    return merge_reports(
+        _relabel(old_check_identity(P.circ, "jacobi"), "bracket1_"),
+        _relabel(old_check_identity(P.star, "jacobi"), "bracket2_"),
+        make_report(failures))
+
+
+def old_check_compatible_associative(P):
+    e = _basis(P.circ)
+    failures = []
+    for i, j, k in iproduct(range(P.dim), repeat=3):
+        x, y, z = e[i], e[j], e[k]
+        r = _vsub(
+            _vadd(multiply(P.star, multiply(P.circ, x, y), z),
+                  multiply(P.circ, multiply(P.star, x, y), z)),
+            _vadd(multiply(P.circ, x, multiply(P.star, y, z)),
+                  multiply(P.star, x, multiply(P.circ, y, z))))
+        if not _vec_is_zero(r):
+            failures.append(("compatible_assoc_mixed", (i, j, k), r))
+    return merge_reports(
+        _relabel(old_check_identity(P.circ, "associative"), "prod1_"),
+        _relabel(old_check_identity(P.star, "associative"), "prod2_"),
+        make_report(failures))
+
+
+LAURENT = poly_ring(["s", "u"], units=["u"])
+KERNEL_FIELDS = {
+    "Q": (QQ, ["1", "-1", "2", "1/2", "-3"]),
+    "GF5": (GF(5), ["1", "-1", "2", "3", "4"]),
+    "laurent": (LAURENT, ["1", "-1", "s", "u^-1", "s*u-2", "2*u", "s^2"]),
+}
+
+
+@st.composite
+def kernel_pairs(draw):
+    """Random pairs of tables with 0-4 nonzero entries in 4 (zero tables
+    pass every check; denser ones mostly fail)."""
+    field, coeffs = KERNEL_FIELDS[draw(st.sampled_from(sorted(KERNEL_FIELDS)))]
+    n = draw(st.integers(1, 3))
+    density = draw(st.integers(0, 4))
+
+    def table():
+        entries = [(i, j, k, draw(st.sampled_from(coeffs)))
+                   for i, j, k in iproduct(range(1, n + 1), repeat=3)
+                   if draw(st.integers(1, 4)) <= density]
+        return Algebra.from_entries(field, n, entries)
+    return AlgebraPair(table(), table())
+
+
+def _kernel_agrees(P):
+    A = P.circ
+    assert anti_pre_lie_residuals(A) == old_anti_pre_lie_residuals(A)
+    assert mixed_pair_residuals(P) == old_mixed_pair_residuals(P)
+    for kind in ("anti_pre_lie", "pre_lie", "jacobi", "associative",
+                 "commutative"):
+        assert check_identity(A, kind) == old_check_identity(A, kind)
+    assert check_compatible_lie(P) == old_check_compatible_lie(P)
+    assert check_compatible_associative(P) == \
+        old_check_compatible_associative(P)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_pairs())
+def test_basis_aware_kernel_matches_multiply_oracle(P):
+    _kernel_agrees(P)
+
+
+@pytest.mark.parametrize("name", ["A6", "A8", "CA10", "CA26", "CA38"])
+def test_basis_aware_kernel_matches_oracle_on_catalog(name):
+    fam = get_family(name)
+    P = fam.symbolic_pair(fam.branch_values[0] if fam.branch else None)
+    assert check_compatible_pair(P).passed
+    _kernel_agrees(P)

@@ -266,3 +266,69 @@ def test_workers_flag_below_one_exits_2(capsys, monkeypatch):
     code, _, err = run(capsys, "z2", "--family", "A7", "--mode", "brute",
                        "--workers", "0")
     assert code == 2 and "worker count" in err
+
+
+@pytest.mark.parametrize("blob, part", [
+    ({"dim": 2, "field": {"kind": "GF", "p": 2 ** 61 - 1},
+      "products": {"circ": [[1, 1, 1, "1"]]}}, "modulus"),
+    ({"dim": 10 ** 5, "field": {"kind": "Q"},
+      "products": {"circ": [[1, 1, 1, "1"]]}}, "dim"),
+    ({"dim": 1, "field": {"kind": "poly", "vars": ["x"], "units": []},
+      "products": {"circ": [[1, 1, 1, "(x+1)^100000"]]}}, "exponent"),
+])
+def test_oversized_input_exits_2_before_work(capsys, tmp_path, monkeypatch,
+                                             blob, part):
+    # the huge case itself (trial division to 2^30.5, a 10^15-entry
+    # table, a 100000-fold product) fails the test instead of running
+    import antiprelie.algebra as algebra
+    import antiprelie.scalars as scalars
+
+    def guard(real, too_big):
+        def spy(*args):
+            if too_big(*args):
+                pytest.fail(f"huge input reached {real.__name__}")
+            return real(*args)
+        return spy
+    monkeypatch.setattr(scalars, "_is_prime", guard(
+        scalars._is_prime, lambda n: n > scalars.MAX_MODULUS))
+    monkeypatch.setattr(scalars.Scalar, "__pow__", guard(
+        scalars.Scalar.__pow__, lambda x, e: abs(e) > scalars.MAX_EXPONENT))
+    monkeypatch.setattr(algebra.Algebra, "from_entries", staticmethod(guard(
+        algebra.Algebra.from_entries,
+        lambda f, dim, *rest: dim > algebra.MAX_DIM)))
+    path = tmp_path / "big.alg.json"
+    path.write_text(json.dumps(blob))
+    code, report, err = run(capsys, "check", "--file", str(path),
+                            "--identity", "anti-pre-lie")
+    assert code == 2 and report is None
+    assert part in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("catalog", "show", "CA99"),
+    ("z2", "--family", "B1", "--mode", "verify")])
+def test_unknown_catalog_entry_exits_2(capsys, argv):
+    code, report, err = run(capsys, *argv)
+    assert code == 2 and report is None and "error" in err
+
+
+def test_internal_key_error_is_not_bad_input(monkeypatch):
+    import antiprelie.cli as cli
+
+    def broken(args):
+        return {}["missing"]
+    monkeypatch.setattr(cli, "cmd_catalog", broken)
+    with pytest.raises(KeyError):
+        main(["catalog", "list"])
+
+
+def test_map_file_without_entries_exits_2(capsys, tmp_path):
+    pair = instantiate(get_family("CA26"), {"beta": 2})
+    rep_file = tmp_path / "r.json"
+    rep_file.write_text(json.dumps(
+        representation_to_json(left_multiplication_pair(pair))))
+    bad = tmp_path / "t.json"
+    bad.write_text(json.dumps({"rows": 2, "cols": 2}))
+    code, report, err = run(capsys, "ops", "anti-o", "--map", str(bad),
+                            "--rep", str(rep_file))
+    assert code == 2 and report is None and "entries" in err

@@ -274,3 +274,21 @@ def test_induce_from_invertible_rejects_singular(rng):
     R = left_multiplication_pair(pair)
     with pytest.raises(NotInvertibleError):
         induce_from_invertible(Matrix.zero(QQ, 2, 2), R)
+
+
+def test_induce_on_image_checks_anti_o_once(monkeypatch):
+    import antiprelie.operators as operators
+    calls = []
+    real = operators.check_anti_o
+    monkeypatch.setattr(operators, "check_anti_o",
+                        lambda T, R: calls.append(T) or real(T, R))
+    pair = gf5_pair("CA30", {"beta": 1, "gamma": 2})
+    R = left_multiplication_pair(pair)
+    for T in (Matrix.from_rows(GF(5), [[0, 1], [0, 4]]),
+              Matrix.identity(GF(5), 2)):
+        calls.clear()
+        operators.induce_on_image(T, R)
+        assert calls == [T]
+    calls.clear()
+    operators.induce_on_domain(T, R)
+    assert calls == [T]

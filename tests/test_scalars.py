@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from antiprelie import (GF, QQ, FieldMismatchError, NotInvertibleError,
                         ParseError, Scalar, cast_scalar, format_scalar,
                         poly_ring, scalar_to_gf, substitute)
+from antiprelie.scalars import MAX_EXPONENT, MAX_MODULUS, Field
 
 LAM = poly_ring(["lambda"])
 AB = poly_ring(["a", "beta"], units=["a"])
@@ -174,3 +175,71 @@ def test_poly_ring_axioms(x, y, z):
     assert x * (y + z) == x * y + x * z
     assert (x * y) * z == x * (y * z)
     assert x + y == y + x
+
+
+@st.composite
+def laurent_polys(draw):
+    """Polynomials in AB with negative powers of the unit a."""
+    coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    terms = draw(st.lists(
+        st.tuples(st.integers(-3, 3), st.integers(0, 3), coeffs),
+        max_size=4))
+    out = AB.zero()
+    a, b = AB.variable("a"), AB.variable("beta")
+    for ea, eb, c in terms:
+        out = out + AB.scalar(c) * (a ** ea) * (b ** eb)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurent_polys(), laurent_polys())
+def test_poly_ops_results_are_canonical(x, y):
+    for r in (x + y, x - y, x * y, -x, x - x, y + (-y), (x + y) * (x - y)):
+        assert r == Scalar(AB, dict(r.value))
+        assert all(c != 0 for c in r.value.values())
+    assert (x - y) + y == x
+    assert x - y == x + (-y)
+
+
+def test_constructor_rejects_negative_exponent_on_non_unit():
+    with pytest.raises(ValueError):
+        Scalar(AB, {(0, -1): Fraction(1)})
+    with pytest.raises(ValueError):
+        Scalar(LAM, {(-2,): Fraction(3)})
+    assert Scalar(AB, {(-1, 0): Fraction(1), (0, 1): Fraction(0)}).value \
+        == {(-1, 0): Fraction(1)}
+
+
+@pytest.mark.parametrize("make", [lambda: QQ, lambda: GF(7),
+                                  lambda: poly_ring(["x", "y"], units=["y"])])
+def test_cached_zero_one_keep_field_equality_and_hash(make):
+    used, fresh = make(), make()
+    z, o = used.zero(), used.one()
+    assert used.zero() is z and used.one() is o
+    assert used == fresh and hash(used) == hash(fresh)
+    assert {fresh: 1}[used] == 1
+    assert z == fresh.zero() and o == fresh.one()
+    assert hash(z) == hash(fresh.zero()) and hash(o) == hash(fresh.one())
+    assert z.is_zero() and o.is_one() and (o + z) == o and (o * z) == z
+
+
+def test_modulus_limit_is_checked_before_primality(monkeypatch):
+    import antiprelie.scalars as scalars
+    seen = []
+    real = scalars._is_prime
+    monkeypatch.setattr(scalars, "_is_prime",
+                        lambda n: seen.append(n) or real(n))
+    with pytest.raises(ValueError, match="prime"):
+        Field("GF", p=2 ** 61 - 1)
+    assert seen == []
+    assert Field("GF", p=2 ** 31 - 1).p == 2 ** 31 - 1 <= MAX_MODULUS
+
+
+def test_exponent_limit():
+    x = poly_ring(["x"]).variable("x")
+    assert LAM.parse(f"lambda^{MAX_EXPONENT}") == \
+        LAM.variable("lambda") ** MAX_EXPONENT
+    assert AB.parse(f"a^-{MAX_EXPONENT}") == AB.variable("a") ** -MAX_EXPONENT
+    for text in (f"(x+1)^{MAX_EXPONENT + 1}", "(x+1)^100000", "x^-100000"):
+        with pytest.raises(ParseError, match="exceeds"):
+            x.field.parse(text)
