@@ -15,7 +15,8 @@ from . import catalog as cat
 from .algebra import (AlgebraPair, check_compatible_associative,
                       check_compatible_lie, check_compatible_pair,
                       check_identity, load_algebra_file, pair_to_json)
-from .cocycles import (brute_force_Z2, Deformation, instantiate_family_gf,
+from .cocycles import (DEFAULT_BUDGET, MAX_BUDGET, brute_force_Z2,
+                       check_budget, Deformation, instantiate_family_gf,
                        linear_space, verify_family_membership)
 from .errors import (BudgetExceededError, ConstraintError, ParseError,
                      PreconditionError, ToolkitError)
@@ -158,6 +159,7 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_z2(args) -> int:
+    check_budget(args.budget)
     params = parse_params(args.params)
     name = args.family
     fam = cat.get_family(name)
@@ -375,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prime", type=int, default=5,
                    choices=(2, 3, 5, 7, 11, 13))
     p.add_argument("--params")
-    p.add_argument("--budget", type=int, default=10 ** 8)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help=f"candidate limit of --mode brute, 1 to {MAX_BUDGET}")
     p.add_argument("--workers", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_z2)

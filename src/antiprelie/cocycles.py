@@ -28,6 +28,8 @@ from .linalg import Matrix
 from .scalars import GF, Field
 
 DEFAULT_BUDGET = 10 ** 8
+# Largest accepted candidate budget: counts up to it fit int64 (2^63 - 1).
+MAX_BUDGET = 10 ** 18
 
 _STEP1_NAMES = {"anti_pre_lie_1": "step1_i", "anti_pre_lie_2": "step1_ii",
                 "compatible_mixed_1": "step1_iii",
@@ -172,6 +174,16 @@ def worker_count(requested=None) -> int:
     return count
 
 
+def check_budget(budget) -> int:
+    """The candidate budget, an int from 1 to MAX_BUDGET; anything else
+    raises ParseError."""
+    if isinstance(budget, bool) or not isinstance(budget, int) \
+            or not 1 <= budget <= MAX_BUDGET:
+        raise ParseError(f"budget must be an integer from 1 to {MAX_BUDGET}, "
+                         f"got {budget!r}")
+    return budget
+
+
 def brute_force_Z2(A: Algebra, budget: int = DEFAULT_BUDGET,
                    workers=None, chunk: int = 1 << 19):
     """Exhaustively enumerate all phi over GF(p) passing the four Step-1
@@ -186,8 +198,11 @@ def brute_force_Z2(A: Algebra, budget: int = DEFAULT_BUDGET,
     residuals; it vanishes exactly when R_lo[l] == N_hi[h] = -R_hi[h]
     on every component, so each candidate's full residual is tested.
     Each chunk is a range of high blocks covering about `chunk`
-    candidates, and at least one block.
+    candidates, and at least one block.  `budget` must be an int from 1
+    to MAX_BUDGET (ParseError otherwise); a base with more than `budget`
+    candidates raises BudgetExceededError before any scan.
     """
+    check_budget(budget)
     if A.field.kind != "GF":
         raise FieldMismatchError("brute force runs over GF(p)")
     p = A.field.p

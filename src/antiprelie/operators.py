@@ -3,6 +3,8 @@
 Conditions quantified over all pencil coefficients (k1, k2) are decided
 coefficient-wise: two coefficients for the bilinear operator identity,
 three (k1^2, k1*k2, k2^2) for the cyclic "strong" conditions.
+Action matrices are built once per basis vector (or basis pair) and
+their columns are read directly.
 """
 from __future__ import annotations
 
@@ -26,6 +28,11 @@ def _unit_vectors(field, m):
             for i in range(m)]
 
 
+def _columns(mat: Matrix):
+    """Columns of mat: entry j is mat applied to the j-th unit vector."""
+    return list(zip(*mat.entries))
+
+
 def check_anti_o(T: Matrix, R: RepresentationPair) -> CheckReport:
     """[T(u),T(v)] = T(rho(T(v))u - rho(T(u))v), separately for
     (bracket1, rho) and (bracket2, mu); linearity in (k1,k2) makes the two
@@ -33,17 +40,16 @@ def check_anti_o(T: Matrix, R: RepresentationPair) -> CheckReport:
     n, m = R.g.dim, R.v_dim
     if (T.rows, T.cols) != (n, m):
         raise ShapeMismatchError(f"T must be {n}x{m}, got {T.rows}x{T.cols}")
-    u = _unit_vectors(R.field, m)
+    Tu = [T.apply(e) for e in _unit_vectors(R.field, m)]
     failures = []
     for name, bracket, act in (("anti_o_1", R.g.circ, R.rho_of),
                                ("anti_o_2", R.g.star, R.mu_of)):
+        # acts[b][a] = act(T e_b) e_a
+        acts = [_columns(act(t)) for t in Tu]
         for a in range(m):
-            Ta = T.apply(u[a])
             for b in range(m):
-                Tb = T.apply(u[b])
-                lhs = multiply(bracket, Ta, Tb)
-                inner = [x - y for x, y in zip(act(Tb).apply(u[a]),
-                                               act(Ta).apply(u[b]))]
+                lhs = multiply(bracket, Tu[a], Tu[b])
+                inner = [x - y for x, y in zip(acts[b][a], acts[a][b])]
                 rhs = T.apply(inner)
                 r = [x - y for x, y in zip(lhs, rhs)]
                 if any(not c.is_zero() for c in r):
@@ -55,27 +61,30 @@ def _strong_failures(T: Matrix, R: RepresentationPair):
     """Cyclic vanishing, pencil coefficient-wise: the k1^2, k1*k2, k2^2
     components of rho_pencil([Tu,Tv]_pencil)w + cyclic."""
     m = R.v_dim
-    u = _unit_vectors(R.field, m)
-    Tu = [T.apply(u[a]) for a in range(m)]
-    b1, b2 = R.g.circ, R.g.star
+    Tu = [T.apply(e) for e in _unit_vectors(R.field, m)]
+    zero = R.field.zero()
 
-    def cyc(act_brk_pairs, a, b, c):
-        total = [R.field.zero()] * m
-        for act, brk in act_brk_pairs:
-            for (p, q, w) in ((a, b, c), (b, c, a), (c, a, b)):
-                term = act(multiply(brk, Tu[p], Tu[q])).apply(u[w])
-                total = [x + y for x, y in zip(total, term)]
-        return total
+    # br1[p][q] = [Tu_p, Tu_q]_1, br2 likewise for bracket 2
+    br1, br2 = ([[multiply(brk, Tu[p], Tu[q]) for q in range(m)]
+                 for p in range(m)] for brk in (R.g.circ, R.g.star))
 
+    def action_columns(act, br):
+        """cols[p][q][w] = act(br[p][q]) e_w."""
+        return [[_columns(act(v)) for v in row] for row in br]
+
+    specs = (("strong_k1k1", (action_columns(R.rho_of, br1),)),
+             ("strong_k1k2", (action_columns(R.rho_of, br2),
+                              action_columns(R.mu_of, br1))),
+             ("strong_k2k2", (action_columns(R.mu_of, br2),)))
     failures = []
-    specs = (("strong_k1k1", ((R.rho_of, b1),)),
-             ("strong_k1k2", ((R.rho_of, b2), (R.mu_of, b1))),
-             ("strong_k2k2", ((R.mu_of, b2),)))
     for a, b, c in iproduct(range(m), repeat=3):
-        for name, pairs in specs:
-            r = cyc(pairs, a, b, c)
-            if any(not x.is_zero() for x in r):
-                failures.append((name, (a, b, c), r))
+        for name, tables in specs:
+            total = [zero] * m
+            for cols in tables:
+                for (p, q, w) in ((a, b, c), (b, c, a), (c, a, b)):
+                    total = [x + y for x, y in zip(total, cols[p][q][w])]
+            if any(not x.is_zero() for x in total):
+                failures.append((name, (a, b, c), total))
     return failures
 
 
@@ -140,20 +149,12 @@ def induce_on_domain(T: Matrix, R: RepresentationPair) -> AlgebraPair:
 
 def _domain_pair(T: Matrix, R: RepresentationPair) -> AlgebraPair:
     """The products of `induce_on_domain`, for a T already checked."""
-    m = R.v_dim
     f = R.field
-    u = _unit_vectors(f, m)
+    Tu = [T.apply(e) for e in _unit_vectors(f, R.v_dim)]
 
     def build(act):
-        sc = []
-        for a in range(m):
-            mat = act(T.apply(u[a]))
-            plane = []
-            for b in range(m):
-                col = mat.apply(u[b])
-                plane.append([-x for x in col])
-            sc.append(plane)
-        return Algebra(f, m, sc)
+        sc = [[[-x for x in col] for col in _columns(act(t))] for t in Tu]
+        return Algebra(f, R.v_dim, sc)
 
     return AlgebraPair(build(R.rho_of), build(R.mu_of))
 
@@ -294,15 +295,14 @@ def induce_from_invertible(T: Matrix, R: RepresentationPair) -> AlgebraPair:
     Tinv = T.inverse()
     f = R.field
     e = _unit_vectors(f, n)
+    tinv_cols = [Tinv.apply(v) for v in e]
 
     def build(act):
         sc = []
         for i in range(n):
-            plane = []
-            for j in range(n):
-                col = T.apply(act(e[i]).apply(Tinv.apply(e[j])))
-                plane.append([-x for x in col])
-            sc.append(plane)
+            mat = act(e[i])
+            sc.append([[-x for x in T.apply(mat.apply(t))]
+                       for t in tinv_cols])
         return Algebra(f, n, sc, R.g.basis)
 
     return AlgebraPair(build(R.rho_of), build(R.mu_of))

@@ -49,13 +49,30 @@ class RepresentationPair:
 
 
 def _combine(mats, x, field, m) -> Matrix:
-    out = Matrix.zero(field, m, m)
+    """sum_c x_c * mats[c], entry by entry into a single m x m Matrix.
+
+    Zero coefficients are skipped; the terms of each entry are added in
+    coefficient order, as c * mats[c][r][s].
+    """
+    terms = []
     for c, mat in zip(x, mats):
         if not isinstance(c, Scalar):
             c = field.scalar(c)
         if not c.is_zero():
-            out = out + mat.scale(c)
-    return out
+            terms.append((c, mat.entries))
+    if not terms:
+        return Matrix.zero(field, m, m)
+    (c0, first), rest = terms[0], terms[1:]
+    rows = []
+    for r in range(m):
+        row = []
+        for s in range(m):
+            acc = c0 * first[r][s]
+            for c, entries in rest:
+                acc = acc + c * entries[r][s]
+            row.append(acc)
+        rows.append(row)
+    return Matrix(field, rows)
 
 
 def check_representation_pair(R: RepresentationPair) -> CheckReport:

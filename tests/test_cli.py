@@ -5,7 +5,9 @@ import pytest
 from antiprelie import (dump_algebra_file, get_family, instantiate,
                         left_multiplication_pair, dual_pair, pair_to_json,
                         representation_to_json)
+import antiprelie.cocycles as cocycles
 from antiprelie.cli import main
+from antiprelie.cocycles import MAX_BUDGET
 
 
 def run(capsys, *argv):
@@ -259,6 +261,24 @@ def test_workers_env_garbage_exits_2(capsys, monkeypatch, env):
     code, report, err = run(capsys, "z2", "--family", "A7", "--mode", "brute")
     assert code == 2 and report is None
     assert "worker count" in err
+
+
+@pytest.mark.parametrize("budget", ["0", "-5", str(10 ** 23),
+                                    str(MAX_BUDGET + 1)])
+def test_budget_out_of_range_exits_2(capsys, monkeypatch, budget):
+    def no_scan(*args):
+        raise AssertionError("scan started")
+    monkeypatch.setattr(cocycles, "_quadratic_coefficients", no_scan)
+    code, report, err = run(capsys, "z2", "--family", "A7", "--mode",
+                            "brute", "--budget", budget)
+    assert code == 2 and report is None
+    assert "budget must be" in err
+
+
+def test_budget_at_max_runs(capsys):
+    code, report, _ = run(capsys, "z2", "--family", "A7", "--mode", "brute",
+                          "--budget", str(MAX_BUDGET))
+    assert code == 0 and report["solution_count"] == 125
 
 
 def test_workers_flag_below_one_exits_2(capsys, monkeypatch):

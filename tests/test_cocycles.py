@@ -258,6 +258,26 @@ def test_brute_force_budget():
         brute_force_Z2(base, budget=10 ** 6)
 
 
+def test_brute_force_budget_bounds(monkeypatch):
+    import antiprelie.cocycles as cocycles
+    assert cocycles.MAX_BUDGET < 2 ** 63
+
+    def no_scan(*args):
+        raise AssertionError("scan started")
+    monkeypatch.setattr(cocycles, "_quadratic_coefficients", no_scan)
+    base = base_algebra("A2", prime=5)
+    for bad in (0, -5, cocycles.MAX_BUDGET + 1, 10 ** 23, 2 ** 63, 2.5,
+                "100", True, None):
+        with pytest.raises(ParseError, match="budget must be"):
+            brute_force_Z2(base, budget=bad)
+    # 1 is a valid budget that 5^8 candidates exceed
+    with pytest.raises(BudgetExceededError):
+        brute_force_Z2(base, budget=1)
+    for ok in (5 ** 8, cocycles.MAX_BUDGET):
+        with pytest.raises(AssertionError, match="scan started"):
+            brute_force_Z2(base, budget=ok)
+
+
 def test_brute_force_worker_partition_deterministic():
     base = base_algebra("A3", prime=5)
     solo = brute_force_Z2(base, workers=1)

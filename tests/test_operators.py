@@ -1,15 +1,23 @@
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import antiprelie.operators as operators
+import antiprelie.representations as representations
 from antiprelie import (GF, QQ, Algebra, AlgebraPair, Matrix,
-                        NotInvertibleError, PreconditionError, adjoint_pair,
-                        check_anti_o, check_anti_rota_baxter,
-                        check_compatible_pair, check_identity,
-                        check_rb_converse, check_strong, commutator_pair,
-                        get_family, induce_from_rb, induce_from_invertible,
-                        induce_on_domain, induce_on_image, instantiate,
-                        left_multiplication_pair)
+                        NotInvertibleError, PreconditionError,
+                        RepresentationPair, Scalar, ShapeMismatchError,
+                        ToolkitError, adjoint_pair, check_anti_o,
+                        check_anti_rota_baxter, check_compatible_pair,
+                        check_identity, check_rb_converse, check_strong,
+                        commutator_pair, get_family, induce_from_rb,
+                        induce_from_invertible, induce_on_domain,
+                        induce_on_image, instantiate,
+                        left_multiplication_pair, multiply, pair_to_json,
+                        poly_ring)
+from antiprelie.algebra import make_report
 from conftest import random_instance
 
 
@@ -292,3 +300,276 @@ def test_induce_on_image_checks_anti_o_once(monkeypatch):
     calls.clear()
     operators.induce_on_domain(T, R)
     assert calls == [T]
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the per-pair bodies that apply every action matrix to unit
+# vectors and rebuild it for every basis pair or triple.
+# ---------------------------------------------------------------------------
+
+def old_combine(mats, x, field, m):
+    out = Matrix.zero(field, m, m)
+    for c, mat in zip(x, mats):
+        if not isinstance(c, Scalar):
+            c = field.scalar(c)
+        if not c.is_zero():
+            out = out + mat.scale(c)
+    return out
+
+
+def old_check_anti_o(T, R):
+    n, m = R.g.dim, R.v_dim
+    if (T.rows, T.cols) != (n, m):
+        raise ShapeMismatchError("T has the wrong shape")
+    u = operators._unit_vectors(R.field, m)
+    failures = []
+    for name, bracket, act in (("anti_o_1", R.g.circ, R.rho_of),
+                               ("anti_o_2", R.g.star, R.mu_of)):
+        for a in range(m):
+            Ta = T.apply(u[a])
+            for b in range(m):
+                Tb = T.apply(u[b])
+                lhs = multiply(bracket, Ta, Tb)
+                inner = [x - y for x, y in zip(act(Tb).apply(u[a]),
+                                               act(Ta).apply(u[b]))]
+                rhs = T.apply(inner)
+                r = [x - y for x, y in zip(lhs, rhs)]
+                if any(not c.is_zero() for c in r):
+                    failures.append((name, (a, b), r))
+    return make_report(failures)
+
+
+def old_strong_failures(T, R):
+    m = R.v_dim
+    u = operators._unit_vectors(R.field, m)
+    Tu = [T.apply(u[a]) for a in range(m)]
+    b1, b2 = R.g.circ, R.g.star
+
+    def cyc(act_brk_pairs, a, b, c):
+        total = [R.field.zero()] * m
+        for act, brk in act_brk_pairs:
+            for (p, q, w) in ((a, b, c), (b, c, a), (c, a, b)):
+                term = act(multiply(brk, Tu[p], Tu[q])).apply(u[w])
+                total = [x + y for x, y in zip(total, term)]
+        return total
+
+    failures = []
+    specs = (("strong_k1k1", ((R.rho_of, b1),)),
+             ("strong_k1k2", ((R.rho_of, b2), (R.mu_of, b1))),
+             ("strong_k2k2", ((R.mu_of, b2),)))
+    for a, b, c in iproduct(range(m), repeat=3):
+        for name, pairs in specs:
+            r = cyc(pairs, a, b, c)
+            if any(not x.is_zero() for x in r):
+                failures.append((name, (a, b, c), r))
+    return failures
+
+
+def old_check_strong(T, R):
+    base = old_check_anti_o(T, R)
+    if not base.passed:
+        raise PreconditionError("T is not an anti-O-operator")
+    return make_report(old_strong_failures(T, R))
+
+
+def old_induce_from_invertible(T, R):
+    n = R.g.dim
+    if (T.rows, T.cols) != (n, R.v_dim) or R.v_dim != n:
+        raise ShapeMismatchError("invertible operator requires V ~ g")
+    if T.det().is_zero():
+        raise NotInvertibleError("T is singular")
+    if not old_check_anti_o(T, R).passed:
+        raise PreconditionError("T is not an anti-O-operator")
+    Tinv = T.inverse()
+    f = R.field
+    e = operators._unit_vectors(f, n)
+
+    def build(act):
+        sc = []
+        for i in range(n):
+            plane = []
+            for j in range(n):
+                col = T.apply(act(e[i]).apply(Tinv.apply(e[j])))
+                plane.append([-x for x in col])
+            sc.append(plane)
+        return Algebra(f, n, sc, R.g.basis)
+
+    return AlgebraPair(build(R.rho_of), build(R.mu_of))
+
+
+def _plain(out):
+    return pair_to_json(out) if isinstance(out, AlgebraPair) else out.to_json()
+
+
+def _same_outcome(new, old, *args):
+    """new(*args) equals old(*args) as JSON, or both raise the same error."""
+    try:
+        want = old(*args)
+    except ToolkitError as exc:
+        with pytest.raises(type(exc)):
+            new(*args)
+        return False
+    assert _plain(new(*args)) == _plain(want)
+    return True
+
+
+def _agrees_with_oracles(T, R):
+    """The optimized checks and constructions against the oracles; True
+    when T passed the anti-O check."""
+    assert check_anti_o(T, R).to_json() == old_check_anti_o(T, R).to_json()
+    assert operators._strong_failures(T, R) == old_strong_failures(T, R)
+    passed = _same_outcome(check_strong, old_check_strong, T, R)
+    _same_outcome(induce_from_invertible, old_induce_from_invertible, T, R)
+    return passed
+
+
+LAURENT = poly_ring(["s", "u"], units=["u"])
+OPERATOR_FIELDS = {
+    "Q": (QQ, ["1", "-1", "2", "1/2", "-3"]),
+    "GF5": (GF(5), ["1", "2", "3", "4"]),
+    "laurent": (LAURENT, ["1", "-1", "s", "u^-1", "s*u-2", "2*u"]),
+}
+
+
+@st.composite
+def operator_inputs(draw):
+    """A random bracket pair g (dim n), random rho/mu on V (dim m, maybe
+    != n) and T: V -> g.  Each part has its own density from 0 (all
+    zero, so anti-O passes) to 4 (dense, so checks mostly fail)."""
+    field, coeffs = OPERATOR_FIELDS[draw(st.sampled_from(
+        sorted(OPERATOR_FIELDS)))]
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+
+    def entry(density):
+        if draw(st.integers(1, 4)) > density:
+            return field.zero()
+        return field.parse(draw(st.sampled_from(coeffs)))
+
+    def table(density):
+        return Algebra(field, n, [[[entry(density) for _ in range(n)]
+                                   for _ in range(n)] for _ in range(n)])
+
+    def matrix(rows, cols, density):
+        return Matrix(field, [[entry(density) for _ in range(cols)]
+                              for _ in range(rows)])
+
+    g_density, rep_density, t_density = (draw(st.integers(0, 4))
+                                         for _ in range(3))
+    g = AlgebraPair(table(g_density), table(g_density))
+    rho = tuple(matrix(m, m, rep_density) for _ in range(n))
+    mu = tuple(matrix(m, m, rep_density) for _ in range(n))
+    return matrix(n, m, t_density), RepresentationPair(g, m, rho, mu)
+
+
+@settings(max_examples=80, deadline=None)
+@given(operator_inputs())
+def test_operator_checks_match_per_pair_oracles(inputs):
+    _agrees_with_oracles(*inputs)
+
+
+@pytest.mark.parametrize("name, assignment, branch", [
+    ("CA30", {"beta": 1, "gamma": 2}, None),
+    ("CA38", {"lambda": 1, "alpha": 1, "beta": 2}, 1),
+])
+def test_operator_checks_match_oracles_on_all_gf5_maps(name, assignment,
+                                                       branch):
+    # every map for the anti-O check, the anti-O maps for the rest
+    R = left_multiplication_pair(gf5_pair(name, assignment, branch))
+    passed = 0
+    for T in all_maps(GF(5)):
+        report = check_anti_o(T, R)
+        assert report.to_json() == old_check_anti_o(T, R).to_json()
+        if report.passed:
+            assert _agrees_with_oracles(T, R)
+            passed += 1
+    assert 0 < passed < 625
+
+
+@pytest.mark.parametrize("name", ["CA10", "CA26", "CA38"])
+def test_operator_checks_match_oracles_on_symbolic_pairs(name):
+    fam = get_family(name)
+    P = fam.symbolic_pair(fam.branch_values[0] if fam.branch else None)
+    R = left_multiplication_pair(P)
+    f = P.field
+    one, zero = f.one(), f.zero()
+    x = f.variable(f.variables[0])
+    maps = [Matrix(f, [[one, zero], [zero, one]]),
+            Matrix(f, [[zero, one], [zero, zero]]),
+            Matrix(f, [[x, one], [zero, x]])]
+    assert _agrees_with_oracles(maps[0], R)   # the identity is anti-O
+    for T in maps[1:]:
+        _agrees_with_oracles(T, R)
+
+
+@st.composite
+def combinations(draw):
+    field, coeffs = OPERATOR_FIELDS[draw(st.sampled_from(
+        sorted(OPERATOR_FIELDS)))]
+    k = draw(st.integers(0, 3))
+    m = draw(st.integers(1, 3))
+    values = st.sampled_from(["0"] + coeffs).map(field.parse)
+    mats = [Matrix(field, [[draw(values) for _ in range(m)]
+                           for _ in range(m)]) for _ in range(k)]
+    x = [draw(st.one_of(values, st.integers(-2, 2))) for _ in range(k)]
+    return mats, x, field, m
+
+
+@settings(max_examples=80, deadline=None)
+@given(combinations())
+def test_combine_matches_sum_of_scaled_matrices(args):
+    got = representations._combine(*args)
+    want = old_combine(*args)
+    assert got == want
+    assert [[str(c) for c in row] for row in got.entries] == \
+        [[str(c) for c in row] for row in want.entries]
+
+
+def test_combine_zero_and_int_coefficients():
+    f = GF(5)
+    a = Matrix.from_rows(f, [[1, 2], [3, 4]])
+    b = Matrix.from_rows(f, [[0, 1], [1, 0]])
+    for x in ([0, 0], [f.zero(), 0], [1, 0], [0, 3], [2, f.scalar(4)],
+              [], [7]):
+        assert representations._combine((a, b), x, f, 2) == \
+            old_combine((a, b), x, f, 2)
+    assert representations._combine((a, b), [0, 0], f, 2) == \
+        Matrix.zero(f, 2, 2)
+
+
+def _count_combine(monkeypatch):
+    calls = []
+    real = representations._combine
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(representations, "_combine", counting)
+    return calls
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_anti_o_and_strong_build_each_action_once(monkeypatch, m):
+    # g of dim 2, V of dim m, rho = mu = 0: every T is anti-O and strong
+    g = AlgebraPair(Algebra.zero_algebra(QQ, 2), Algebra.zero_algebra(QQ, 2))
+    zero = Matrix.zero(QQ, m, m)
+    R = RepresentationPair(g, m, (zero, zero), (zero, zero))
+    T = Matrix.from_rows(QQ, [[t + 1 for t in range(m)],
+                              [2 * t - 1 for t in range(m)]])
+    calls = _count_combine(monkeypatch)
+    assert check_anti_o(T, R).passed
+    assert len(calls) <= 2 * m
+    calls.clear()
+    assert check_strong(T, R).passed
+    assert len(calls) <= 2 * m + 4 * m * m
+
+
+def test_anti_o_builds_each_action_once_on_catalog(monkeypatch):
+    R = left_multiplication_pair(gf5_pair("CA30", {"beta": 1, "gamma": 2}))
+    T = Matrix.from_rows(GF(5), [[0, 1], [0, 4]])
+    calls = _count_combine(monkeypatch)
+    assert check_anti_o(T, R).passed
+    assert len(calls) <= 4
+    calls.clear()
+    assert check_strong(T, R).passed
+    assert len(calls) <= 4 + 16
