@@ -18,7 +18,8 @@ from dataclasses import dataclass, replace
 from itertools import product as iproduct
 
 from .errors import FieldMismatchError, ParseError, ShapeMismatchError
-from .scalars import Field, Scalar, cast_scalar, format_scalar
+from .scalars import (Field, Scalar, cast_scalar, format_scalar,
+                      parse_json_scalar)
 
 MAX_WITNESSES = 16
 MAX_DIM = 64  # .alg.json input; the toolkit's own tables stay far below
@@ -240,6 +241,25 @@ def _outer_words(A: Algebra, B: Algebra):
     """W[a][b][c] = (e_a *B e_b) *A e_c on every basis triple."""
     r = range(A.dim)
     return [[[_right(A, B.sc[a][b], c) for c in r] for b in r] for a in r]
+
+
+def transported(A: Algebra, vecs):
+    """W[a][b] = vecs[a] * vecs[b] for coefficient vectors of Scalars,
+    built once by contracting the rows vecs[a] * e_k with vecs[b]."""
+    if any(len(v) != A.dim for v in vecs):
+        raise ShapeMismatchError("vector length mismatch")
+    out = []
+    for x in vecs:
+        rows = [_right(A, x, k) for k in range(A.dim)]
+        line = []
+        for y in vecs:
+            acc = [A.field.zero()] * A.dim
+            for c, row in zip(y, rows):
+                if not c.is_zero():
+                    _accumulate(acc, c, row)
+            line.append(acc)
+        out.append(line)
+    return out
 
 
 def commutator(A: Algebra) -> Algebra:
@@ -475,12 +495,17 @@ def _algebra_from_product(obj, field, dim, basis, key):
     quads = obj["products"].get(key)
     if quads is None:
         return None
-    entries = []
+    entries, slots = [], set()
     for quad in quads:
-        if len(quad) != 4:
-            raise ParseError(f"product entry must be [i,j,k,coeff]: {quad!r}")
-        i, j, k, c = quad
-        entries.append((int(i), int(j), int(k), str(c)))
+        if not (isinstance(quad, list) and len(quad) == 4 and all(
+                isinstance(i, int) and not isinstance(i, bool)
+                for i in quad[:3])):
+            raise ParseError(f"product entry must be [i,j,k,coeff] with "
+                             f"integer indices: {quad!r}")
+        if tuple(quad[:3]) in slots:
+            raise ParseError(f"product {key!r} repeats the slot {quad[:3]}")
+        slots.add(tuple(quad[:3]))
+        entries.append((*quad[:3], parse_json_scalar(quad[3], field)))
     return Algebra.from_entries(field, dim, entries, basis)
 
 

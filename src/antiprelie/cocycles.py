@@ -20,7 +20,8 @@ from itertools import product as iproduct
 import numpy as np
 
 from .algebra import (Algebra, AlgebraPair, CheckReport, make_report,
-                      anti_pre_lie_residuals, mixed_pair_residuals)
+                      anti_pre_lie_residuals, mixed_pair_residuals,
+                      transported)
 from .errors import (BudgetExceededError, FieldMismatchError,
                      NotInvertibleError, ParseError, PreconditionError,
                      ShapeMismatchError)
@@ -288,19 +289,12 @@ def verify_family_membership(A: Algebra, fam: Algebra) -> CheckReport:
 
 def is_automorphism(theta: Matrix, A: Algebra) -> bool:
     """theta(e_i * e_j) = theta(e_i) * theta(e_j) on all basis pairs."""
-    from .algebra import multiply
     if (theta.rows, theta.cols) != (A.dim, A.dim):
         raise ShapeMismatchError("automorphism must be square of dim")
-    n = A.dim
-    e = [A.basis_vector(i) for i in range(n)]
-    cols = [theta.apply(e[j]) for j in range(n)]
-    for i in range(n):
-        for j in range(n):
-            lhs = theta.apply(multiply(A, e[i], e[j]))
-            rhs = multiply(A, cols[i], cols[j])
-            if any(not (x - y).is_zero() for x, y in zip(lhs, rhs)):
-                return False
-    return True
+    W = transported(A, theta.columns())
+    return all((x - y).is_zero()
+               for i, j in iproduct(range(A.dim), repeat=2)
+               for x, y in zip(theta.apply(A.sc[i][j]), W[i][j]))
 
 
 def transform_deformation(d: Deformation, theta: Matrix) -> Deformation:
@@ -309,19 +303,12 @@ def transform_deformation(d: Deformation, theta: Matrix) -> Deformation:
     theta must be invertible and an automorphism of the base product, so
     the Step-1 status of the result matches the input's.
     """
-    from .algebra import multiply
     if theta.det().is_zero():
         raise NotInvertibleError("theta is singular")
     if not is_automorphism(theta, d.base):
         raise PreconditionError("theta is not an automorphism of the base")
     inv = theta.inverse()
-    n = d.base.dim
-    e = [d.base.basis_vector(i) for i in range(n)]
-    cols = [theta.apply(e[j]) for j in range(n)]
-    sc = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            plane.append(inv.apply(multiply(d.phi, cols[i], cols[j])))
-        sc.append(plane)
-    return Deformation(d.base, Algebra(d.phi.field, n, sc, d.base.basis))
+    sc = [[inv.apply(w) for w in row]
+          for row in transported(d.phi, theta.columns())]
+    return Deformation(d.base, Algebra(d.phi.field, d.base.dim, sc,
+                                       d.base.basis))

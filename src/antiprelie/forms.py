@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .algebra import (Algebra, AlgebraPair, CheckReport, commutator_pair,
-                      make_report, merge_reports, multiply)
+                      make_report, merge_reports)
 from .errors import ParseError, PreconditionError, ShapeMismatchError
-from .linalg import Matrix
+from .linalg import Matrix, parse_rows
 from .scalars import Field, Scalar, format_scalar
 
 
@@ -36,12 +36,7 @@ class BilinearForm:
 
     def value(self, x, y) -> Scalar:
         """B(x, y) on coefficient vectors."""
-        col = self.gram.apply(y)
-        acc = self.field.zero()
-        for a, b in zip(x, col):
-            if not a.is_zero() and not b.is_zero():
-                acc = acc + a * b
-        return acc
+        return _dot(x, self.gram.apply(y), self.field.zero())
 
     @staticmethod
     def from_rows(field: Field, rows) -> BilinearForm:
@@ -55,13 +50,25 @@ class BilinearForm:
     @staticmethod
     def from_json(obj, field: Field) -> BilinearForm:
         try:
-            rows = [[field.parse(str(x)) for x in row] for row in obj["gram"]]
-            form = BilinearForm(Matrix(field, rows))
+            form = BilinearForm(Matrix(field, parse_rows(obj["gram"], field)))
             if form.dim != int(obj.get("dim", form.dim)):
                 raise ShapeMismatchError("declared dim disagrees with gram")
             return form
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed form JSON: {exc}") from exc
+
+
+def _dot(x, y, zero) -> Scalar:
+    """sum_a x_a y_a, skipping the terms with a zero factor.
+
+    With e_k the k-th unit vector, B(x, e_k) is x against column k of the
+    Gram array and B(e_k, y) is row k against y.
+    """
+    acc = zero
+    for a, b in zip(x, y):
+        if not a.is_zero() and not b.is_zero():
+            acc = acc + a * b
+    return acc
 
 
 def load_form_file(path, field: Field) -> BilinearForm:
@@ -100,13 +107,13 @@ def check_comm_2cocycle(B: BilinearForm, G: AlgebraPair) -> CheckReport:
     if B.dim != G.dim:
         raise ShapeMismatchError("form and brackets of different dimension")
     n = G.dim
-    e = [G.circ.basis_vector(i) for i in range(n)]
+    cols, zero = B.gram.columns(), B.field.zero()
     failures = []
-    for name, brk in (("cocycle_1", G.circ), ("cocycle_2", G.star)):
+    for name, brk in (("cocycle_1", G.circ.sc), ("cocycle_2", G.star.sc)):
         for i, j, k in iproduct(range(n), repeat=3):
-            r = B.value(multiply(brk, e[i], e[j]), e[k]) \
-                + B.value(multiply(brk, e[j], e[k]), e[i]) \
-                + B.value(multiply(brk, e[k], e[i]), e[j])
+            r = _dot(brk[i][j], cols[k], zero) \
+                + _dot(brk[j][k], cols[i], zero) \
+                + _dot(brk[k][i], cols[j], zero)
             if not r.is_zero():
                 failures.append((name, (i, j, k), [r]))
     return merge_reports(sym, make_report(failures))
@@ -119,13 +126,13 @@ def check_invariant(B: BilinearForm, P: AlgebraPair) -> CheckReport:
         raise ShapeMismatchError("form and pair of different dimension")
     G = commutator_pair(P)
     n = P.dim
-    e = [P.circ.basis_vector(i) for i in range(n)]
+    rows, cols, zero = B.gram.entries, B.gram.columns(), B.field.zero()
     failures = []
-    for name, prod, brk in (("invariant_circ", P.circ, G.circ),
-                            ("invariant_star", P.star, G.star)):
+    for name, prod, brk in (("invariant_circ", P.circ.sc, G.circ.sc),
+                            ("invariant_star", P.star.sc, G.star.sc)):
         for i, j, k in iproduct(range(n), repeat=3):
-            r = B.value(multiply(prod, e[i], e[j]), e[k]) \
-                - B.value(e[j], multiply(brk, e[i], e[k]))
+            r = _dot(prod[i][j], cols[k], zero) \
+                - _dot(rows[j], brk[i][k], zero)
             if not r.is_zero():
                 failures.append((name, (i, j, k), [r]))
     return make_report(failures)
@@ -149,14 +156,14 @@ def induce_from_cocycle(B: BilinearForm, G: AlgebraPair) -> AlgebraPair:
         raise PreconditionError("brackets are not a compatible Lie pair")
     n = G.dim
     f = B.field
-    e = [G.circ.basis_vector(i) for i in range(n)]
+    rows = B.gram.entries
 
     def build(brk: Algebra):
         sc = []
         for i in range(n):
             plane = []
             for j in range(n):
-                rhs = [B.value(e[j], multiply(brk, e[i], e[k]))
+                rhs = [_dot(rows[j], brk.sc[i][k], f.zero())
                        for k in range(n)]
                 col = B.gram.solve(rhs)
                 if col is None:
@@ -196,15 +203,15 @@ def construct_from_vectors(B: BilinearForm, s1, s2) -> AlgebraPair:
     s2 = [x if isinstance(x, Scalar) else f.scalar(x) for x in s2]
     if len(s1) != n or len(s2) != n:
         raise ShapeMismatchError("vectors must match the form's dimension")
-    e = [[f.one() if t == i else f.zero() for t in range(n)] for i in range(n)]
+    rows = B.gram.entries
 
     def build(s):
         sc = []
         for i in range(n):
-            pairing = B.value(e[i], s)
+            pairing = _dot(rows[i], s, f.zero())
             plane = []
             for j in range(n):
-                bij = B.value(e[i], e[j])
+                bij = rows[i][j]
                 col = [bij * s[k] - (pairing if k == j else f.zero())
                        for k in range(n)]
                 plane.append(col)
@@ -220,7 +227,6 @@ def invariant_form_space(P: AlgebraPair):
     n = P.dim
     f = P.field
     G = commutator_pair(P)
-    e = [P.circ.basis_vector(i) for i in range(n)]
     slots = [(i, j) for i in range(n) for j in range(i, n)]
 
     def gram_of(vec):
@@ -235,16 +241,19 @@ def invariant_form_space(P: AlgebraPair):
         for i, j, k in iproduct(range(n), repeat=3):
             # B(e_i . e_j, e_k) - B(e_j, [e_i, e_k]) as a linear functional
             # of the symmetric Gram entries
-            left = multiply(prod, e[i], e[j])
-            right = multiply(brk, e[i], e[k])
+            left, right = prod.sc[i][j], brk.sc[i][k]
             coeffs = []
             for (a, b) in slots:
-                c = f.zero()
                 # gram[a][b] contributes where {row,col} = {a,b}
-                c = c + left[a] * (e[k][b]) + (left[b] * e[k][a]
-                                               if a != b else f.zero())
-                c = c - e[j][a] * right[b] - (e[j][b] * right[a]
-                                              if a != b else f.zero())
+                c = f.zero()
+                if b == k:
+                    c = c + left[a]
+                if a != b and a == k:
+                    c = c + left[b]
+                if a == j:
+                    c = c - right[b]
+                if a != b and b == j:
+                    c = c - right[a]
                 coeffs.append(c)
             rows.append(coeffs)
     system = Matrix(f, rows)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .errors import (FieldMismatchError, NotInvertibleError, ParseError,
                      ShapeMismatchError)
-from .scalars import Field, Scalar
+from .scalars import Field, Scalar, parse_json_scalar
 
 
 class Matrix:
@@ -71,6 +71,10 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return all(x.is_zero() for row in self.entries for x in row)
+
+    def columns(self):
+        """Column j of the matrix, as a tuple, at position j."""
+        return list(zip(*self.entries))
 
     def transpose(self) -> Matrix:
         return Matrix(self.field, list(zip(*self.entries))) if self.rows \
@@ -300,8 +304,16 @@ class Matrix:
             rows = obj["entries"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"map JSON needs an entries list: {exc}") from exc
-        entries = [[field.parse(s) for s in row] for row in rows]
-        m = Matrix(field, entries)
+        m = Matrix(field, parse_rows(rows, field))
         if m.rows != obj.get("rows", m.rows) or m.cols != obj.get("cols", m.cols):
             raise ShapeMismatchError("declared shape disagrees with entries")
         return m
+
+
+def parse_rows(rows, field: Field):
+    """Scalar rows from JSON: a list of lists of grammar strings or
+    integers; anything else raises ParseError."""
+    if not isinstance(rows, list) or \
+            not all(isinstance(row, list) for row in rows):
+        raise ParseError(f"matrix rows must be a list of lists, got {rows!r}")
+    return [[parse_json_scalar(x, field) for x in row] for row in rows]

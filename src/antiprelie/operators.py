@@ -2,19 +2,27 @@
 
 Conditions quantified over all pencil coefficients (k1, k2) are decided
 coefficient-wise: two coefficients for the bilinear operator identity,
-three (k1^2, k1*k2, k2^2) for the cyclic "strong" conditions.
-Action matrices are built once per basis vector (or basis pair) and
-their columns are read directly.
+three (k1^2, k1*k2, k2^2) for the cyclic "strong" conditions and the
+anti-Rota-Baxter converse, all through one polarization helper.
+
+An anti-Rota-Baxter operator R on a bracket pair G is checked as an
+anti-O-operator on the adjoint pair (ad_1, ad_2, G), and `induce_from_rb`
+is `induce_on_domain` there.  The two identities agree only when both
+brackets are antisymmetric, so that is a checked precondition.
+
+Columns of T and of every action matrix are read directly, each action
+matrix is built once per check, and the products of the vectors T e_a
+come from one transported table per bracket.
 """
 from __future__ import annotations
 
 from itertools import product as iproduct
 
-from .algebra import (Algebra, AlgebraPair, CheckReport, make_report,
-                      multiply)
+from .algebra import (Algebra, AlgebraPair, CheckReport, _left, _right,
+                      _vadd, make_report, transported)
 from .errors import NotInvertibleError, PreconditionError, ShapeMismatchError
 from .linalg import Matrix
-from .representations import RepresentationPair
+from .representations import RepresentationPair, adjoint_pair
 
 __all__ = [
     "check_anti_o", "check_strong", "check_anti_rota_baxter",
@@ -22,70 +30,69 @@ __all__ = [
     "check_rb_converse", "induce_from_invertible",
 ]
 
-
-def _unit_vectors(field, m):
-    return [[field.one() if t == i else field.zero() for t in range(m)]
-            for i in range(m)]
-
-
-def _columns(mat: Matrix):
-    """Columns of mat: entry j is mat applied to the j-th unit vector."""
-    return list(zip(*mat.entries))
+# (action, bracket) index pairs of each pencil component of
+# act_k(X_k) = (k1 rho + k2 mu)(k1 X_1 + k2 X_2)
+_PENCIL = (("k1k1", ((0, 0),)), ("k1k2", ((0, 1), (1, 0))),
+           ("k2k2", ((1, 1),)))
 
 
-def check_anti_o(T: Matrix, R: RepresentationPair) -> CheckReport:
+def _pencil_failures(R: RepresentationPair, tables, cyclic: bool, prefix):
+    """Nonzero k1^2, k1*k2, k2^2 components of act_k(X_k[p][q]) e_w on
+    every index triple (a, b, c), summed over the cyclic words (a, b, c),
+    (b, c, a), (c, a, b) or taken on (a, b, c) alone.  tables = (X_1, X_2)
+    hold vectors of g; act_1, act_2 = rho, mu."""
+    m = R.v_dim
+    zero = R.field.zero()
+    # cols[s][t][p][q][w] = act_s(X_t[p][q]) e_w
+    cols = [[[[act(v).columns() for v in row] for row in X] for X in tables]
+            for act in (R.rho_of, R.mu_of)]
+    failures = []
+    for a, b, c in iproduct(range(m), repeat=3):
+        words = ((a, b, c), (b, c, a), (c, a, b)) if cyclic else ((a, b, c),)
+        for name, combos in _PENCIL:
+            total = [zero] * m
+            for s, t in combos:
+                for p, q, w in words:
+                    total = [x + y for x, y in zip(total, cols[s][t][p][q][w])]
+            if any(not x.is_zero() for x in total):
+                failures.append((prefix + name, (a, b, c), total))
+    return failures
+
+
+def _anti_o_failures(T: Matrix, R: RepresentationPair, prefix="anti_o_"):
     """[T(u),T(v)] = T(rho(T(v))u - rho(T(u))v), separately for
-    (bracket1, rho) and (bracket2, mu); linearity in (k1,k2) makes the two
-    coefficient checks equivalent to the all-pencil statement."""
+    (bracket1, rho) and (bracket2, mu)."""
     n, m = R.g.dim, R.v_dim
     if (T.rows, T.cols) != (n, m):
         raise ShapeMismatchError(f"T must be {n}x{m}, got {T.rows}x{T.cols}")
-    Tu = [T.apply(e) for e in _unit_vectors(R.field, m)]
+    Tu = T.columns()
     failures = []
-    for name, bracket, act in (("anti_o_1", R.g.circ, R.rho_of),
-                               ("anti_o_2", R.g.star, R.mu_of)):
+    for name, bracket, act in ((prefix + "1", R.g.circ, R.rho_of),
+                               (prefix + "2", R.g.star, R.mu_of)):
+        lhs = transported(bracket, Tu)
         # acts[b][a] = act(T e_b) e_a
-        acts = [_columns(act(t)) for t in Tu]
-        for a in range(m):
-            for b in range(m):
-                lhs = multiply(bracket, Tu[a], Tu[b])
-                inner = [x - y for x, y in zip(acts[b][a], acts[a][b])]
-                rhs = T.apply(inner)
-                r = [x - y for x, y in zip(lhs, rhs)]
-                if any(not c.is_zero() for c in r):
-                    failures.append((name, (a, b), r))
-    return make_report(failures)
+        acts = [act(t).columns() for t in Tu]
+        for a, b in iproduct(range(m), repeat=2):
+            inner = [x - y for x, y in zip(acts[b][a], acts[a][b])]
+            r = [x - y for x, y in zip(lhs[a][b], T.apply(inner))]
+            if any(not c.is_zero() for c in r):
+                failures.append((name, (a, b), r))
+    return failures
 
 
-def _strong_failures(T: Matrix, R: RepresentationPair):
+def _strong_failures(T: Matrix, R: RepresentationPair, prefix="strong_"):
     """Cyclic vanishing, pencil coefficient-wise: the k1^2, k1*k2, k2^2
     components of rho_pencil([Tu,Tv]_pencil)w + cyclic."""
-    m = R.v_dim
-    Tu = [T.apply(e) for e in _unit_vectors(R.field, m)]
-    zero = R.field.zero()
+    Tu = T.columns()
+    return _pencil_failures(R, [transported(br, Tu)
+                                for br in (R.g.circ, R.g.star)],
+                            True, prefix)
 
-    # br1[p][q] = [Tu_p, Tu_q]_1, br2 likewise for bracket 2
-    br1, br2 = ([[multiply(brk, Tu[p], Tu[q]) for q in range(m)]
-                 for p in range(m)] for brk in (R.g.circ, R.g.star))
 
-    def action_columns(act, br):
-        """cols[p][q][w] = act(br[p][q]) e_w."""
-        return [[_columns(act(v)) for v in row] for row in br]
-
-    specs = (("strong_k1k1", (action_columns(R.rho_of, br1),)),
-             ("strong_k1k2", (action_columns(R.rho_of, br2),
-                              action_columns(R.mu_of, br1))),
-             ("strong_k2k2", (action_columns(R.mu_of, br2),)))
-    failures = []
-    for a, b, c in iproduct(range(m), repeat=3):
-        for name, tables in specs:
-            total = [zero] * m
-            for cols in tables:
-                for (p, q, w) in ((a, b, c), (b, c, a), (c, a, b)):
-                    total = [x + y for x, y in zip(total, cols[p][q][w])]
-            if any(not x.is_zero() for x in total):
-                failures.append((name, (a, b, c), total))
-    return failures
+def check_anti_o(T: Matrix, R: RepresentationPair) -> CheckReport:
+    """The anti-O identity for each bracket; linearity in (k1,k2) makes
+    the two coefficient checks equivalent to the all-pencil statement."""
+    return make_report(_anti_o_failures(T, R))
 
 
 def check_strong(T: Matrix, R: RepresentationPair) -> CheckReport:
@@ -97,41 +104,32 @@ def check_strong(T: Matrix, R: RepresentationPair) -> CheckReport:
     return make_report(_strong_failures(T, R))
 
 
+def _require_antisymmetric(G: AlgebraPair):
+    r = range(G.dim)
+    for name, sc in (("bracket 1", G.circ.sc), ("bracket 2", G.star.sc)):
+        if any(not (x + y).is_zero() for i, j in iproduct(r, repeat=2)
+               for x, y in zip(sc[i][j], sc[j][i])):
+            raise PreconditionError(
+                f"{name} is not antisymmetric; anti-Rota-Baxter operators "
+                "are checked as anti-O-operators on the adjoint pair")
+
+
 def check_anti_rota_baxter(Rop: Matrix, G: AlgebraPair,
                            strong: bool = False) -> CheckReport:
     """[R(x),R(y)] = R([R(y),x] + [y,R(x)]) for each bracket; with the
-    strong flag, also the cyclic condition coefficient-wise in the pencil."""
+    strong flag, also the cyclic condition coefficient-wise in the pencil.
+
+    Both are the anti-O conditions of R on the adjoint pair, relabelled
+    anti_rb_* and strong_rb_*; the brackets must be antisymmetric.
+    """
     n = G.dim
     if (Rop.rows, Rop.cols) != (n, n):
         raise ShapeMismatchError("anti-Rota-Baxter operator must be square")
-    e = _unit_vectors(G.field, n)
-    Re = [Rop.apply(e[i]) for i in range(n)]
-    failures = []
-    for name, brk in (("anti_rb_1", G.circ), ("anti_rb_2", G.star)):
-        for i in range(n):
-            for j in range(n):
-                lhs = multiply(brk, Re[i], Re[j])
-                inner = [x + y for x, y in zip(multiply(brk, Re[j], e[i]),
-                                               multiply(brk, e[j], Re[i]))]
-                rhs = Rop.apply(inner)
-                r = [x - y for x, y in zip(lhs, rhs)]
-                if any(not c.is_zero() for c in r):
-                    failures.append((name, (i, j), r))
+    _require_antisymmetric(G)
+    ad = adjoint_pair(G)
+    failures = _anti_o_failures(Rop, ad, "anti_rb_")
     if strong:
-        specs = (("strong_rb_k1k1", ((G.circ, G.circ),)),
-                 ("strong_rb_k1k2", ((G.circ, G.star), (G.star, G.circ))),
-                 ("strong_rb_k2k2", ((G.star, G.star),)))
-        for i, j, k in iproduct(range(n), repeat=3):
-            for name, combos in specs:
-                total = [G.field.zero()] * n
-                for inner_brk, outer_brk in combos:
-                    for (p, q, w) in ((i, j, k), (j, k, i), (k, i, j)):
-                        term = multiply(outer_brk,
-                                        multiply(inner_brk, Re[p], Re[q]),
-                                        e[w])
-                        total = [x + y for x, y in zip(total, term)]
-                if any(not x.is_zero() for x in total):
-                    failures.append((name, (i, j, k), total))
+        failures += _strong_failures(Rop, ad, "strong_rb_")
     return make_report(failures)
 
 
@@ -147,14 +145,14 @@ def induce_on_domain(T: Matrix, R: RepresentationPair) -> AlgebraPair:
     return _domain_pair(T, R)
 
 
-def _domain_pair(T: Matrix, R: RepresentationPair) -> AlgebraPair:
+def _domain_pair(T: Matrix, R: RepresentationPair,
+                 basis=None) -> AlgebraPair:
     """The products of `induce_on_domain`, for a T already checked."""
-    f = R.field
-    Tu = [T.apply(e) for e in _unit_vectors(f, R.v_dim)]
+    Tu = T.columns()
 
     def build(act):
-        sc = [[[-x for x in col] for col in _columns(act(t))] for t in Tu]
-        return Algebra(f, R.v_dim, sc)
+        sc = [[[-x for x in col] for col in act(t).columns()] for t in Tu]
+        return Algebra(R.field, R.v_dim, sc, basis)
 
     return AlgebraPair(build(R.rho_of), build(R.mu_of))
 
@@ -172,28 +170,17 @@ def _column_echelon_basis(T: Matrix):
 def induce_on_image(T: Matrix, R: RepresentationPair):
     """The induced pair on T(V) with T(u).T(v) = T(u.v).
 
-    Well-definedness on a non-injective T is verified on a kernel basis;
-    a violation is reported by raising PreconditionError with the kernel
-    witness.  Returns (pair_on_image, image_basis_vectors).
+    The products are well defined on T(V) because T is anti-O: for k in
+    ker T, [Tu, Tk] = 0 gives T(rho(Tu)k) = 0, that is T(u.k) = 0, and
+    k.u = -rho(Tk)u = 0; likewise for mu.  Returns (pair_on_image,
+    image_basis_vectors).
     """
     strong = check_strong(T, R)  # raises if not anti-O
     if not strong.passed:
         raise PreconditionError("T is not strong "
                                 f"({strong.failure_count} failures)")
     domain = _domain_pair(T, R)  # check_strong has checked anti-O
-    m = R.v_dim
     f = R.field
-    u = _unit_vectors(f, m)
-    kernel = T.nullspace()
-    for kv in kernel:
-        for b in range(m):
-            for A in (domain.circ, domain.star):
-                for x, y in ((kv, u[b]), (u[b], kv)):
-                    img = T.apply(multiply(A, x, y))
-                    if any(not c.is_zero() for c in img):
-                        raise PreconditionError(
-                            "induced product not well-defined on the image; "
-                            f"kernel witness {[str(c) for c in kv]}")
     basis = _column_echelon_basis(T)
     r = len(basis)
     if r == 0:
@@ -211,11 +198,10 @@ def induce_on_image(T: Matrix, R: RepresentationPair):
 
     def build(A: Algebra):
         sc = []
-        for a in range(r):
+        for row in transported(A, pre):
             plane = []
-            for b in range(r):
-                w = T.apply(multiply(A, pre[a], pre[b]))
-                coeffs = bmat.solve(w)
+            for w in row:
+                coeffs = bmat.solve(T.apply(w))
                 if coeffs is None:
                     raise NotInvertibleError("product left the image subspace")
                 plane.append(coeffs)
@@ -226,58 +212,34 @@ def induce_on_image(T: Matrix, R: RepresentationPair):
 
 
 def induce_from_rb(Rop: Matrix, G: AlgebraPair) -> AlgebraPair:
-    """x.y = -[R(x),y]_1,  x*y = -[R(x),y]_2 for a strong anti-RB operator."""
+    """x.y = -[R(x),y]_1,  x*y = -[R(x),y]_2 for a strong anti-RB operator:
+    the domain products of R on the adjoint pair, on G's basis."""
     rep = check_anti_rota_baxter(Rop, G, strong=True)
     if not rep.passed:
         raise PreconditionError("R is not a strong anti-Rota-Baxter operator "
                                 f"({rep.failure_count} failures)")
-    n = G.dim
-    f = G.field
-    e = _unit_vectors(f, n)
-    Re = [Rop.apply(e[i]) for i in range(n)]
-
-    def build(brk: Algebra):
-        sc = []
-        for i in range(n):
-            plane = []
-            for j in range(n):
-                col = multiply(brk, Re[i], e[j])
-                plane.append([-x for x in col])
-            sc.append(plane)
-        return Algebra(f, n, sc, G.basis)
-
-    return AlgebraPair(build(G.circ), build(G.star))
+    return _domain_pair(Rop, adjoint_pair(G), G.basis)
 
 
 def check_rb_converse(Rop: Matrix, G: AlgebraPair) -> CheckReport:
     """[[R(x),R(y)] + R([x,R(y)] + [R(x),y]), z] = 0, coefficient-wise in
-    the pencil (k1^2, k1*k2, k2^2 components)."""
+    the pencil (k1^2, k1*k2, k2^2 components); any bracket pair."""
     n = G.dim
     if (Rop.rows, Rop.cols) != (n, n):
         raise ShapeMismatchError("operator must be square")
-    f = G.field
-    e = _unit_vectors(f, n)
-    Re = [Rop.apply(e[i]) for i in range(n)]
+    Re = Rop.columns()
 
-    def inner(brk, i, j):
-        t1 = multiply(brk, Re[i], Re[j])
-        t2 = Rop.apply([x + y for x, y in zip(multiply(brk, e[i], Re[j]),
-                                              multiply(brk, Re[i], e[j]))])
-        return [x + y for x, y in zip(t1, t2)]
+    def inner(brk):
+        """X[i][j] = [Re_i, Re_j] + R([e_i, Re_j] + [Re_i, e_j])."""
+        W = transported(brk, Re)
+        return [[_vadd(W[i][j], Rop.apply(_vadd(_left(brk, i, Re[j]),
+                                                 _right(brk, Re[i], j))))
+                 for j in range(n)] for i in range(n)]
 
-    failures = []
-    specs = (("rb_converse_k1k1", ((G.circ, G.circ),)),
-             ("rb_converse_k1k2", ((G.circ, G.star), (G.star, G.circ))),
-             ("rb_converse_k2k2", ((G.star, G.star),)))
-    for i, j, k in iproduct(range(n), repeat=3):
-        for name, combos in specs:
-            total = [f.zero()] * n
-            for inner_brk, outer_brk in combos:
-                term = multiply(outer_brk, inner(inner_brk, i, j), e[k])
-                total = [x + y for x, y in zip(total, term)]
-            if any(not x.is_zero() for x in total):
-                failures.append((name, (i, j, k), total))
-    return make_report(failures)
+    # [X, e_k] is the adjoint action of X read at column k
+    return make_report(_pencil_failures(
+        adjoint_pair(G), (inner(G.circ), inner(G.star)), False,
+        "rb_converse_"))
 
 
 def induce_from_invertible(T: Matrix, R: RepresentationPair) -> AlgebraPair:
@@ -292,17 +254,12 @@ def induce_from_invertible(T: Matrix, R: RepresentationPair) -> AlgebraPair:
     if not base.passed:
         raise PreconditionError("T is not an anti-O-operator "
                                 f"({base.failure_count} failures)")
-    Tinv = T.inverse()
-    f = R.field
-    e = _unit_vectors(f, n)
-    tinv_cols = [Tinv.apply(v) for v in e]
+    tinv_cols = T.inverse().columns()
 
-    def build(act):
-        sc = []
-        for i in range(n):
-            mat = act(e[i])
-            sc.append([[-x for x in T.apply(mat.apply(t))]
-                       for t in tinv_cols])
-        return Algebra(f, n, sc, R.g.basis)
+    def build(mats):
+        # rho(e_i) is the stored matrix mats[i]
+        sc = [[[-x for x in T.apply(mat.apply(t))] for t in tinv_cols]
+              for mat in mats]
+        return Algebra(R.field, n, sc, R.g.basis)
 
-    return AlgebraPair(build(R.rho_of), build(R.mu_of))
+    return AlgebraPair(build(R.rho), build(R.mu))

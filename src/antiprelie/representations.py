@@ -10,10 +10,10 @@ import json
 from dataclasses import dataclass
 
 from .algebra import (Algebra, AlgebraPair, CheckReport, algebra_from_json,
-                      commutator_pair, make_report, multiply, pair_to_json)
+                      commutator_pair, make_report, pair_to_json)
 from .errors import (FieldMismatchError, ParseError, PreconditionError,
                      ShapeMismatchError)
-from .linalg import Matrix
+from .linalg import Matrix, parse_rows
 from .scalars import Scalar, format_scalar
 
 
@@ -84,21 +84,19 @@ def check_representation_pair(R: RepresentationPair) -> CheckReport:
           = rho(x)mu(y) - rho(y)mu(x) + mu(x)rho(y) - mu(y)rho(x)
     """
     n = R.g.dim
-    b1, b2 = R.g.circ, R.g.star
-    e = [b1.basis_vector(i) for i in range(n)]
+    b1, b2 = R.g.circ.sc, R.g.star.sc
     failures = []
     for i in range(n):
         for j in range(n):
-            lhs1 = R.rho_of(multiply(b1, e[i], e[j]))
+            lhs1 = R.rho_of(b1[i][j])
             rhs1 = R.rho[i] @ R.rho[j] - R.rho[j] @ R.rho[i]
             if not (lhs1 - rhs1).is_zero():
                 failures.append(("rep_eq_1", (i, j), _flat(lhs1 - rhs1)))
-            lhs2 = R.mu_of(multiply(b2, e[i], e[j]))
+            lhs2 = R.mu_of(b2[i][j])
             rhs2 = R.mu[i] @ R.mu[j] - R.mu[j] @ R.mu[i]
             if not (lhs2 - rhs2).is_zero():
                 failures.append(("rep_eq_2", (i, j), _flat(lhs2 - rhs2)))
-            lhs3 = R.rho_of(multiply(b2, e[i], e[j])) + \
-                R.mu_of(multiply(b1, e[i], e[j]))
+            lhs3 = R.rho_of(b2[i][j]) + R.mu_of(b1[i][j])
             rhs3 = (R.rho[i] @ R.mu[j] - R.rho[j] @ R.mu[i]
                     + R.mu[i] @ R.rho[j] - R.mu[j] @ R.rho[i])
             if not (lhs3 - rhs3).is_zero():
@@ -111,11 +109,8 @@ def _flat(mat: Matrix):
 
 
 def left_multiplication_matrix(A: Algebra, i: int) -> Matrix:
-    """Matrix of L(e_i): column j holds e_i * e_j."""
-    cols = [multiply(A, A.basis_vector(i), A.basis_vector(j))
-            for j in range(A.dim)]
-    return Matrix(A.field, [[cols[j][k] for j in range(A.dim)]
-                            for k in range(A.dim)])
+    """Matrix of L(e_i): column j holds e_i * e_j, the row sc[i][j]."""
+    return Matrix(A.field, list(zip(*A.sc[i])))
 
 
 def left_multiplication_pair(P: AlgebraPair) -> RepresentationPair:
@@ -232,12 +227,8 @@ def representation_from_json(obj, base_dir=None) -> RepresentationPair:
         field = g.field
 
         def mats(block):
-            out = []
-            for name in g.basis:
-                rows = block[name]
-                out.append(Matrix(field, [[field.parse(str(x)) for x in row]
-                                          for row in rows]))
-            return tuple(out)
+            return tuple(Matrix(field, parse_rows(block[name], field))
+                         for name in g.basis)
 
         return RepresentationPair(g, m, mats(obj["rho"]), mats(obj["mu"]))
     except (KeyError, TypeError, ValueError) as exc:

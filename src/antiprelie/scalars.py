@@ -541,6 +541,15 @@ def parse_scalar(text: str, field: Field) -> Scalar:
         raise ParseError(str(exc)) from exc
 
 
+def parse_json_scalar(x, field: Field) -> Scalar:
+    """A coefficient read from JSON: a grammar string or an integer (read
+    through str); anything else, booleans included, raises ParseError."""
+    if isinstance(x, bool) or not isinstance(x, (str, int)):
+        raise ParseError(f"coefficient must be a string or an integer, "
+                         f"got {x!r}")
+    return parse_scalar(str(x), field)
+
+
 def _format_q(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)

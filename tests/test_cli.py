@@ -352,3 +352,119 @@ def test_map_file_without_entries_exits_2(capsys, tmp_path):
     code, report, err = run(capsys, "ops", "anti-o", "--map", str(bad),
                             "--rep", str(rep_file))
     assert code == 2 and report is None and "entries" in err
+
+
+def _rep_file(tmp_path):
+    pair = instantiate(get_family("CA26"), {"beta": 2})
+    rep = left_multiplication_pair(pair)
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(representation_to_json(rep)))
+    return str(path), rep
+
+
+def _row_error(err):
+    """The shared JSON row parser's ParseError, not a later grammar error."""
+    return err.startswith("error:") and (
+        "list of lists" in err or "string or an integer" in err)
+
+
+def test_map_integer_entries_read_like_strings(capsys, tmp_path):
+    rep_file, _ = _rep_file(tmp_path)
+    reports = []
+    for entries in ([["1", "0"], ["0", "1"]], [[1, 0], [0, 1]],
+                    [["1", 0], [0, "1"]]):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"entries": entries}))
+        code, report, _ = run(capsys, "ops", "anti-o", "--map", str(path),
+                              "--rep", rep_file)
+        assert code == 0
+        reports.append(report)
+    assert reports[0] == reports[1] == reports[2]
+
+
+@pytest.mark.parametrize("entries", [
+    None, ["10", "01"], "1001", [[1.0, 0], [0, 1]], [[True, 0], [0, 1]],
+    [[None, "0"], ["0", "1"]], [["1", "0"], "01"], [[["1"], "0"], ["0", "1"]],
+])
+def test_malformed_map_entries_exit_2(capsys, tmp_path, entries):
+    rep_file, _ = _rep_file(tmp_path)
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"rows": 2, "cols": 2, "entries": entries}))
+    code, report, err = run(capsys, "ops", "anti-o", "--map", str(path),
+                            "--rep", rep_file)
+    assert code == 2 and report is None and _row_error(err)
+
+
+@pytest.mark.parametrize("gram", [None, ["10", "01"], [[1.5, 0], [0, 1]],
+                                  [[False, 0], [0, 1]]])
+def test_malformed_gram_exits_2(capsys, tmp_path, gram):
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps({"dim": 2, "gram": gram}))
+    code, report, err = run(capsys, "derive", "from-vectors", "--form",
+                            str(path), "--s1", "e1", "--s2", "e2")
+    assert code == 2 and report is None and _row_error(err)
+
+
+def test_gram_integer_entries_read_like_strings(capsys, tmp_path):
+    reports = []
+    for gram in ([["1", "0"], ["0", "1"]], [[1, 0], [0, 1]]):
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps({"dim": 2, "gram": gram}))
+        code, report, _ = run(capsys, "derive", "from-vectors", "--form",
+                              str(path), "--s1", "e1", "--s2", "e2")
+        assert code == 0
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("rows", [["00", "00"], None, [[0.0, 0], [0, 0]],
+                                  [["0", "0"], [True, "0"]]])
+def test_malformed_representation_rows_exit_2(capsys, tmp_path, rows):
+    _, rep = _rep_file(tmp_path)
+    obj = representation_to_json(rep)
+    obj["rho"]["e1"] = rows
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, report, err = run(capsys, "rep", "check", "--rep", str(path))
+    assert code == 2 and report is None and _row_error(err)
+
+
+def test_representation_integer_rows_read_like_strings(capsys, tmp_path):
+    rep_file, rep = _rep_file(tmp_path)
+    obj = representation_to_json(rep)
+    for block in ("rho", "mu"):
+        obj[block] = {k: [[int(x) for x in row] for row in rows]
+                      for k, rows in obj[block].items()}
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps(obj))
+    assert run(capsys, "rep", "check", "--rep", str(path))[:2] == \
+        run(capsys, "rep", "check", "--rep", rep_file)[:2]
+
+
+@pytest.mark.parametrize("circ", [
+    ["1121"],                              # a string, not a list
+    [[1, 1, 2, "1"], [1, 1, 2, "3"]],      # a repeated (i, j, k) slot
+    [[1, 1, 2]], [[1, 1, 2, "1", "0"]],    # wrong length
+    [[1.0, 1, 2, "1"]], [["1", 1, 2, "1"]], [[True, 1, 2, "1"]],
+    [[1, 1, 2, 1.5]], [[1, 1, 2, None]],
+])
+def test_malformed_product_entries_exit_2(capsys, tmp_path, circ):
+    path = tmp_path / "bad.alg.json"
+    path.write_text(json.dumps({"dim": 2, "field": {"kind": "Q"},
+                                "products": {"circ": circ}}))
+    code, report, err = run(capsys, "check", "--file", str(path),
+                            "--identity", "jacobi")
+    assert code == 2 and report is None and "error" in err
+
+
+def test_product_integer_coefficient_reads_like_string(capsys, tmp_path):
+    reports = []
+    for coeff in ("-1", -1):
+        path = tmp_path / "a.alg.json"
+        path.write_text(json.dumps({
+            "dim": 2, "field": {"kind": "Q"},
+            "products": {"circ": [[1, 2, 1, coeff], [2, 1, 1, 1]]}}))
+        code, report, _ = run(capsys, "check", "--file", str(path),
+                              "--identity", "jacobi")
+        reports.append((code, report))
+    assert reports[0] == reports[1] and reports[0][0] == 0

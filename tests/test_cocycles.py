@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from antiprelie import (GF, QQ, Algebra, AlgebraPair, BudgetExceededError,
                         Deformation, Matrix, NotInvertibleError, ParseError,
-                        PreconditionError, brute_force_Z2,
+                        PreconditionError, ShapeMismatchError, brute_force_Z2,
                         check_identity, check_step1_conditions, get_family,
                         instantiate, is_automorphism, linear_space,
                         transform_deformation, verify_family_membership,
@@ -421,3 +421,115 @@ def test_orbit_invariance_random(rng):
         # solutions stay solutions, verbatim set membership
         if d.flat() in flats:
             assert moved.flat() in flats
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the automorphism test and basis change that multiply the
+# images theta(e_i) with `multiply`.
+# ---------------------------------------------------------------------------
+
+def old_is_automorphism(theta, A):
+    from antiprelie import multiply
+    if (theta.rows, theta.cols) != (A.dim, A.dim):
+        raise ShapeMismatchError("automorphism must be square of dim")
+    n = A.dim
+    e = [A.basis_vector(i) for i in range(n)]
+    cols = [theta.apply(e[j]) for j in range(n)]
+    for i in range(n):
+        for j in range(n):
+            lhs = theta.apply(multiply(A, e[i], e[j]))
+            rhs = multiply(A, cols[i], cols[j])
+            if any(not (x - y).is_zero() for x, y in zip(lhs, rhs)):
+                return False
+    return True
+
+
+def old_transform_deformation(d, theta):
+    from antiprelie import multiply
+    if theta.det().is_zero():
+        raise NotInvertibleError("theta is singular")
+    if not old_is_automorphism(theta, d.base):
+        raise PreconditionError("theta is not an automorphism of the base")
+    inv = theta.inverse()
+    n = d.base.dim
+    e = [d.base.basis_vector(i) for i in range(n)]
+    cols = [theta.apply(e[j]) for j in range(n)]
+    sc = [[inv.apply(multiply(d.phi, cols[i], cols[j])) for j in range(n)]
+          for i in range(n)]
+    return Deformation(d.base, Algebra(d.phi.field, n, sc, d.base.basis))
+
+
+def _automorphism_agrees_with_oracles(theta, d):
+    """True when theta moved d (an invertible automorphism of the base)."""
+    assert is_automorphism(theta, d.base) == old_is_automorphism(theta, d.base)
+    try:
+        want = old_transform_deformation(d, theta)
+    except (NotInvertibleError, PreconditionError) as exc:
+        with pytest.raises(type(exc)):
+            transform_deformation(d, theta)
+        return False
+    got = transform_deformation(d, theta)
+    assert [str(x) for x in got.flat()] == [str(x) for x in want.flat()]
+    assert got == want
+    return True
+
+
+LAURENT = poly_ring(["s", "u"], units=["u"])
+AUTOMORPHISM_FIELDS = {
+    "Q": (QQ, ["1", "-1", "2", "1/2", "-3"]),
+    "GF5": (GF(5), ["1", "2", "3", "4"]),
+    "laurent": (LAURENT, ["1", "-1", "s", "u^-1", "s*u-2", "2*u"]),
+}
+
+
+@st.composite
+def automorphism_inputs(draw):
+    """A random base and phi of dim 1-3 and a random, identity or
+    diagonal theta; a zero base makes every invertible theta pass."""
+    field, coeffs = AUTOMORPHISM_FIELDS[draw(st.sampled_from(
+        sorted(AUTOMORPHISM_FIELDS)))]
+    n = draw(st.integers(1, 3))
+
+    def entry(density):
+        if draw(st.integers(1, 4)) > density:
+            return field.zero()
+        return field.parse(draw(st.sampled_from(coeffs)))
+
+    def table(density):
+        return Algebra(field, n, [[[entry(density) for _ in range(n)]
+                                   for _ in range(n)] for _ in range(n)])
+
+    base, phi = table(draw(st.integers(0, 4))), table(draw(st.integers(0, 4)))
+    kind = draw(st.sampled_from(["random", "identity", "diagonal"]))
+    if kind == "random":
+        density = draw(st.integers(0, 4))
+        theta = Matrix(field, [[entry(density) for _ in range(n)]
+                               for _ in range(n)])
+    else:
+        diag = [field.one() if kind == "identity"
+                else field.parse(draw(st.sampled_from(coeffs)))
+                for _ in range(n)]
+        theta = Matrix(field, [[diag[i] if i == j else field.zero()
+                                for j in range(n)] for i in range(n)])
+    return theta, Deformation(base, phi)
+
+
+@settings(max_examples=80, deadline=None)
+@given(automorphism_inputs())
+def test_automorphism_and_transform_match_oracles(inputs):
+    _automorphism_agrees_with_oracles(*inputs)
+
+
+def test_automorphism_and_transform_match_oracles_on_all_gf5_maps(rng):
+    f = GF(5)
+    base = base_algebra("A6", 0, prime=5)
+    phis = [Algebra(f, 2, [[[f.scalar(rng.randrange(5)) for _ in range(2)]
+                            for _ in range(2)] for _ in range(2)])
+            for _ in range(2)] + [d.phi for d in brute_force_Z2(base)[:2]]
+    moved = 0
+    for entries in iproduct(range(5), repeat=4):
+        theta = Matrix.from_rows(f, [entries[:2], entries[2:]])
+        for phi in phis:
+            moved += _automorphism_agrees_with_oracles(
+                theta, Deformation(base, phi))
+    assert 0 < moved < 625 * len(phis)

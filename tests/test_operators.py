@@ -1,3 +1,4 @@
+import json
 from itertools import product as iproduct
 
 import pytest
@@ -307,6 +308,11 @@ def test_induce_on_image_checks_anti_o_once(monkeypatch):
 # vectors and rebuild it for every basis pair or triple.
 # ---------------------------------------------------------------------------
 
+def units(field, m):
+    return [[field.one() if t == i else field.zero() for t in range(m)]
+            for i in range(m)]
+
+
 def old_combine(mats, x, field, m):
     out = Matrix.zero(field, m, m)
     for c, mat in zip(x, mats):
@@ -321,7 +327,7 @@ def old_check_anti_o(T, R):
     n, m = R.g.dim, R.v_dim
     if (T.rows, T.cols) != (n, m):
         raise ShapeMismatchError("T has the wrong shape")
-    u = operators._unit_vectors(R.field, m)
+    u = units(R.field, m)
     failures = []
     for name, bracket, act in (("anti_o_1", R.g.circ, R.rho_of),
                                ("anti_o_2", R.g.star, R.mu_of)):
@@ -341,7 +347,7 @@ def old_check_anti_o(T, R):
 
 def old_strong_failures(T, R):
     m = R.v_dim
-    u = operators._unit_vectors(R.field, m)
+    u = units(R.field, m)
     Tu = [T.apply(u[a]) for a in range(m)]
     b1, b2 = R.g.circ, R.g.star
 
@@ -382,7 +388,7 @@ def old_induce_from_invertible(T, R):
         raise PreconditionError("T is not an anti-O-operator")
     Tinv = T.inverse()
     f = R.field
-    e = operators._unit_vectors(f, n)
+    e = units(f, n)
 
     def build(act):
         sc = []
@@ -398,6 +404,9 @@ def old_induce_from_invertible(T, R):
 
 
 def _plain(out):
+    if isinstance(out, tuple):  # induce_on_image: (pair, image basis)
+        pair, basis = out
+        return [pair_to_json(pair), [[str(c) for c in v] for v in basis]]
     return pair_to_json(out) if isinstance(out, AlgebraPair) else out.to_json()
 
 
@@ -420,6 +429,7 @@ def _agrees_with_oracles(T, R):
     assert operators._strong_failures(T, R) == old_strong_failures(T, R)
     passed = _same_outcome(check_strong, old_check_strong, T, R)
     _same_outcome(induce_from_invertible, old_induce_from_invertible, T, R)
+    _same_outcome(induce_on_image, old_induce_on_image, T, R)
     return passed
 
 
@@ -573,3 +583,240 @@ def test_anti_o_builds_each_action_once_on_catalog(monkeypatch):
     calls.clear()
     assert check_strong(T, R).passed
     assert len(calls) <= 4 + 16
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the anti-Rota-Baxter, converse and image bodies that derive
+# each identity in their own loops, multiplying vectors with `multiply`.
+# ---------------------------------------------------------------------------
+
+def old_check_anti_rota_baxter(Rop, G, strong=False):
+    n = G.dim
+    if (Rop.rows, Rop.cols) != (n, n):
+        raise ShapeMismatchError("anti-Rota-Baxter operator must be square")
+    e = units(G.field, n)
+    Re = [Rop.apply(e[i]) for i in range(n)]
+    failures = []
+    for name, brk in (("anti_rb_1", G.circ), ("anti_rb_2", G.star)):
+        for i in range(n):
+            for j in range(n):
+                lhs = multiply(brk, Re[i], Re[j])
+                inner = [x + y for x, y in zip(multiply(brk, Re[j], e[i]),
+                                               multiply(brk, e[j], Re[i]))]
+                rhs = Rop.apply(inner)
+                r = [x - y for x, y in zip(lhs, rhs)]
+                if any(not c.is_zero() for c in r):
+                    failures.append((name, (i, j), r))
+    if strong:
+        specs = (("strong_rb_k1k1", ((G.circ, G.circ),)),
+                 ("strong_rb_k1k2", ((G.circ, G.star), (G.star, G.circ))),
+                 ("strong_rb_k2k2", ((G.star, G.star),)))
+        for i, j, k in iproduct(range(n), repeat=3):
+            for name, combos in specs:
+                total = [G.field.zero()] * n
+                for inner_brk, outer_brk in combos:
+                    for (p, q, w) in ((i, j, k), (j, k, i), (k, i, j)):
+                        term = multiply(outer_brk,
+                                        multiply(inner_brk, Re[p], Re[q]),
+                                        e[w])
+                        total = [x + y for x, y in zip(total, term)]
+                if any(not x.is_zero() for x in total):
+                    failures.append((name, (i, j, k), total))
+    return make_report(failures)
+
+
+def old_induce_from_rb(Rop, G):
+    rep = old_check_anti_rota_baxter(Rop, G, strong=True)
+    if not rep.passed:
+        raise PreconditionError("R is not a strong anti-Rota-Baxter operator")
+    n = G.dim
+    f = G.field
+    e = units(f, n)
+    Re = [Rop.apply(e[i]) for i in range(n)]
+
+    def build(brk):
+        sc = [[[-x for x in multiply(brk, Re[i], e[j])] for j in range(n)]
+              for i in range(n)]
+        return Algebra(f, n, sc, G.basis)
+
+    return AlgebraPair(build(G.circ), build(G.star))
+
+
+def old_check_rb_converse(Rop, G):
+    n = G.dim
+    if (Rop.rows, Rop.cols) != (n, n):
+        raise ShapeMismatchError("operator must be square")
+    f = G.field
+    e = units(f, n)
+    Re = [Rop.apply(e[i]) for i in range(n)]
+
+    def inner(brk, i, j):
+        t1 = multiply(brk, Re[i], Re[j])
+        t2 = Rop.apply([x + y for x, y in zip(multiply(brk, e[i], Re[j]),
+                                              multiply(brk, Re[i], e[j]))])
+        return [x + y for x, y in zip(t1, t2)]
+
+    failures = []
+    specs = (("rb_converse_k1k1", ((G.circ, G.circ),)),
+             ("rb_converse_k1k2", ((G.circ, G.star), (G.star, G.circ))),
+             ("rb_converse_k2k2", ((G.star, G.star),)))
+    for i, j, k in iproduct(range(n), repeat=3):
+        for name, combos in specs:
+            total = [f.zero()] * n
+            for inner_brk, outer_brk in combos:
+                term = multiply(outer_brk, inner(inner_brk, i, j), e[k])
+                total = [x + y for x, y in zip(total, term)]
+            if any(not x.is_zero() for x in total):
+                failures.append((name, (i, j, k), total))
+    return make_report(failures)
+
+
+def old_induce_on_image(T, R):
+    strong = old_check_strong(T, R)
+    if not strong.passed:
+        raise PreconditionError("T is not strong")
+    m = R.v_dim
+    f = R.field
+    u = units(f, m)
+
+    def domain_product(act):
+        sc = [[[-x for x in act(T.apply(u[a])).apply(u[b])]
+               for b in range(m)] for a in range(m)]
+        return Algebra(f, m, sc)
+
+    domain = AlgebraPair(domain_product(R.rho_of), domain_product(R.mu_of))
+    for kv in T.nullspace():
+        for b in range(m):
+            for A in (domain.circ, domain.star):
+                for x, y in ((kv, u[b]), (u[b], kv)):
+                    img = T.apply(multiply(A, x, y))
+                    if any(not c.is_zero() for c in img):
+                        raise PreconditionError("not well-defined")
+    basis = operators._column_echelon_basis(T)
+    r = len(basis)
+    if r == 0:
+        zero = Algebra.zero_algebra(f, 1)
+        return AlgebraPair(zero, zero), []
+    pre = []
+    for w in basis:
+        x = T.solve(w)
+        if x is None:
+            raise NotInvertibleError("image basis vector left the image")
+        pre.append(x)
+    bmat = Matrix(f, [[basis[j][k] for j in range(r)]
+                      for k in range(R.g.dim)])
+
+    def build(A):
+        sc = []
+        for a in range(r):
+            plane = []
+            for b in range(r):
+                coeffs = bmat.solve(T.apply(multiply(A, pre[a], pre[b])))
+                if coeffs is None:
+                    raise NotInvertibleError("product left the image subspace")
+                plane.append(coeffs)
+            sc.append(plane)
+        return Algebra(f, r, sc)
+
+    return AlgebraPair(build(domain.circ), build(domain.star)), basis
+
+
+def _rb_agrees_with_oracles(Rop, G):
+    """The anti-RB checks and construction against the oracles; True when
+    Rop is a strong anti-Rota-Baxter operator."""
+    for strong in (False, True):
+        assert check_anti_rota_baxter(Rop, G, strong).to_json() == \
+            old_check_anti_rota_baxter(Rop, G, strong).to_json()
+    assert check_rb_converse(Rop, G).to_json() == \
+        old_check_rb_converse(Rop, G).to_json()
+    _same_outcome(induce_on_image, old_induce_on_image, Rop, adjoint_pair(G))
+    return _same_outcome(induce_from_rb, old_induce_from_rb, Rop, G)
+
+
+@st.composite
+def bracket_pairs(draw, antisymmetric=True):
+    """A random bracket pair of dim 1-3 (antisymmetric, or any table) on
+    the basis x1..xn and a random square map, each with its own density
+    from 0 to 4."""
+    field, coeffs = OPERATOR_FIELDS[draw(st.sampled_from(
+        sorted(OPERATOR_FIELDS)))]
+    n = draw(st.integers(1, 3))
+
+    def entry(density):
+        if draw(st.integers(1, 4)) > density:
+            return field.zero()
+        return field.parse(draw(st.sampled_from(coeffs)))
+
+    def bracket(density):
+        sc = [[[field.zero()] * n for _ in range(n)] for _ in range(n)]
+        for i, j in iproduct(range(n), repeat=2):
+            if antisymmetric and i >= j:
+                continue
+            for k in range(n):
+                sc[i][j][k] = entry(density)
+                if antisymmetric:
+                    sc[j][i][k] = -sc[i][j][k]
+        # named basis: induce_from_rb keeps G's basis names
+        return Algebra(field, n, sc, [f"x{i + 1}" for i in range(n)])
+
+    g_density, r_density = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    G = AlgebraPair(bracket(g_density), bracket(g_density))
+    Rop = Matrix(field, [[entry(r_density) for _ in range(n)]
+                         for _ in range(n)])
+    return Rop, G
+
+
+@settings(max_examples=80, deadline=None)
+@given(bracket_pairs())
+def test_rb_checks_match_oracles_on_antisymmetric_pairs(inputs):
+    _rb_agrees_with_oracles(*inputs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bracket_pairs(antisymmetric=False))
+def test_rb_converse_matches_oracle_on_any_pair(inputs):
+    Rop, G = inputs
+    assert check_rb_converse(Rop, G).to_json() == \
+        old_check_rb_converse(Rop, G).to_json()
+
+
+def test_rb_checks_match_oracles_on_all_gf5_maps():
+    G = commutator_pair(gf5_pair("CA35", {"lambda": 1, "alpha": 2,
+                                          "beta": 1}, branch=1))
+    passed = sum(_rb_agrees_with_oracles(Rop, G) for Rop in all_maps(GF(5)))
+    assert 1 < passed < 625
+
+
+def non_antisymmetric_pairs():
+    # [e1, e2] = e1 but [e2, e1] = 0, in either member
+    lop = Algebra.from_entries(QQ, 2, [(1, 2, 1, 1)])
+    zero = Algebra.zero_algebra(QQ, 2)
+    return [AlgebraPair(lop, zero), AlgebraPair(zero, lop)]
+
+
+@pytest.mark.parametrize("G", non_antisymmetric_pairs())
+def test_anti_rb_needs_antisymmetric_brackets(G):
+    for rop in (Matrix.zero(QQ, 2, 2), Matrix.identity(QQ, 2)):
+        for strong in (False, True):
+            with pytest.raises(PreconditionError, match="antisymmetric"):
+                check_anti_rota_baxter(rop, G, strong)
+        with pytest.raises(PreconditionError, match="antisymmetric"):
+            induce_from_rb(rop, G)
+        # the converse condition takes any bracket pair
+        assert check_rb_converse(rop, G).to_json() == \
+            old_check_rb_converse(rop, G).to_json()
+
+
+@pytest.mark.parametrize("G", non_antisymmetric_pairs())
+def test_cli_rb_exits_1_on_non_antisymmetric_brackets(G, tmp_path, capsys):
+    from antiprelie.cli import main
+    brackets = tmp_path / "g.alg.json"
+    brackets.write_text(json.dumps(pair_to_json(G)))
+    rop = tmp_path / "r.json"
+    rop.write_text(json.dumps(Matrix.zero(QQ, 2, 2).to_json()))
+    for argv in (["ops", "rb", "--strong"], ["ops", "rb"],
+                 ["derive", "from-rb"]):
+        code = main(argv + ["--map", str(rop), "--brackets", str(brackets)])
+        out = capsys.readouterr()
+        assert code == 1 and out.out == ""
+        assert "precondition failed" in out.err

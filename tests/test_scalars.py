@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from antiprelie import (GF, QQ, FieldMismatchError, NotInvertibleError,
                         ParseError, Scalar, cast_scalar, format_scalar,
                         poly_ring, scalar_to_gf, substitute)
-from antiprelie.scalars import MAX_EXPONENT, MAX_MODULUS, Field
+from antiprelie.scalars import (MAX_EXPONENT, MAX_MODULUS, Field,
+                                parse_json_scalar)
 
 LAM = poly_ring(["lambda"])
 AB = poly_ring(["a", "beta"], units=["a"])
@@ -243,3 +244,15 @@ def test_exponent_limit():
     for text in (f"(x+1)^{MAX_EXPONENT + 1}", "(x+1)^100000", "x^-100000"):
         with pytest.raises(ParseError, match="exceeds"):
             x.field.parse(text)
+
+
+@pytest.mark.parametrize("value", [True, False, 1.0, None, ["1"], {"a": 1}])
+def test_json_coefficient_must_be_string_or_integer(value):
+    with pytest.raises(ParseError, match="string or an integer"):
+        parse_json_scalar(value, QQ)
+
+
+def test_json_integer_coefficient_reads_as_its_text():
+    for field in (QQ, GF(5), poly_ring(["x"])):
+        assert parse_json_scalar(-3, field) == parse_json_scalar("-3", field)
+        assert parse_json_scalar(12, field) == field.parse("12")
