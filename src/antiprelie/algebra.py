@@ -6,10 +6,18 @@ tuples only; multilinearity makes that complete, and over polynomial
 rings the verdicts are exact polynomial identities.
 
 The checkers never multiply basis vectors: e_i * e_j is the row
-sc[i][j], and each checker builds the tables of the degree-3 words it
-needs, e_a * (e_b * e_c) and (e_a * e_b) * e_c, once for all triples by
-scaling table rows (zero coefficients skipped, a coefficient of one not
-multiplied).  Exact arithmetic makes the residuals equal to `multiply`'s.
+sc[i][j], and the degree-3 word tables e_a * (e_b * e_c) and
+(e_a * e_b) * e_c are built once for all triples by scaling table rows
+(zero coefficients skipped, a coefficient of one not multiplied).
+Exact arithmetic makes the residuals equal to `multiply`'s.
+
+Each quadratic identity (anti-pre-Lie, pre-Lie, Jacobi, associative) is
+written once, on word tables summed over ordered product pairs (X, Y):
+[(A, A)] checks A, and [(circ, star), (star, circ)] is the k1*k2
+coefficient of the identity of k1*circ + k2*star, the mixed condition
+of a compatible pair.  `_PENCIL` holds those index pairs for every
+pencil coefficient and is shared with the operator and representation
+checks.
 """
 from __future__ import annotations
 
@@ -18,8 +26,8 @@ from dataclasses import dataclass, replace
 from itertools import product as iproduct
 
 from .errors import FieldMismatchError, ParseError, ShapeMismatchError
-from .scalars import (Field, Scalar, cast_scalar, format_scalar,
-                      parse_json_scalar)
+from .scalars import (Field, Scalar, _json_int, _read_json, cast_scalar,
+                      format_scalar, parse_json_scalar)
 
 MAX_WITNESSES = 16
 MAX_DIM = 64  # .alg.json input; the toolkit's own tables stay far below
@@ -213,34 +221,37 @@ def multiply(A: Algebra, x, y):
     return out
 
 
-def _left(A: Algebra, i: int, v):
-    """e_i * v, read off the rows sc[i][j] of the table."""
-    out = [A.field.zero()] * A.dim
+def _left(A: Algebra, i: int, v, out=None):
+    """e_i * v, read off the rows sc[i][j] of the table (added into out)."""
+    out = [A.field.zero()] * A.dim if out is None else out
     for j, c in enumerate(v):
         if not c.is_zero():
             _accumulate(out, c, A.sc[i][j])
     return out
 
 
-def _right(A: Algebra, v, k: int):
-    """v * e_k, read off the rows sc[i][k] of the table."""
-    out = [A.field.zero()] * A.dim
+def _right(A: Algebra, v, k: int, out=None):
+    """v * e_k, read off the rows sc[i][k] of the table (added into out)."""
+    out = [A.field.zero()] * A.dim if out is None else out
     for i, c in enumerate(v):
         if not c.is_zero():
             _accumulate(out, c, A.sc[i][k])
     return out
 
 
-def _inner_words(A: Algebra, B: Algebra):
-    """W[a][b][c] = e_a *A (e_b *B e_c) on every basis triple."""
-    r = range(A.dim)
-    return [[[_left(A, a, B.sc[b][c]) for c in r] for b in r] for a in r]
-
-
-def _outer_words(A: Algebra, B: Algebra):
-    """W[a][b][c] = (e_a *B e_b) *A e_c on every basis triple."""
-    r = range(A.dim)
-    return [[[_right(A, B.sc[a][b], c) for c in r] for b in r] for a in r]
+def _words(pairs, outer: bool):
+    """W[a][b][c] = the sum over the product pairs (X, Y) of the word
+    (e_a *Y e_b) *X e_c if outer, else e_a *X (e_b *Y e_c)."""
+    r = range(pairs[0][0].dim)
+    zero = pairs[0][0].field.zero()
+    W = [[[[zero] * len(r) for c in r] for b in r] for a in r]
+    for X, Y in pairs:
+        for a, b, c in iproduct(r, repeat=3):
+            if outer:
+                _right(X, Y.sc[a][b], c, W[a][b][c])
+            else:
+                _left(X, a, Y.sc[b][c], W[a][b][c])
+    return W
 
 
 def transported(A: Algebra, vecs):
@@ -298,6 +309,14 @@ def cast_pair(P: AlgebraPair, field: Field) -> AlgebraPair:
     return AlgebraPair(cast_algebra(P.circ, field), cast_algebra(P.star, field))
 
 
+def _lift(A: Algebra, ring: Field) -> Algebra:
+    """A's Q or GF(p) table as constants of a polynomial ring over Q,
+    residues taken as the integers 0..p-1."""
+    return Algebra(ring, A.dim, [[[ring.scalar(x.value) for x in row]
+                                  for row in plane] for plane in A.sc],
+                   A.basis)
+
+
 # ---------------------------------------------------------------------------
 # identity checkers
 # ---------------------------------------------------------------------------
@@ -311,16 +330,66 @@ def _vsub(a, b):
 
 
 def _vadd(*vs):
-    out = list(vs[0])
-    for v in vs[1:]:
-        out = [x + y for x, y in zip(out, v)]
-    return out
+    return [sum(xs[1:], xs[0]) for xs in zip(*vs)]
 
 
-def _vtable(U, W):
-    """Entrywise sum of two word tables."""
-    return [[[_vadd(u, w) for u, w in zip(ur, wr)] for ur, wr in zip(up, wp)]
-            for up, wp in zip(U, W)]
+# Index pairs (s, t) of each pencil coefficient of a form bilinear in
+# two arguments from one pencil k1*u_0 + k2*u_1: its k1^2, k1*k2 and k2^2
+# parts are the sums of the form on (u_s, u_t) over the listed pairs.
+_PENCIL = (("k1k1", ((0, 0),)), ("k1k2", ((0, 1), (1, 0))),
+           ("k2k2", ((1, 1),)))
+
+
+def _mixed_pairs(P: AlgebraPair):
+    """The ordered product pairs (X, Y) of the k1*k2 pencil coefficient."""
+    members = (P.circ, P.star)
+    return [(members[s], members[t]) for s, t in dict(_PENCIL)["k1k2"]]
+
+
+def _nonzero(residuals):
+    return [w for w in residuals if not _vec_is_zero(w[2])]
+
+
+def _symmetry_failures(A: Algebra, name: str):
+    """Nonzero e_i*e_j - e_j*e_i ("commutative") or e_i*e_j + e_j*e_i
+    ("antisymmetric") on every ordered basis pair."""
+    combine = _vsub if name == "commutative" else _vadd
+    return _nonzero((name, (i, j), combine(A.sc[i][j], A.sc[j][i]))
+                    for i, j in iproduct(range(A.dim), repeat=2))
+
+
+def _residuals(kind: str, pairs, name: str):
+    """Residual vectors of a quadratic identity on every basis triple,
+    zero or not, in lexicographic order (the two anti-pre-Lie equations
+    of a triple together, as name_1 and name_2).  The word tables
+    x*(y*z), (x*y)*z and [x,y]*z are summed over the ordered product
+    pairs (X, Y), [(A, A)] for A itself or the k1*k2 pairs of a pencil.
+    """
+    if kind == "anti_pre_lie":
+        # x*(y*z) - y*(x*z) - [y,x]*z  and  [x,y]*z + [y,z]*x + [z,x]*y
+        I = _words(pairs, outer=False)
+        B = _words([(X, commutator(Y)) for X, Y in pairs], outer=True)
+        equations = (
+            lambda i, j, k: _vsub(_vsub(I[i][j][k], I[j][i][k]), B[j][i][k]),
+            lambda i, j, k: _vadd(B[i][j][k], B[j][k][i], B[k][i][j]))
+    elif kind == "jacobi":
+        # [[x,y],z] + [[y,z],x] + [[z,x],y]
+        O = _words(pairs, outer=True)
+        equations = (
+            lambda i, j, k: _vadd(O[i][j][k], O[j][k][i], O[k][i][j]),)
+    else:
+        # the associator (x*y)*z - x*(y*z), antisymmetrized in x, y for
+        # pre_lie
+        O, I = _words(pairs, outer=True), _words(pairs, outer=False)
+
+        def assoc(i, j, k):
+            return _vsub(O[i][j][k], I[i][j][k])
+        equations = (assoc if kind == "associative" else
+                     lambda i, j, k: _vsub(assoc(i, j, k), assoc(j, i, k)),)
+    names = (name,) if len(equations) == 1 else (name + "_1", name + "_2")
+    return [(label, idx, eq(*idx))
+            for idx in iproduct(range(pairs[0][0].dim), repeat=3)
+            for label, eq in zip(names, equations)]
 
 
 def anti_pre_lie_residuals(A: Algebra):
@@ -330,16 +399,7 @@ def anti_pre_lie_residuals(A: Algebra):
 
     Returned for all triples, zero or not, in lexicographic order.
     """
-    n = A.dim
-    xyz = _inner_words(A, A)                 # x*(y*z)
-    bxyz = _outer_words(A, commutator(A))    # [x,y]*z
-    out = []
-    for i, j, k in iproduct(range(n), repeat=3):
-        r1 = _vsub(_vsub(xyz[i][j][k], xyz[j][i][k]), bxyz[j][i][k])
-        out.append(("anti_pre_lie_1", (i, j, k), r1))
-        r2 = _vadd(bxyz[i][j][k], bxyz[j][k][i], bxyz[k][i][j])
-        out.append(("anti_pre_lie_2", (i, j, k), r2))
-    return out
+    return _residuals("anti_pre_lie", [(A, A)], "anti_pre_lie")
 
 
 def check_identity(A: Algebra, kind: str) -> CheckReport:
@@ -350,71 +410,26 @@ def check_identity(A: Algebra, kind: str) -> CheckReport:
     """
     if kind not in IDENTITY_KINDS:
         raise ValueError(f"unknown identity kind {kind!r}")
-    n = A.dim
-    sc = A.sc
-    failures = []
-
     if kind == "commutative":
-        for i, j in iproduct(range(n), repeat=2):
-            r = _vsub(sc[i][j], sc[j][i])
-            if not _vec_is_zero(r):
-                failures.append(("commutative", (i, j), r))
-        return make_report(failures)
-
-    if kind == "anti_pre_lie":
-        failures = [(name, idx, r) for name, idx, r
-                    in anti_pre_lie_residuals(A) if not _vec_is_zero(r)]
-        return make_report(failures)
-
+        return make_report(_symmetry_failures(A, "commutative"))
+    failures = _nonzero(_residuals(kind, [(A, A)], kind))
     if kind == "jacobi":
-        for i, j in iproduct(range(n), repeat=2):
-            r = _vadd(sc[i][j], sc[j][i])
-            if not _vec_is_zero(r):
-                failures.append(("antisymmetric", (i, j), r))
-
-    xy_z = _outer_words(A, A)                                # (x*y)*z
-    x_yz = None if kind == "jacobi" else _inner_words(A, A)  # x*(y*z)
-    for i, j, k in iproduct(range(n), repeat=3):
-        if kind == "pre_lie":
-            r = _vsub(_vsub(xy_z[i][j][k], x_yz[i][j][k]),
-                      _vsub(xy_z[j][i][k], x_yz[j][i][k]))
-        elif kind == "jacobi":
-            r = _vadd(xy_z[i][j][k], xy_z[j][k][i], xy_z[k][i][j])
-        else:
-            r = _vsub(xy_z[i][j][k], x_yz[i][j][k])
-        if not _vec_is_zero(r):
-            failures.append((kind, (i, j, k), r))
+        failures += _symmetry_failures(A, "antisymmetric")
     return make_report(failures)
 
 
 def mixed_pair_residuals(P: AlgebraPair):
     """Residuals of the two bilinearized compatibility conditions on every
-    triple (zero or not, lexicographic order):
+    triple (zero or not, lexicographic order), the k1*k2 coefficient of
+    the anti-pre-Lie identities of k1*circ + k2*star:
 
       x.(y*z) + x*(y.z) - y.(x*z) - y*(x.z) - [y,x]_2 . z - [y,x]_1 * z
       and the cyclic sum of [x,y]_2 . z + [x,y]_1 * z.
 
     Both are linear in the star product for a fixed circ product.
     """
-    C, S = P.circ, P.star
-    n = P.dim
-    # x.(y*z) + x*(y.z), and [x,y]_2 . z + [x,y]_1 * z
-    inner = _vtable(_inner_words(C, S), _inner_words(S, C))
-    brk = _vtable(_outer_words(C, commutator(S)),
-                  _outer_words(S, commutator(C)))
-    out = []
-    for i, j, k in iproduct(range(n), repeat=3):
-        r1 = _vsub(_vsub(inner[i][j][k], inner[j][i][k]), brk[j][i][k])
-        out.append(("compatible_mixed_1", (i, j, k), r1))
-        r2 = _vadd(brk[i][j][k], brk[j][k][i], brk[k][i][j])
-        out.append(("compatible_mixed_2", (i, j, k), r2))
-    return out
-
-
-def _mixed_conditions(P: AlgebraPair):
-    """Failures of the two bilinearized compatibility conditions."""
-    return [(name, idx, r) for name, idx, r in mixed_pair_residuals(P)
-            if not _vec_is_zero(r)]
+    return _residuals("anti_pre_lie", _mixed_pairs(P),
+                      "compatible_mixed")
 
 
 def _relabel(report: CheckReport, prefix: str) -> CheckReport:
@@ -425,50 +440,33 @@ def _relabel(report: CheckReport, prefix: str) -> CheckReport:
     return replace(report, witnesses=witnesses)
 
 
+def _check_compatible(P: AlgebraPair, kind, prefixes, mixed_name):
+    """Both members satisfy the identity, and so does the k1*k2 pencil
+    coefficient (the mixed condition): together, every k1*circ + k2*star
+    does.  Reports are merged in the order circ, star, mixed."""
+    members = [_relabel(check_identity(A, kind), prefix)
+               for A, prefix in zip((P.circ, P.star), prefixes)]
+    mixed = _residuals(kind, _mixed_pairs(P), mixed_name)
+    return merge_reports(*members, make_report(_nonzero(mixed)))
+
+
 def check_compatible_pair(P: AlgebraPair) -> CheckReport:
     """Both members anti-pre-Lie plus the two mixed conditions; equivalent
     to every pencil k1*circ + k2*star being anti-pre-Lie."""
-    rc = check_identity(P.circ, "anti_pre_lie")
-    rs = check_identity(P.star, "anti_pre_lie")
-    rc = _relabel(rc, "circ_")
-    rs = _relabel(rs, "star_")
-    mixed = make_report(_mixed_conditions(P))
-    return merge_reports(rc, rs, mixed)
+    return _check_compatible(P, "anti_pre_lie", ("circ_", "star_"),
+                             "compatible_mixed")
 
 
 def check_compatible_lie(P: AlgebraPair) -> CheckReport:
     """Two Lie brackets with the vanishing six-term mixed Jacobi sum."""
-    r1 = check_identity(P.circ, "jacobi")
-    r2 = check_identity(P.star, "jacobi")
-    r1 = _relabel(r1, "bracket1_")
-    r2 = _relabel(r2, "bracket2_")
-    n = P.dim
-    # (x.y)*z + (x*y).z
-    w = _vtable(_outer_words(P.star, P.circ), _outer_words(P.circ, P.star))
-    failures = []
-    for i, j, k in iproduct(range(n), repeat=3):
-        r = _vadd(w[i][j][k], w[j][k][i], w[k][i][j])
-        if not _vec_is_zero(r):
-            failures.append(("compatible_lie_mixed", (i, j, k), r))
-    return merge_reports(r1, r2, make_report(failures))
+    return _check_compatible(P, "jacobi", ("bracket1_", "bracket2_"),
+                             "compatible_lie_mixed")
 
 
 def check_compatible_associative(P: AlgebraPair) -> CheckReport:
     """Two associative products with the four-term mixed condition."""
-    r1 = check_identity(P.circ, "associative")
-    r2 = check_identity(P.star, "associative")
-    r1 = _relabel(r1, "prod1_")
-    r2 = _relabel(r2, "prod2_")
-    n = P.dim
-    # (x.y)*z + (x*y).z - x.(y*z) - x*(y.z)
-    w = _vtable(_outer_words(P.star, P.circ), _outer_words(P.circ, P.star))
-    v = _vtable(_inner_words(P.circ, P.star), _inner_words(P.star, P.circ))
-    failures = []
-    for i, j, k in iproduct(range(n), repeat=3):
-        r = _vsub(w[i][j][k], v[i][j][k])
-        if not _vec_is_zero(r):
-            failures.append(("compatible_assoc_mixed", (i, j, k), r))
-    return merge_reports(r1, r2, make_report(failures))
+    return _check_compatible(P, "associative", ("prod1_", "prod2_"),
+                             "compatible_assoc_mixed")
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +510,7 @@ def _algebra_from_product(obj, field, dim, basis, key):
 def algebra_from_json(obj):
     """Returns (circ, star_or_None)."""
     try:
-        dim = int(obj["dim"])
+        dim = _json_int(obj["dim"], "dim")
         if dim > MAX_DIM:
             raise ParseError(f"dim {dim} exceeds {MAX_DIM}")
         field = Field.from_json(obj["field"])
@@ -527,12 +525,7 @@ def algebra_from_json(obj):
 
 
 def load_algebra_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON in {path}: {exc}") from exc
-    return algebra_from_json(obj)
+    return algebra_from_json(_read_json(path))
 
 
 def dump_algebra_file(path, A: Algebra, star: Algebra | None = None):

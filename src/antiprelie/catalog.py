@@ -238,19 +238,11 @@ def automorphism_of(name: str, assignment: dict | None = None,
             f"{name} has {len(fams)} automorphism families")
     theta = fams[index].concrete_matrix(assignment or {})
     parent = get_family(name)
-    # verify on a concrete instance of the parent product (lambda-free
-    # parents) or symbolically otherwise
-    if parent.params:
-        ring = Field("poly", variables=parent.params)
-        prod = cast_algebra(
-            Algebra.from_entries(ring, parent.dim, parent.circ_entries), ring)
-        theta_sym = Matrix(ring, [[ring.scalar(x) for x in row]
-                                  for row in theta.entries])
-        ok = is_automorphism(theta_sym, prod)
-    else:
-        prod = Algebra.from_entries(QQ, parent.dim, parent.circ_entries)
-        ok = is_automorphism(theta, prod)
-    if not ok:
+    # verified over the parent's ring, symbolically in any lambda
+    ring = parent.ring()
+    prod = Algebra.from_entries(ring, parent.dim, parent.circ_entries)
+    if not is_automorphism(Matrix(ring, [[ring.scalar(x) for x in row]
+                                         for row in theta.entries]), prod):
         raise ConstraintError(f"map is not an automorphism of {name}")
     return theta
 
@@ -384,21 +376,13 @@ def _verify_automorphisms():
     items = []
     for name in A_NAMES:
         fam = get_family(name)
-        ring_params = list(fam.params)
         ok, details = True, []
         for af in automorphism_families_of(name):
-            ring = Field("poly",
-                         variables=ring_params + [p for p in af.params
-                                                  if p not in ring_params],
-                         units=af.units) \
-                if (ring_params or af.params) else QQ
+            ring = af.ring(fam.params)
             prod = cast_algebra(
                 Algebra.from_entries(fam.ring(), fam.dim, fam.circ_entries),
-                ring) if ring.kind == "poly" else \
-                Algebra.from_entries(QQ, fam.dim, fam.circ_entries)
-            theta = af.symbolic_matrix(ring) if ring.kind == "poly" else \
-                af.symbolic_matrix(QQ)
-            if not is_automorphism(theta, prod):
+                ring)
+            if not is_automorphism(af.symbolic_matrix(ring), prod):
                 ok = False
                 details.append(f"member {af.index} fails to intertwine")
         items.append(VerificationItem("automorphisms", name, ok,
@@ -435,25 +419,30 @@ def _automorphism_ref(ref: str):
     return automorphism_families_of(ref)[0]
 
 
+def _moves_to(base: Algebra, phi: Algebra, theta: Matrix, law: dict,
+              ring: Field) -> bool:
+    """transform_deformation(phi, theta) equals phi at the mapped
+    parameters, as an exact polynomial identity over ring."""
+    moved = transform_deformation(Deformation(base, phi), theta)
+    mapping = {pname: ring.parse(expr) for pname, expr in law.items()}
+    r = range(base.dim)
+    expect_sc = [[[substitute(phi.sc[i][j][k], mapping, ring) for k in r]
+                  for j in r] for i in r]
+    return moved.phi == Algebra(ring, base.dim, expect_sc, base.basis)
+
+
 def _verify_transformation(base: Algebra, phi: Algebra, af,
                            law: dict) -> bool:
-    """transform_deformation(phi, theta) equals phi at mapped parameters,
-    as an exact polynomial identity (Laurent in the unit parameter)."""
-    base_vars = base.field.variables if base.field.kind == "poly" else ()
-    phi_vars = phi.field.variables if phi.field.kind == "poly" else ()
-    names = list(base_vars) + [v for v in phi_vars if v not in base_vars]
+    """The transformation law of a deformation family (Laurent in the
+    unit parameter)."""
+    base_vars = base.field.variables  # () over Q
+    names = list(base_vars) + [v for v in phi.field.variables
+                               if v not in base_vars]
     names += [p for p in af.params if p not in names]
     ring = Field("poly", variables=names, units=af.units)
-    base_r = cast_algebra(base, ring)
-    phi_r = cast_algebra(phi, ring)
-    phi_r = Algebra(ring, base_r.dim, phi_r.sc, base_r.basis)
-    theta = af.symbolic_matrix(ring)
-    moved = transform_deformation(Deformation(base_r, phi_r), theta)
-    mapping = {pname: ring.parse(expr) for pname, expr in law.items()}
-    expect_sc = [[[substitute(phi_r.sc[i][j][k], mapping, ring)
-                   for k in range(2)] for j in range(2)] for i in range(2)]
-    expected = Algebra(ring, 2, expect_sc, base_r.basis)
-    return moved.phi == expected
+    phi_r = Algebra(ring, base.dim, cast_algebra(phi, ring).sc, base.basis)
+    return _moves_to(cast_algebra(base, ring), phi_r, af.symbolic_matrix(ring),
+                     law, ring)
 
 
 def _verify_transformations():
@@ -478,15 +467,8 @@ def _verify_internal_isos():
         ring = fam.ring()
         pair = fam.symbolic_pair(ring=ring)
         theta = af.symbolic_matrix(ring)
-        ok = is_automorphism(theta, pair.circ)
-        if ok:
-            moved = transform_deformation(
-                Deformation(pair.circ, pair.star), theta)
-            mapping = {p: ring.parse(expr) for p, expr in iso["map"].items()}
-            expect_sc = [[[substitute(pair.star.sc[i][j][k], mapping, ring)
-                           for k in range(2)] for j in range(2)]
-                         for i in range(2)]
-            ok = moved.phi == Algebra(ring, 2, expect_sc, pair.circ.basis)
+        ok = is_automorphism(theta, pair.circ) and _moves_to(
+            pair.circ, pair.star, theta, iso["map"], ring)
         items.append(VerificationItem("internal-isos", iso["family"], ok))
     return items
 

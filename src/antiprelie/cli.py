@@ -29,7 +29,7 @@ from .operators import (check_anti_o, check_anti_rota_baxter,
 from .representations import (check_representation_pair, dual_pair,
                               load_representation_file,
                               representation_to_json, semidirect_product)
-from .scalars import QQ
+from .scalars import QQ, _read_json
 
 SCHEMA_VERSION = 1
 
@@ -84,6 +84,10 @@ def emit(report: dict, args, summary: str) -> None:
     else:
         sys.stdout.write(text)
     print(summary, file=sys.stderr)
+
+
+def _load_map(path, field) -> Matrix:
+    return Matrix.from_json(_read_json(path), field)
 
 
 def load_pair(path) -> AlgebraPair:
@@ -250,47 +254,29 @@ def _emit_pair(pair: AlgebraPair, args, checker, check_name: str,
 
 
 def cmd_derive(args) -> int:
-    if args.construction == "from-cocycle":
+    c = args.construction
+    if c == "from-cocycle":
         pair = load_pair(args.brackets)
-        form = load_form_file(args.form, pair.field)
-        out = induce_from_cocycle(form, pair)
-        return _emit_pair(out, args, check_compatible_pair,
-                          "compatible", "derive-from-cocycle")
-    if args.construction == "from-vectors":
-        field = QQ
-        form = load_form_file(args.form, field)
-        s1 = parse_vector(args.s1, form.dim, field)
-        s2 = parse_vector(args.s2, form.dim, field)
+        out = induce_from_cocycle(load_form_file(args.form, pair.field), pair)
+    elif c == "from-vectors":
+        form = load_form_file(args.form, QQ)
+        s1 = parse_vector(args.s1, form.dim, QQ)
+        s2 = parse_vector(args.s2, form.dim, QQ)
         out = construct_from_vectors(form, s1, s2)
-        return _emit_pair(out, args, check_compatible_pair,
-                          "compatible", "derive-from-vectors")
-    if args.construction == "from-rb":
+    elif c == "from-rb":
         pair = load_pair(args.brackets)
-        with open(args.map, encoding="utf-8") as fh:
-            rop = Matrix.from_json(json.load(fh), pair.field)
-        out = induce_from_rb(rop, pair)
-        return _emit_pair(out, args, check_compatible_pair,
-                          "compatible", "derive-from-rb")
-    if args.construction == "from-anti-o":
+        out = induce_from_rb(_load_map(args.map, pair.field), pair)
+    elif c == "semidirect":
+        out = semidirect_product(load_representation_file(args.rep))
+        return _emit_pair(out, args, check_compatible_lie, "compatible-lie",
+                          "derive-semidirect")
+    else:
         rep = load_representation_file(args.rep)
-        with open(args.map, encoding="utf-8") as fh:
-            tmap = Matrix.from_json(json.load(fh), rep.field)
-        out = induce_on_domain(tmap, rep)
-        return _emit_pair(out, args, check_compatible_pair,
-                          "compatible", "derive-from-anti-o")
-    if args.construction == "from-invertible":
-        rep = load_representation_file(args.rep)
-        with open(args.map, encoding="utf-8") as fh:
-            tmap = Matrix.from_json(json.load(fh), rep.field)
-        out = induce_from_invertible(tmap, rep)
-        return _emit_pair(out, args, check_compatible_pair,
-                          "compatible", "derive-from-invertible")
-    if args.construction == "semidirect":
-        rep = load_representation_file(args.rep)
-        out = semidirect_product(rep)
-        return _emit_pair(out, args, check_compatible_lie,
-                          "compatible-lie", "derive-semidirect")
-    raise ParseError(f"unknown construction {args.construction!r}")
+        induce = induce_on_domain if c == "from-anti-o" \
+            else induce_from_invertible
+        out = induce(_load_map(args.map, rep.field), rep)
+    return _emit_pair(out, args, check_compatible_pair, "compatible",
+                      f"derive-{c}")
 
 
 def cmd_rep(args) -> int:
@@ -309,38 +295,29 @@ def cmd_rep(args) -> int:
               "verification": res.to_json()}, args,
              f"rep dual: {'PASS' if res.passed else 'FAIL'}")
         return 0 if res.passed else 1
-    if args.action == "semidirect":
-        pair = semidirect_product(rep)
-        return _emit_pair(pair, args, check_compatible_lie,
-                          "compatible-lie", "rep-semidirect")
-    raise ParseError(f"unknown rep action {args.action!r}")
+    pair = semidirect_product(rep)  # the choices leave only "semidirect"
+    return _emit_pair(pair, args, check_compatible_lie, "compatible-lie",
+                      "rep-semidirect")
 
 
 def cmd_ops(args) -> int:
     if args.action in ("anti-o", "strong"):
         rep = load_representation_file(args.rep)
-        with open(args.map, encoding="utf-8") as fh:
-            tmap = Matrix.from_json(json.load(fh), rep.field)
-        if args.action == "anti-o":
-            res = check_anti_o(tmap, rep)
-        else:
-            res = check_strong(tmap, rep)
+        check = check_anti_o if args.action == "anti-o" else check_strong
+        res = check(_load_map(args.map, rep.field), rep)
         emit({"command": f"ops-{args.action}", "passed": res.passed,
               **res.to_json()}, args,
              f"ops {args.action}: {'PASS' if res.passed else 'FAIL'}")
         return 0 if res.passed else 1
-    if args.action == "rb":
-        pair = load_pair(args.brackets)
-        with open(args.map, encoding="utf-8") as fh:
-            rop = Matrix.from_json(json.load(fh), pair.field)
-        res = check_anti_rota_baxter(rop, pair, strong=args.strong)
-        conv = check_rb_converse(rop, pair)
-        emit({"command": "ops-rb", "passed": res.passed,
-              "anti_rota_baxter": res.to_json(),
-              "converse_condition": conv.to_json()}, args,
-             f"ops rb: {'PASS' if res.passed else 'FAIL'}")
-        return 0 if res.passed else 1
-    raise ParseError(f"unknown ops action {args.action!r}")
+    pair = load_pair(args.brackets)  # the choices leave only "rb"
+    rop = _load_map(args.map, pair.field)
+    res = check_anti_rota_baxter(rop, pair, strong=args.strong)
+    conv = check_rb_converse(rop, pair)
+    emit({"command": "ops-rb", "passed": res.passed,
+          "anti_rota_baxter": res.to_json(),
+          "converse_condition": conv.to_json()}, args,
+         f"ops rb: {'PASS' if res.passed else 'FAIL'}")
+    return 0 if res.passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +398,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ParseError, ConstraintError, BudgetExceededError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PreconditionError as exc:

@@ -19,13 +19,13 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .algebra import (Algebra, AlgebraPair, CheckReport, make_report,
-                      anti_pre_lie_residuals, mixed_pair_residuals,
-                      transported)
+from .algebra import (Algebra, AlgebraPair, CheckReport, _lift,
+                      anti_pre_lie_residuals, cast_algebra, make_report,
+                      mixed_pair_residuals, transported)
 from .errors import (BudgetExceededError, FieldMismatchError,
                      NotInvertibleError, ParseError, PreconditionError,
                      ShapeMismatchError)
-from .linalg import Matrix
+from .linalg import Matrix, _coefficient_rows, _indeterminates
 from .scalars import GF, Field
 
 DEFAULT_BUDGET = 10 ** 8
@@ -59,45 +59,34 @@ class Deformation:
 
 def check_step1_conditions(d: Deformation) -> CheckReport:
     """All four conditions on all basis triples; exact over any field."""
-    failures = []
-    for name, idx, vec in anti_pre_lie_residuals(d.phi):
-        if any(not x.is_zero() for x in vec):
-            failures.append((_STEP1_NAMES[name], idx, vec))
-    for name, idx, vec in mixed_pair_residuals(AlgebraPair(d.base, d.phi)):
-        if any(not x.is_zero() for x in vec):
-            failures.append((_STEP1_NAMES[name], idx, vec))
-    return make_report(failures)
+    residuals = anti_pre_lie_residuals(d.phi) + \
+        mixed_pair_residuals(AlgebraPair(d.base, d.phi))
+    return make_report([(_STEP1_NAMES[name], idx, vec)
+                        for name, idx, vec in residuals
+                        if any(not x.is_zero() for x in vec)])
 
 
 def _indeterminate_tables(A: Algebra):
     """(base, phi) over Q[t_0, ..., t_{n^3-1}]: the base lifted to
     constants and phi the generic table with entry t_a at flat index a."""
     n = A.dim
-    names = [f"t{a}" for a in range(n ** 3)]
-    ring = Field("poly", variables=names)
-    t = [ring.variable(v) for v in names]
-    base = Algebra(ring, n, [[[ring.scalar(x.value) for x in row]
-                              for row in plane] for plane in A.sc], A.basis)
+    ring, t = _indeterminates(n ** 3)
     phi = Algebra(ring, n, [[[t[(i * n + j) * n + k] for k in range(n)]
                              for j in range(n)] for i in range(n)], A.basis)
-    return base, phi
+    return _lift(A, ring), phi
 
 
 def _components(residuals):
-    """Residual polynomials (coefficient dicts) in component order."""
-    return [x.value for _, _, vec in residuals for x in vec]
+    """Residual polynomials in component order."""
+    return [x for _, _, vec in residuals for x in vec]
 
 
 def _linear_rows(A: Algebra):
     """Coefficient matrix of conditions iii-iv in the n^3 phi unknowns,
-    read off one evaluation on the indeterminate table; exact over Q and
-    GF(p), since residuals commute with the map Z -> GF(p)."""
+    read off one evaluation on the indeterminate table."""
     base, phi = _indeterminate_tables(A)
-    n3 = A.dim ** 3
-    units = [tuple(int(b == a) for b in range(n3)) for a in range(n3)]
     comps = _components(mixed_pair_residuals(AlgebraPair(base, phi)))
-    return Matrix.from_rows(A.field, [[c.get(u, 0) for u in units]
-                                      for c in comps])
+    return _coefficient_rows(A.field, comps, A.dim ** 3)
 
 
 def linear_space(A: Algebra):
@@ -131,7 +120,7 @@ def _quadratic_coefficients(A: Algebra, p: int):
     nq = len(quad)
     Q = {}
     for c, poly in enumerate(quad):
-        for mono, coef in poly.items():
+        for mono, coef in poly.value.items():
             a, b = [i for i, e in enumerate(mono) for _ in range(e)]
             row = Q.setdefault((a, b), np.zeros(nq, dtype=np.int64))
             row[c] = int(coef) % p
@@ -269,18 +258,15 @@ def instantiate_family_gf(fam: Algebra, p: int):
 def verify_family_membership(A: Algebra, fam: Algebra) -> CheckReport:
     """Symbolic Step-1 check of a parameterized family: zero residual
     polynomials in the family parameters (and any base parameters)."""
-    avars = A.field.variables if A.field.kind == "poly" else ()
-    aunits = A.field.units if A.field.kind == "poly" else frozenset()
-    fvars = fam.field.variables if fam.field.kind == "poly" else ()
-    funits = fam.field.units if fam.field.kind == "poly" else frozenset()
-    if A.field.kind == "GF" or fam.field.kind == "GF":
-        if A.field != fam.field:
+    fa, ff = A.field, fam.field  # Q and GF(p) have no variables or units
+    if fa.kind == "GF" or ff.kind == "GF":
+        if fa != ff:
             raise FieldMismatchError("mixed GF and symbolic coefficients")
-        ring = A.field
+        ring = fa
     else:
-        merged = list(avars) + [v for v in fvars if v not in avars]
-        ring = Field("poly", variables=merged, units=aunits | funits)
-    from .algebra import cast_algebra
+        merged = list(fa.variables) + [v for v in ff.variables
+                                       if v not in fa.variables]
+        ring = Field("poly", variables=merged, units=fa.units | ff.units)
     base = cast_algebra(A, ring)
     phi = cast_algebra(fam, ring)
     phi = Algebra(ring, base.dim, phi.sc, base.basis)

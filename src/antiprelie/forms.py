@@ -3,19 +3,21 @@ compatible products.
 
 The Gram array convention is gram[i][j] = B(e_i, e_j).  The pairing form
 on A + A* uses the (primal basis, then dual basis) order fixed by the
-semidirect product construction.
+semidirect product construction.  The space of invariant forms is read
+off the residuals of `check_invariant` on a Gram array of indeterminates,
+like the linear Z^2 conditions in `cocycles`.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .algebra import (Algebra, AlgebraPair, CheckReport, commutator_pair,
-                      make_report, merge_reports)
-from .errors import ParseError, PreconditionError, ShapeMismatchError
-from .linalg import Matrix, parse_rows
-from .scalars import Field, Scalar, format_scalar
+from .algebra import (Algebra, AlgebraPair, CheckReport, _lift,
+                      commutator_pair, make_report, merge_reports)
+from .errors import (NotInvertibleError, ParseError, PreconditionError,
+                     ShapeMismatchError)
+from .linalg import Matrix, _coefficient_rows, _indeterminates, parse_rows
+from .scalars import Field, Scalar, _json_int, _read_json, format_scalar
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,7 @@ class BilinearForm:
     def from_json(obj, field: Field) -> BilinearForm:
         try:
             form = BilinearForm(Matrix(field, parse_rows(obj["gram"], field)))
-            if form.dim != int(obj.get("dim", form.dim)):
+            if form.dim != _json_int(obj.get("dim", form.dim), "dim"):
                 raise ShapeMismatchError("declared dim disagrees with gram")
             return form
         except (KeyError, TypeError, ValueError) as exc:
@@ -72,12 +74,7 @@ def _dot(x, y, zero) -> Scalar:
 
 
 def load_form_file(path, field: Field) -> BilinearForm:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON in {path}: {exc}") from exc
-    return BilinearForm.from_json(obj, field)
+    return BilinearForm.from_json(_read_json(path), field)
 
 
 def check_form(B: BilinearForm, kind: str) -> CheckReport:
@@ -119,23 +116,25 @@ def check_comm_2cocycle(B: BilinearForm, G: AlgebraPair) -> CheckReport:
     return merge_reports(sym, make_report(failures))
 
 
+def _invariant_residuals(B: BilinearForm, P: AlgebraPair):
+    """B(e_i.e_j, e_k) - B(e_j, [e_i,e_k]_1) and the same for star on every
+    basis triple, zero or not, with the brackets from P's commutators."""
+    G = commutator_pair(P)
+    rows, cols, zero = B.gram.entries, B.gram.columns(), B.field.zero()
+    return [(name, (i, j, k), [_dot(prod[i][j], cols[k], zero)
+                               - _dot(rows[j], brk[i][k], zero)])
+            for name, prod, brk in (("invariant_circ", P.circ.sc, G.circ.sc),
+                                    ("invariant_star", P.star.sc, G.star.sc))
+            for i, j, k in iproduct(range(P.dim), repeat=3)]
+
+
 def check_invariant(B: BilinearForm, P: AlgebraPair) -> CheckReport:
     """B(x.y, z) = B(y, [x,z]_1) and B(x*y, z) = B(y, [x,z]_2) on all
     basis triples, with the brackets taken from P's commutators."""
     if B.dim != P.dim:
         raise ShapeMismatchError("form and pair of different dimension")
-    G = commutator_pair(P)
-    n = P.dim
-    rows, cols, zero = B.gram.entries, B.gram.columns(), B.field.zero()
-    failures = []
-    for name, prod, brk in (("invariant_circ", P.circ.sc, G.circ.sc),
-                            ("invariant_star", P.star.sc, G.star.sc)):
-        for i, j, k in iproduct(range(n), repeat=3):
-            r = _dot(prod[i][j], cols[k], zero) \
-                - _dot(rows[j], brk[i][k], zero)
-            if not r.is_zero():
-                failures.append((name, (i, j, k), [r]))
-    return make_report(failures)
+    return make_report([w for w in _invariant_residuals(B, P)
+                        if not w[2][0].is_zero()])
 
 
 def induce_from_cocycle(B: BilinearForm, G: AlgebraPair) -> AlgebraPair:
@@ -222,39 +221,24 @@ def construct_from_vectors(B: BilinearForm, s1, s2) -> AlgebraPair:
 
 
 def invariant_form_space(P: AlgebraPair):
-    """Basis of the space of symmetric invariant bilinear forms on P,
-    by exact linear solve in the n(n+1)/2 symmetric Gram unknowns."""
-    n = P.dim
-    f = P.field
-    G = commutator_pair(P)
+    """Basis of the space of symmetric invariant bilinear forms on P, the
+    exact nullspace of `check_invariant`'s residuals on a symmetric Gram
+    array of n(n+1)/2 indeterminates."""
+    n, f = P.dim, P.field
+    if f.kind == "poly":
+        raise NotInvertibleError("row reduction needs a division field")
     slots = [(i, j) for i in range(n) for j in range(i, n)]
+    ring, g = _indeterminates(len(slots))
 
-    def gram_of(vec):
+    def gram_of(field, vec):
         rows = [[None] * n for _ in range(n)]
         for (i, j), c in zip(slots, vec):
-            rows[i][j] = c
-            rows[j][i] = c
-        return Matrix(f, rows)
+            rows[i][j] = rows[j][i] = c
+        return Matrix(field, rows)
 
-    rows = []
-    for prod, brk in ((P.circ, G.circ), (P.star, G.star)):
-        for i, j, k in iproduct(range(n), repeat=3):
-            # B(e_i . e_j, e_k) - B(e_j, [e_i, e_k]) as a linear functional
-            # of the symmetric Gram entries
-            left, right = prod.sc[i][j], brk.sc[i][k]
-            coeffs = []
-            for (a, b) in slots:
-                # gram[a][b] contributes where {row,col} = {a,b}
-                c = f.zero()
-                if b == k:
-                    c = c + left[a]
-                if a != b and a == k:
-                    c = c + left[b]
-                if a == j:
-                    c = c - right[b]
-                if a != b and b == j:
-                    c = c - right[a]
-                coeffs.append(c)
-            rows.append(coeffs)
-    system = Matrix(f, rows)
-    return [gram_of(vec) for vec in system.nullspace()]
+    generic = BilinearForm(gram_of(ring, g))
+    lifted = AlgebraPair(_lift(P.circ, ring), _lift(P.star, ring))
+    system = _coefficient_rows(
+        f, [r for _, _, (r,) in _invariant_residuals(generic, lifted)],
+        len(slots))
+    return [gram_of(f, vec) for vec in system.nullspace()]

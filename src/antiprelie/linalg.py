@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .errors import (FieldMismatchError, NotInvertibleError, ParseError,
                      ShapeMismatchError)
-from .scalars import Field, Scalar, parse_json_scalar
+from .scalars import Field, Scalar, _json_int, parse_json_scalar
 
 
 class Matrix:
@@ -305,7 +305,8 @@ class Matrix:
         except (KeyError, TypeError) as exc:
             raise ParseError(f"map JSON needs an entries list: {exc}") from exc
         m = Matrix(field, parse_rows(rows, field))
-        if m.rows != obj.get("rows", m.rows) or m.cols != obj.get("cols", m.cols):
+        if m.rows != _json_int(obj.get("rows", m.rows), "rows") or \
+                m.cols != _json_int(obj.get("cols", m.cols), "cols"):
             raise ShapeMismatchError("declared shape disagrees with entries")
         return m
 
@@ -317,3 +318,19 @@ def parse_rows(rows, field: Field):
             not all(isinstance(row, list) for row in rows):
         raise ParseError(f"matrix rows must be a list of lists, got {rows!r}")
     return [[parse_json_scalar(x, field) for x in row] for row in rows]
+
+
+def _indeterminates(count: int):
+    """The ring Q[t0, ..., t{count-1}] and its variables."""
+    ring = Field("poly", variables=[f"t{a}" for a in range(count)])
+    return ring, [ring.variable(v) for v in ring.variables]
+
+
+def _coefficient_rows(field: Field, polys, count: int) -> Matrix:
+    """Entry [r][a]: the coefficient over `field` of the unit monomial t_a
+    in polys[r], polynomials linear in `_indeterminates(count)`.  Exact
+    over Q, and over GF(p) for constants lifted as residues, since the
+    polynomials commute with Z -> GF(p)."""
+    units = [tuple(int(b == a) for b in range(count)) for a in range(count)]
+    return Matrix.from_rows(field, [[x.value.get(u, 0) for u in units]
+                                    for x in polys])

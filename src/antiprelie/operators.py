@@ -18,8 +18,9 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 
-from .algebra import (Algebra, AlgebraPair, CheckReport, _left, _right,
-                      _vadd, make_report, transported)
+from .algebra import (_PENCIL, Algebra, AlgebraPair, CheckReport, _left,
+                      _right, _symmetry_failures, _vadd, make_report,
+                      transported)
 from .errors import NotInvertibleError, PreconditionError, ShapeMismatchError
 from .linalg import Matrix
 from .representations import RepresentationPair, adjoint_pair
@@ -30,17 +31,14 @@ __all__ = [
     "check_rb_converse", "induce_from_invertible",
 ]
 
-# (action, bracket) index pairs of each pencil component of
-# act_k(X_k) = (k1 rho + k2 mu)(k1 X_1 + k2 X_2)
-_PENCIL = (("k1k1", ((0, 0),)), ("k1k2", ((0, 1), (1, 0))),
-           ("k2k2", ((1, 1),)))
-
 
 def _pencil_failures(R: RepresentationPair, tables, cyclic: bool, prefix):
     """Nonzero k1^2, k1*k2, k2^2 components of act_k(X_k[p][q]) e_w on
     every index triple (a, b, c), summed over the cyclic words (a, b, c),
     (b, c, a), (c, a, b) or taken on (a, b, c) alone.  tables = (X_1, X_2)
-    hold vectors of g; act_1, act_2 = rho, mu."""
+    hold vectors of g; act_1, act_2 = rho, mu, and _PENCIL's pairs (s, t)
+    are (action, bracket) indices of act_k(X_k) = (k1 rho + k2 mu)(k1 X_1
+    + k2 X_2)."""
     m = R.v_dim
     zero = R.field.zero()
     # cols[s][t][p][q][w] = act_s(X_t[p][q]) e_w
@@ -105,10 +103,8 @@ def check_strong(T: Matrix, R: RepresentationPair) -> CheckReport:
 
 
 def _require_antisymmetric(G: AlgebraPair):
-    r = range(G.dim)
-    for name, sc in (("bracket 1", G.circ.sc), ("bracket 2", G.star.sc)):
-        if any(not (x + y).is_zero() for i, j in iproduct(r, repeat=2)
-               for x, y in zip(sc[i][j], sc[j][i])):
+    for name, A in (("bracket 1", G.circ), ("bracket 2", G.star)):
+        if _symmetry_failures(A, "antisymmetric"):
             raise PreconditionError(
                 f"{name} is not antisymmetric; anti-Rota-Baxter operators "
                 "are checked as anti-O-operators on the adjoint pair")

@@ -2,19 +2,25 @@
 
 A representation pair stores one matrix per basis element of the
 underlying bracket pair, acting on an m-dimensional space V.  The
-defining equations are checked exactly on basis pairs.
+defining equations are checked exactly on basis pairs, as the k1^2,
+k1*k2 and k2^2 coefficients of one bilinear residual: equation 1 for
+the pencil k1 rho + k2 mu of the bracket k1 [,]_1 + k2 [,]_2.
 """
 from __future__ import annotations
 
-import json
+import os
 from dataclasses import dataclass
+from functools import reduce
+from itertools import product as iproduct
+from operator import add
 
-from .algebra import (Algebra, AlgebraPair, CheckReport, algebra_from_json,
-                      commutator_pair, make_report, pair_to_json)
+from .algebra import (_PENCIL, Algebra, AlgebraPair, CheckReport,
+                      algebra_from_json, commutator_pair, make_report,
+                      pair_to_json)
 from .errors import (FieldMismatchError, ParseError, PreconditionError,
                      ShapeMismatchError)
 from .linalg import Matrix, parse_rows
-from .scalars import Scalar, format_scalar
+from .scalars import Scalar, _json_int, _read_json, format_scalar
 
 
 @dataclass(frozen=True)
@@ -75,6 +81,9 @@ def _combine(mats, x, field, m) -> Matrix:
     return Matrix(field, rows)
 
 
+_REP_EQUATIONS = {"k1k1": "rep_eq_1", "k1k2": "rep_eq_3", "k2k2": "rep_eq_2"}
+
+
 def check_representation_pair(R: RepresentationPair) -> CheckReport:
     """The three defining equations, exactly, on all basis pairs (x, y):
 
@@ -82,25 +91,25 @@ def check_representation_pair(R: RepresentationPair) -> CheckReport:
       mu([x,y]_2)  = [mu(x), mu(y)]
       rho([x,y]_2) + mu([x,y]_1)
           = rho(x)mu(y) - rho(y)mu(x) + mu(x)rho(y) - mu(y)rho(x)
+
+    Each is one pencil coefficient of equation 1, the sum of the bilinear
+    residual act_s(b_t(x, y)) - act_s(x)act_t(y) + act_t(y)act_s(x) over
+    its (s, t) pairs, with (act_0, act_1) = (rho, mu) and (b_0, b_1) the
+    two brackets.
     """
     n = R.g.dim
-    b1, b2 = R.g.circ.sc, R.g.star.sc
+    acts, brackets = (R.rho, R.mu), (R.g.circ.sc, R.g.star.sc)
+    act_of = (R.rho_of, R.mu_of)
+    # prods[s][t][i][j] = act_s(e_i) act_t(e_j)
+    prods = [[[[x @ y for y in acts[t]] for x in acts[s]] for t in (0, 1)]
+             for s in (0, 1)]
     failures = []
-    for i in range(n):
-        for j in range(n):
-            lhs1 = R.rho_of(b1[i][j])
-            rhs1 = R.rho[i] @ R.rho[j] - R.rho[j] @ R.rho[i]
-            if not (lhs1 - rhs1).is_zero():
-                failures.append(("rep_eq_1", (i, j), _flat(lhs1 - rhs1)))
-            lhs2 = R.mu_of(b2[i][j])
-            rhs2 = R.mu[i] @ R.mu[j] - R.mu[j] @ R.mu[i]
-            if not (lhs2 - rhs2).is_zero():
-                failures.append(("rep_eq_2", (i, j), _flat(lhs2 - rhs2)))
-            lhs3 = R.rho_of(b2[i][j]) + R.mu_of(b1[i][j])
-            rhs3 = (R.rho[i] @ R.mu[j] - R.rho[j] @ R.mu[i]
-                    + R.mu[i] @ R.rho[j] - R.mu[j] @ R.rho[i])
-            if not (lhs3 - rhs3).is_zero():
-                failures.append(("rep_eq_3", (i, j), _flat(lhs3 - rhs3)))
+    for part, combos in _PENCIL:
+        for i, j in iproduct(range(n), repeat=2):
+            r = reduce(add, (act_of[s](brackets[t][i][j]) - prods[s][t][i][j]
+                             + prods[t][s][j][i] for s, t in combos))
+            if not r.is_zero():
+                failures.append((_REP_EQUATIONS[part], (i, j), _flat(r)))
     return make_report(failures)
 
 
@@ -153,16 +162,12 @@ def semidirect_product(R: RepresentationPair) -> AlgebraPair:
     def build(bracket: Algebra, mats):
         z = f.zero()
         sc = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
+        for i, j in iproduct(range(n), repeat=2):
+            sc[i][j][:n] = bracket.sc[i][j]
         for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    sc[i][j][k] = bracket.sc[i][j][k]
-        for i in range(n):
-            for j in range(m):
-                col = [mats[i].entries[k][j] for k in range(m)]
-                for k in range(m):
-                    sc[i][n + j][n + k] = col[k]
-                    sc[n + j][i][n + k] = -col[k]
+            for j, col in enumerate(mats[i].columns()):
+                sc[i][n + j][n:] = col
+                sc[n + j][i][n:] = [-x for x in col]
         return Algebra(f, dim, sc, basis)
 
     return AlgebraPair(build(R.g.circ, R.rho), build(R.g.star, R.mu))
@@ -214,16 +219,13 @@ def representation_from_json(obj, base_dir=None) -> RepresentationPair:
     try:
         g_obj = obj["g"]
         if isinstance(g_obj, str):
-            import os
-            path = os.path.join(base_dir or ".", g_obj)
-            with open(path, "r", encoding="utf-8") as fh:
-                g_obj = json.load(fh)
+            g_obj = _read_json(os.path.join(base_dir or ".", g_obj))
         circ, star = algebra_from_json(g_obj)
         if star is None:
             raise ParseError("representation needs a bracket pair "
                              "(both circ and star)")
         g = AlgebraPair(circ, star)
-        m = int(obj["V_dim"])
+        m = _json_int(obj["V_dim"], "V_dim")
         field = g.field
 
         def mats(block):
@@ -236,10 +238,5 @@ def representation_from_json(obj, base_dir=None) -> RepresentationPair:
 
 
 def load_representation_file(path) -> RepresentationPair:
-    import os
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON in {path}: {exc}") from exc
-    return representation_from_json(obj, base_dir=os.path.dirname(path))
+    return representation_from_json(_read_json(path),
+                                     base_dir=os.path.dirname(path))

@@ -16,6 +16,7 @@ are never mutated, so results may share them, and ``Field.zero()`` and
 """
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
 from operator import add
@@ -548,6 +549,23 @@ def parse_json_scalar(x, field: Field) -> Scalar:
         raise ParseError(f"coefficient must be a string or an integer, "
                          f"got {x!r}")
     return parse_scalar(str(x), field)
+
+
+def _json_int(x, what: str) -> int:
+    """A size or count read from JSON: an integer, booleans excluded;
+    anything else raises ParseError."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ParseError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def _read_json(path):
+    """The JSON document in a file; invalid JSON raises ParseError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def _format_q(q: Fraction) -> str:

@@ -1,5 +1,6 @@
 import json
 import random
+from functools import lru_cache
 from itertools import product as iproduct
 
 import pytest
@@ -476,3 +477,49 @@ def test_basis_aware_kernel_matches_oracle_on_catalog(name):
     P = fam.symbolic_pair(fam.branch_values[0] if fam.branch else None)
     assert check_compatible_pair(P).passed
     _kernel_agrees(P)
+
+
+# ---------------------------------------------------------------------------
+# polarization: a pair check passes exactly when every pencil does
+# ---------------------------------------------------------------------------
+
+F5 = GF(5)
+PAIR_CHECKS = {"anti_pre_lie": check_compatible_pair,
+               "jacobi": check_compatible_lie,
+               "associative": check_compatible_associative}
+
+
+@lru_cache(maxsize=1)
+def _gf5_catalog_pairs():
+    """Compatible pairs over GF(5) from the catalog, with their commutator
+    pairs (compatible Lie)."""
+    rng = random.Random(5)
+    out = []
+    for name in ("CA5", "CA10", "CA26", "CA30", "CA38", "CA44"):
+        P = random_instance(name, rng, prime=5)
+        out += [P, AlgebraPair(commutator(P.circ), commutator(P.star))]
+    return tuple(out)
+
+
+@st.composite
+def gf5_pairs(draw):
+    if draw(st.booleans()):
+        return draw(st.sampled_from(_gf5_catalog_pairs()))
+    n = draw(st.integers(1, 3))
+    density = draw(st.integers(0, 3))
+
+    def table():
+        return Algebra.from_entries(F5, n, [
+            (i, j, k, draw(st.integers(1, 4)))
+            for i, j, k in iproduct(range(1, n + 1), repeat=3)
+            if draw(st.integers(1, 8)) <= density])
+    return AlgebraPair(table(), table())
+
+
+@settings(max_examples=60, deadline=None)
+@given(gf5_pairs())
+def test_pair_checks_pass_iff_every_pencil_passes(P):
+    for kind, check in PAIR_CHECKS.items():
+        every = all(check_identity(pencil(P, k1, k2), kind).passed
+                    for k1, k2 in iproduct(range(5), repeat=2))
+        assert check(P).passed == every, kind

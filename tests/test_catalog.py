@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from antiprelie import (QQ, ConstraintError, Field, Matrix, cast_pair,
@@ -6,6 +8,7 @@ from antiprelie import (QQ, ConstraintError, Field, Matrix, cast_pair,
                         check_identity, cocycle_families_of, commutator_pair,
                         family_names, get_family, instantiate, pencil,
                         verify_catalog)
+from antiprelie import catalog
 from antiprelie.catalog import cocycle_cases_of
 from conftest import random_instance
 
@@ -211,3 +214,28 @@ def test_symbolic_pencil_is_anti_pre_lie():
         lifted = cast_pair(pair, ring)
         star = pencil(lifted, ring.variable("k1"), ring.variable("k2"))
         assert check_identity(star, "anti_pre_lie").passed, (name, bv)
+
+
+def _corrupted_catalog():
+    """The catalog with every transformation law and internal isomorphism
+    map shifted by one in its first parameter."""
+    data = copy.deepcopy(catalog.load_catalog())
+    for cases in data["cocycle_families"].values():
+        for block in cases.values():
+            for raw in block:
+                law = raw.get("transformation")
+                if law:
+                    name = sorted(law["map"])[0]
+                    law["map"][name] = f"({law['map'][name]})+1"
+    for iso in data["internal_isomorphisms"]:
+        name = sorted(iso["map"])[0]
+        iso["map"][name] = f"({iso['map'][name]})+1"
+    return data
+
+
+@pytest.mark.parametrize("scope", ["transformations", "internal-isos"])
+def test_verify_catalog_rejects_corrupted_laws(monkeypatch, scope):
+    corrupted = _corrupted_catalog()
+    monkeypatch.setattr(catalog, "load_catalog", lambda: corrupted)
+    report = verify_catalog(scope)
+    assert report.items and not any(it.passed for it in report.items)

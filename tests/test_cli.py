@@ -2,9 +2,13 @@ import json
 
 import pytest
 
-from antiprelie import (dump_algebra_file, get_family, instantiate,
-                        left_multiplication_pair, dual_pair, pair_to_json,
-                        representation_to_json)
+from antiprelie import (QQ, BilinearForm, Matrix, ParseError,
+                        algebra_from_json, dump_algebra_file, get_family,
+                        instantiate, left_multiplication_pair, dual_pair,
+                        load_algebra_file, pair_to_json,
+                        representation_from_json, representation_to_json)
+from antiprelie.forms import load_form_file
+from antiprelie.representations import load_representation_file
 import antiprelie.cocycles as cocycles
 from antiprelie.cli import main
 from antiprelie.cocycles import MAX_BUDGET
@@ -468,3 +472,98 @@ def test_product_integer_coefficient_reads_like_string(capsys, tmp_path):
                               "--identity", "jacobi")
         reports.append((code, report))
     assert reports[0] == reports[1] and reports[0][0] == 0
+
+
+# ---------------------------------------------------------------------------
+# declared sizes in JSON inputs are JSON integers, never floats, strings
+# or booleans
+# ---------------------------------------------------------------------------
+
+NOT_INTEGERS = [2.7, 2.0, "2", True, None, [2]]
+
+
+def _alg_blob(dim):
+    return {"dim": dim, "field": {"kind": "Q"},
+            "products": {"circ": [[1, 1, 2, "1"]], "star": []}}
+
+
+@pytest.mark.parametrize("dim", NOT_INTEGERS)
+def test_algebra_dim_must_be_integer(dim):
+    with pytest.raises(ParseError, match="dim"):
+        algebra_from_json(_alg_blob(dim))
+
+
+@pytest.mark.parametrize("v_dim", NOT_INTEGERS + [False, 1.9])
+def test_representation_v_dim_must_be_integer(v_dim):
+    blob = representation_to_json(left_multiplication_pair(
+        instantiate(get_family("CA26"), {"beta": 2})))
+    assert representation_from_json(blob).v_dim == 2
+    with pytest.raises(ParseError, match="V_dim"):
+        representation_from_json({**blob, "V_dim": v_dim})
+
+
+@pytest.mark.parametrize("dim", NOT_INTEGERS + [2.5])
+def test_form_dim_must_be_integer(dim):
+    blob = {"gram": [["1", "0"], ["0", "1"]]}
+    assert BilinearForm.from_json({**blob, "dim": 2}, QQ).dim == 2
+    with pytest.raises(ParseError, match="dim"):
+        BilinearForm.from_json({**blob, "dim": dim}, QQ)
+
+
+@pytest.mark.parametrize("key", ["rows", "cols"])
+@pytest.mark.parametrize("size", NOT_INTEGERS)
+def test_map_shape_must_be_integer(key, size):
+    blob = {"rows": 2, "cols": 2, "entries": [["1", "0"], ["0", "1"]]}
+    assert Matrix.from_json(blob, QQ) == Matrix.identity(QQ, 2)
+    with pytest.raises(ParseError, match=key):
+        Matrix.from_json({**blob, key: size}, QQ)
+
+
+def test_one_row_map_rejects_boolean_shape():
+    with pytest.raises(ParseError, match="rows"):
+        Matrix.from_json({"rows": True, "entries": [["1"]]}, QQ)
+
+
+@pytest.mark.parametrize("dim", [2.7, "2", True])
+def test_non_integer_dim_exits_2(capsys, tmp_path, dim):
+    path = tmp_path / "a.alg.json"
+    path.write_text(json.dumps(_alg_blob(dim)))
+    code, report, err = run(capsys, "check", "--pair", str(path),
+                            "--compatible")
+    assert code == 2 and report is None and "dim" in err
+    path.write_text(json.dumps(_alg_blob(2)))
+    assert run(capsys, "check", "--pair", str(path), "--compatible")[0] == 0
+
+
+def test_invalid_json_is_a_parse_error(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    with pytest.raises(ParseError, match="invalid JSON"):
+        load_algebra_file(bad)
+    with pytest.raises(ParseError, match="invalid JSON"):
+        load_form_file(bad, QQ)
+    with pytest.raises(ParseError, match="invalid JSON"):
+        load_representation_file(bad)
+
+
+@pytest.mark.parametrize("argv", [
+    ["ops", "anti-o", "--rep", "REP", "--map", "BAD"],
+    ["ops", "strong", "--rep", "REP", "--map", "BAD"],
+    ["derive", "from-anti-o", "--rep", "REP", "--map", "BAD"],
+    ["derive", "from-invertible", "--rep", "REP", "--map", "BAD"],
+    ["ops", "rb", "--brackets", "G", "--map", "BAD"],
+    ["derive", "from-rb", "--brackets", "G", "--map", "BAD"],
+    ["rep", "check", "--rep", "GREF"],
+])
+def test_invalid_json_files_exit_2(capsys, tmp_path, argv):
+    rep_file, rep = _rep_file(tmp_path)
+    (tmp_path / "bad.json").write_text("{not json")
+    g_file = tmp_path / "g.alg.json"
+    g_file.write_text(json.dumps(pair_to_json(rep.g)))
+    blob = representation_to_json(rep)
+    blob["g"] = "bad.json"
+    (tmp_path / "gref.json").write_text(json.dumps(blob))
+    names = {"REP": rep_file, "BAD": str(tmp_path / "bad.json"),
+             "G": str(g_file), "GREF": str(tmp_path / "gref.json")}
+    code, report, err = run(capsys, *[names.get(a, a) for a in argv])
+    assert code == 2 and report is None and "invalid JSON" in err

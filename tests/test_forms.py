@@ -1,15 +1,18 @@
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antiprelie import (GF, QQ, Algebra, AlgebraPair, BilinearForm, Matrix,
-                        PreconditionError, adjoint_pair, check_comm_2cocycle,
+                        NotInvertibleError, PreconditionError, adjoint_pair, check_comm_2cocycle,
                         check_compatible_lie, check_compatible_pair,
                         check_equivalence, check_form, check_invariant,
                         commutator_pair, construct_from_vectors, dual_pair,
                         get_family, induce_from_cocycle, instantiate,
                         invariant_form_space, left_multiplication_pair,
-                        pairing_form, semidirect_product)
+                        pairing_form, poly_ring, semidirect_product)
 from conftest import rand_fraction, random_instance
 
 CA_ALL = [f"CA{i}" for i in range(1, 46)]
@@ -228,3 +231,93 @@ def test_construct_from_vectors_rejects_asymmetric():
         construct_from_vectors(B([[0, 1], [-1, 0]]),
                                [QQ.one(), QQ.zero()],
                                [QQ.zero(), QQ.zero()])
+
+
+# ---------------------------------------------------------------------------
+# oracle: the former invariant_form_space, its functional derived by hand
+# ---------------------------------------------------------------------------
+
+def old_invariant_form_space(P):
+    n = P.dim
+    f = P.field
+    G = commutator_pair(P)
+    slots = [(i, j) for i in range(n) for j in range(i, n)]
+
+    def gram_of(vec):
+        rows = [[None] * n for _ in range(n)]
+        for (i, j), c in zip(slots, vec):
+            rows[i][j] = c
+            rows[j][i] = c
+        return Matrix(f, rows)
+
+    rows = []
+    for prod, brk in ((P.circ, G.circ), (P.star, G.star)):
+        for i, j, k in iproduct(range(n), repeat=3):
+            left, right = prod.sc[i][j], brk.sc[i][k]
+            coeffs = []
+            for (a, b) in slots:
+                c = f.zero()
+                if b == k:
+                    c = c + left[a]
+                if a != b and a == k:
+                    c = c + left[b]
+                if a == j:
+                    c = c - right[b]
+                if a != b and b == j:
+                    c = c - right[a]
+                coeffs.append(c)
+            rows.append(coeffs)
+    return [gram_of(vec) for vec in Matrix(f, rows).nullspace()]
+
+
+FORM_FIELDS = {"Q": (QQ, (-2, -1, 1, 2, Fraction(1, 2))),
+               "GF5": (GF(5), (1, 2, 3, 4))}
+
+
+@st.composite
+def form_pairs(draw):
+    """Pairs with and without invariant forms: the zero pair (every
+    symmetric form), vector constructions (their form at least) and
+    random tables (mostly none)."""
+    field, coeffs = FORM_FIELDS[draw(st.sampled_from(sorted(FORM_FIELDS)))]
+    n = draw(st.integers(1, 3))
+    pick = lambda: field.scalar(draw(st.sampled_from((0,) + coeffs)))
+    kind = draw(st.sampled_from(("zero", "vectors", "random")))
+    if kind == "vectors":
+        rows = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = pick()
+        return construct_from_vectors(BilinearForm(Matrix(field, rows)),
+                                      [pick() for _ in range(n)],
+                                      [pick() for _ in range(n)])
+    density = 0 if kind == "zero" else draw(st.integers(1, 4))
+
+    def table():
+        return Algebra.from_entries(field, n, [
+            (i, j, k, pick()) for i, j, k in iproduct(range(1, n + 1),
+                                                      repeat=3)
+            if draw(st.integers(1, 4)) <= density])
+    return AlgebraPair(table(), table())
+
+
+@settings(max_examples=60, deadline=None)
+@given(form_pairs())
+def test_invariant_form_space_matches_oracle(P):
+    assert invariant_form_space(P) == old_invariant_form_space(P)
+
+
+@pytest.mark.parametrize("prime", [None, 5])
+def test_invariant_form_space_matches_oracle_on_catalog(rng, prime):
+    for name in CA_ALL[::4]:
+        P = random_instance(name, rng, prime=prime)
+        assert invariant_form_space(P) == old_invariant_form_space(P)
+
+
+def test_invariant_form_space_rejects_laurent_like_oracle():
+    ring = poly_ring(["s", "u"], units=["u"])
+    P = AlgebraPair(Algebra.from_entries(ring, 2, [(1, 1, 1, "s")]),
+                    Algebra.from_entries(ring, 2, [(2, 1, 2, "u^-1")]))
+    for space in (invariant_form_space, old_invariant_form_space):
+        with pytest.raises(NotInvertibleError):
+            space(P)

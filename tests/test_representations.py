@@ -1,4 +1,8 @@
+from itertools import product as iproduct
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antiprelie import (GF, QQ, Algebra, AlgebraPair, Matrix,
                         PreconditionError, RepresentationPair, adjoint_pair,
@@ -6,7 +10,9 @@ from antiprelie import (GF, QQ, Algebra, AlgebraPair, Matrix,
                         check_representation_pair,
                         commutator_pair, dual_pair, get_family, instantiate,
                         left_multiplication_pair, representation_from_json,
-                        representation_to_json, semidirect_product)
+                        poly_ring, representation_to_json,
+                        semidirect_product)
+from antiprelie.algebra import make_report
 from conftest import random_instance
 
 CA_SAMPLE = ["CA5", "CA10", "CA17", "CA26", "CA27", "CA30", "CA35", "CA38",
@@ -208,3 +214,125 @@ def test_representation_json_round_trip(rng):
     back = representation_from_json(blob)
     assert back.rho == rep.rho and back.mu == rep.mu
     assert back.g == rep.g
+
+
+# ---------------------------------------------------------------------------
+# oracle: the former body, the three equations written out by hand
+# ---------------------------------------------------------------------------
+
+def _flat(mat):
+    return [x for row in mat.entries for x in row]
+
+
+def old_check_representation_pair(R):
+    n = R.g.dim
+    b1, b2 = R.g.circ.sc, R.g.star.sc
+    failures = []
+    for i in range(n):
+        for j in range(n):
+            lhs1 = R.rho_of(b1[i][j])
+            rhs1 = R.rho[i] @ R.rho[j] - R.rho[j] @ R.rho[i]
+            if not (lhs1 - rhs1).is_zero():
+                failures.append(("rep_eq_1", (i, j), _flat(lhs1 - rhs1)))
+            lhs2 = R.mu_of(b2[i][j])
+            rhs2 = R.mu[i] @ R.mu[j] - R.mu[j] @ R.mu[i]
+            if not (lhs2 - rhs2).is_zero():
+                failures.append(("rep_eq_2", (i, j), _flat(lhs2 - rhs2)))
+            lhs3 = R.rho_of(b2[i][j]) + R.mu_of(b1[i][j])
+            rhs3 = (R.rho[i] @ R.mu[j] - R.rho[j] @ R.mu[i]
+                    + R.mu[i] @ R.rho[j] - R.mu[j] @ R.rho[i])
+            if not (lhs3 - rhs3).is_zero():
+                failures.append(("rep_eq_3", (i, j), _flat(lhs3 - rhs3)))
+    return make_report(failures)
+
+
+LAURENT = poly_ring(["s", "u"], units=["u"])
+REP_FIELDS = {
+    "Q": (QQ, ["1", "-1", "2", "1/2", "-3"]),
+    "GF5": (GF(5), ["1", "2", "3", "4"]),
+    "laurent": (LAURENT, ["1", "-1", "s", "u^-1", "s*u-2", "2*u"]),
+}
+
+
+@st.composite
+def rep_pairs(draw, fields=tuple(sorted(REP_FIELDS))):
+    """Random representation pairs, dim g and dim V from 1 to 3: density 0
+    gives the zero pair (passing), antisymmetric brackets with zero
+    actions pass too, denser ones mostly fail."""
+    field, coeffs = REP_FIELDS[draw(st.sampled_from(fields))]
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    density = draw(st.integers(0, 4))
+    act_density = draw(st.sampled_from((0, density)))
+
+    def coeff(dens):
+        if draw(st.integers(1, 4)) > dens:
+            return field.zero()
+        return field.parse(draw(st.sampled_from(coeffs)))
+
+    def bracket():
+        sc = [[[field.zero()] * n for _ in range(n)] for _ in range(n)]
+        for i, j, k in iproduct(range(n), repeat=3):
+            if i < j:
+                c = coeff(density)
+                sc[i][j][k], sc[j][i][k] = c, -c
+        return Algebra(field, n, sc)
+
+    def mats():
+        return tuple(Matrix(field, [[coeff(act_density) for _ in range(m)]
+                                    for _ in range(m)]) for _ in range(n))
+    return RepresentationPair(AlgebraPair(bracket(), bracket()), m, mats(),
+                              mats())
+
+
+@settings(max_examples=80, deadline=None)
+@given(rep_pairs())
+def test_representation_check_matches_oracle(R):
+    assert check_representation_pair(R).to_json() == \
+        old_check_representation_pair(R).to_json()
+
+
+@pytest.mark.parametrize("name", CA_SAMPLE)
+def test_representation_check_matches_oracle_on_catalog(name, rng):
+    for prime in (None, 5):
+        pair = random_instance(name, rng, prime=prime)
+        for rep in (left_multiplication_pair(pair),
+                    adjoint_pair(commutator_pair(pair)),
+                    dual_pair(left_multiplication_pair(pair)),
+                    RepresentationPair(pair, 2, left_multiplication_pair(
+                        pair).rho, left_multiplication_pair(pair).rho)):
+            new = check_representation_pair(rep)
+            assert new.to_json() == old_check_representation_pair(
+                rep).to_json()
+
+
+def _pencil_rep_satisfies_eq1(R, k1, k2):
+    """rho_k([x,y]_k) = [rho_k(x), rho_k(y)] on basis pairs, for
+    rho_k = k1 rho + k2 mu and [,]_k = k1 [,]_1 + k2 [,]_2."""
+    n = R.g.dim
+    act = [R.rho[i].scale(k1) + R.mu[i].scale(k2) for i in range(n)]
+    for i, j in iproduct(range(n), repeat=2):
+        br = [k1 * x + k2 * y
+              for x, y in zip(R.g.circ.sc[i][j], R.g.star.sc[i][j])]
+        lhs = Matrix.zero(R.field, R.v_dim, R.v_dim)
+        for c, mat in zip(br, act):
+            lhs = lhs + mat.scale(c)
+        if not (lhs - (act[i] @ act[j] - act[j] @ act[i])).is_zero():
+            return False
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(rep_pairs(fields=("GF5",)))
+def test_representation_pair_iff_every_pencil_satisfies_eq1(R):
+    f = GF(5)
+    expected = all(_pencil_rep_satisfies_eq1(R, f.scalar(k1), f.scalar(k2))
+                   for k1, k2 in iproduct(range(5), repeat=2))
+    assert check_representation_pair(R).passed == expected
+
+
+def test_pencil_polarization_on_valid_gf5_reps(rng):
+    f = GF(5)
+    for _ in range(10):
+        rep = _random_valid_rep_gf5(rng)
+        assert all(_pencil_rep_satisfies_eq1(rep, f.scalar(k1), f.scalar(k2))
+                   for k1, k2 in iproduct(range(5), repeat=2))
