@@ -211,7 +211,7 @@ def cmd_z2(args) -> int:
 
     # brute force + containment tallies
     sols = brute_force_Z2(base_p, budget=args.budget, workers=args.workers)
-    flat_sols = {tuple(int(x.value) for x in d.flat()) for d in sols}
+    flat_sols = {tuple(x.value for x in d.flat()) for d in sols}
     case = cat.case_for(name, lam)
     union = set()
     tallies = []

@@ -8,13 +8,15 @@ compatibility conditions with the base.  (i)-(ii) are quadratic in phi,
 (iii)-(iv) are linear, so the solver pairs an exact nullspace stage with
 exhaustive enumeration instead of general polynomial solving.
 Both read their coefficients off the residuals of the generic table of
-indeterminates t_a; the scan tests the linear part in split-digit form.
+indeterminates t_a; the scan tests the linear part in split-digit form,
+joining the two halves of each candidate on equal partial residuals.
 """
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as iproduct
 
 import numpy as np
@@ -26,7 +28,7 @@ from .errors import (BudgetExceededError, FieldMismatchError,
                      NotInvertibleError, ParseError, PreconditionError,
                      ShapeMismatchError)
 from .linalg import Matrix, _coefficient_rows, _indeterminates
-from .scalars import GF, Field
+from .scalars import Field, _residue
 
 DEFAULT_BUDGET = 10 ** 8
 # Largest accepted candidate budget: counts up to it fit int64 (2^63 - 1).
@@ -52,9 +54,7 @@ class Deformation:
 
     def flat(self):
         """Entries of phi in row-major (i, j, k) order."""
-        n = self.base.dim
-        return tuple(self.phi.sc[i][j][k]
-                     for i, j, k in iproduct(range(n), repeat=3))
+        return tuple(x for plane in self.phi.sc for row in plane for x in row)
 
 
 def check_step1_conditions(d: Deformation) -> CheckReport:
@@ -66,14 +66,12 @@ def check_step1_conditions(d: Deformation) -> CheckReport:
                         if any(not x.is_zero() for x in vec)])
 
 
-def _indeterminate_tables(A: Algebra):
-    """(base, phi) over Q[t_0, ..., t_{n^3-1}]: the base lifted to
-    constants and phi the generic table with entry t_a at flat index a."""
-    n = A.dim
+def _generic_table(n: int, basis=None) -> Algebra:
+    """The table over Q[t_0, ..., t_{n^3-1}] with entry t_a at flat
+    index a."""
     ring, t = _indeterminates(n ** 3)
-    phi = Algebra(ring, n, [[[t[(i * n + j) * n + k] for k in range(n)]
-                             for j in range(n)] for i in range(n)], A.basis)
-    return _lift(A, ring), phi
+    return Algebra(ring, n, [[[t[(i * n + j) * n + k] for k in range(n)]
+                              for j in range(n)] for i in range(n)], basis)
 
 
 def _components(residuals):
@@ -83,9 +81,11 @@ def _components(residuals):
 
 def _linear_rows(A: Algebra):
     """Coefficient matrix of conditions iii-iv in the n^3 phi unknowns,
-    read off one evaluation on the indeterminate table."""
-    base, phi = _indeterminate_tables(A)
-    comps = _components(mixed_pair_residuals(AlgebraPair(base, phi)))
+    read off one evaluation on the generic table over the base lifted to
+    constants."""
+    phi = _generic_table(A.dim, A.basis)
+    comps = _components(mixed_pair_residuals(
+        AlgebraPair(_lift(A, phi.field), phi)))
     return _coefficient_rows(A.field, comps, A.dim ** 3)
 
 
@@ -112,11 +112,20 @@ def _quadratic_coefficients(A: Algebra, p: int):
     Linear part: residual_c(phi) = sum_a L[a][c] phi_a for iii-iv.
     Quadratic part (i-ii, no linear terms): residual_c(phi) =
     sum_{a<=b} Q[(a,b)][c] phi_a phi_b.  Both are read off the residuals
-    of the indeterminate table; only nonzero Q rows are kept.
+    of the indeterminate table; only nonzero Q rows are kept.  Q depends
+    only on (dim, p) and its rows are shared read-only arrays.
     """
     L = np.array([[x.value for x in row] for row in _linear_rows(A).entries],
                  dtype=np.int64).T
-    quad = _components(anti_pre_lie_residuals(_indeterminate_tables(A)[1]))
+    Q, nq = _quadratic_table(A.dim, p)
+    return L, dict(Q), nq
+
+
+@lru_cache(maxsize=16)
+def _quadratic_table(n: int, p: int):
+    """(Q, nq) of _quadratic_coefficients, from the anti-pre-Lie residuals
+    of the generic table, which do not involve the base."""
+    quad = _components(anti_pre_lie_residuals(_generic_table(n)))
     nq = len(quad)
     Q = {}
     for c, poly in enumerate(quad):
@@ -124,7 +133,9 @@ def _quadratic_coefficients(A: Algebra, p: int):
             a, b = [i for i, e in enumerate(mono) for _ in range(e)]
             row = Q.setdefault((a, b), np.zeros(nq, dtype=np.int64))
             row[c] = int(coef) % p
-    return L, {ab: Q[ab] for ab in sorted(Q) if Q[ab].any()}, nq
+    for row in Q.values():
+        row.flags.writeable = False
+    return {ab: Q[ab] for ab in sorted(Q) if Q[ab].any()}, nq
 
 
 def _digit_rows(width, p):
@@ -133,19 +144,38 @@ def _digit_rows(width, p):
     return grid.reshape(width, p ** width).T
 
 
+def _join_index(N_hi, R_lo):
+    """Exact equi-join of the high and low residual rows.
+
+    Returns (group, lo_order, start, size): high block h matches exactly
+    the low blocks lo_order[start[g]:start[g] + size[g]] with g = group[h],
+    in increasing order.
+    """
+    rows = np.concatenate([R_lo, N_hi])
+    # each row's bytes as one value, so equal keys are exactly equal rows
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+    ids = np.unique(keys.ravel(), return_inverse=True)[1].reshape(-1)
+    lo_ids, group = ids[:len(R_lo)], ids[len(R_lo):]
+    size = np.bincount(lo_ids, minlength=int(ids.max()) + 1)
+    lo_order = np.argsort(lo_ids, kind="stable")
+    return group, lo_order, np.cumsum(size) - size, size
+
+
 def _scan_chunk(args):
     """Step-1 survivors, in lexicographic order, among the candidates
-    whose high block is one of rows h0..h1-1 of D_hi."""
-    h0, h1, p, D_hi, D_lo, N_hi, R_lo, Q, nq = args
-    ok = (R_lo[None, :, :] == N_hi[h0:h1, None, :]).all(axis=2)
-    hi, lo = np.nonzero(ok)
-    S = np.concatenate([D_hi[h0 + hi], D_lo[lo]], axis=1)
-    acc = np.zeros((S.shape[0], nq), dtype=np.int64)
-    for (a, b), coef in Q.items():
-        prod = S[:, a] * S[:, b]
-        acc += prod[:, None] * coef[None, :]
-    good = ~(acc % p).any(axis=1)
-    return S[good]
+    whose high block is one of rows h0..h1-1 of D_hi.  The join lists the
+    (h, l) pairs with a zero linear residual; the quadratic residuals of
+    those are one product of their monomials phi_a phi_b with Q."""
+    h0, h1, p, D_hi, D_lo, join, pairs, Qmat = args
+    group, lo_order, start, size = join
+    g = group[h0:h1]
+    counts = size[g]
+    hi = np.repeat(np.arange(h0, h1), counts)
+    first = np.repeat(start[g] - (np.cumsum(counts) - counts), counts)
+    lo = lo_order[first + np.arange(len(hi))]
+    S = np.concatenate([D_hi[hi], D_lo[lo]], axis=1)
+    mono = S[:, pairs[:, 0]] * S[:, pairs[:, 1]] % p
+    return S[~(mono @ Qmat % p).any(axis=1)]
 
 
 def worker_count(requested=None) -> int:
@@ -186,7 +216,11 @@ def brute_force_Z2(A: Algebra, budget: int = DEFAULT_BUDGET,
     high block h, the rest its low block l.  By linearity its residual
     E @ L is R_hi[h] + R_lo[l] mod p, from per-base tables of partial
     residuals; it vanishes exactly when R_lo[l] == N_hi[h] = -R_hi[h]
-    on every component, so each candidate's full residual is tested.
+    on every component.  The low blocks are grouped by their whole
+    residual row (an exact join on the row's bytes), so each high block
+    meets precisely the low blocks with an equal row: every one of the
+    p^(n^3) candidates is decided by its full residual, and the work is
+    the two tables plus the survivors, not every (h, l) pair.
     Each chunk is a range of high blocks covering about `chunk`
     candidates, and at least one block.  `budget` must be an int from 1
     to MAX_BUDGET (ParseError otherwise); a base with more than `budget`
@@ -204,25 +238,30 @@ def brute_force_Z2(A: Algebra, budget: int = DEFAULT_BUDGET,
             f"{p}^{n3} = {total} exceeds the budget of {budget}")
     nw = worker_count(workers)
     L, Q, nq = _quadratic_coefficients(A, p)
+    pairs = np.array(list(Q), dtype=np.intp).reshape(-1, 2)
+    Qmat = np.array(list(Q.values()), dtype=np.int64).reshape(-1, nq)
     D_hi, D_lo = _digit_rows(n3 // 2, p), _digit_rows(n3 - n3 // 2, p)
     small = np.min_scalar_type(p - 1)
     N_hi = (-(D_hi @ L[:n3 // 2]) % p).astype(small)
     R_lo = (D_lo @ L[n3 // 2:] % p).astype(small)
+    join = _join_index(N_hi, R_lo)
     step = max(1, chunk // len(D_lo))
-    jobs = [(h, min(h + step, len(D_hi)), p, D_hi, D_lo, N_hi, R_lo, Q, nq)
+    jobs = [(h, min(h + step, len(D_hi)), p, D_hi, D_lo, join, pairs, Qmat)
             for h in range(0, len(D_hi), step)]
     if nw > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=nw) as pool:
             parts = list(pool.map(_scan_chunk, jobs))
     else:
         parts = [_scan_chunk(j) for j in jobs]
+    S = np.concatenate(parts)
     field = A.field
+    elems = {v: field.scalar(v) for v in np.unique(S).tolist()}
     out = []
-    for part in parts:
-        for row in part:
-            sc = [[[field.scalar(int(row[(i * n + j) * n + k]))
-                    for k in range(n)] for j in range(n)] for i in range(n)]
-            out.append(Deformation(A, Algebra(field, n, sc, A.basis)))
+    for row in S.tolist():
+        x = [elems[v] for v in row]
+        sc = [[x[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)]
+              for i in range(n)]
+        out.append(Deformation(A, Algebra(field, n, sc, A.basis)))
     return out
 
 
@@ -230,29 +269,40 @@ def instantiate_family_gf(fam: Algebra, p: int):
     """All GF(p) members of a polynomially parameterized phi family.
 
     Returns a set of flattened entry tuples (ints mod p).  Parameters run
-    over all of GF(p); entries are reduced mod p.
+    over all of GF(p), unit variables over its nonzero elements.  A member
+    whose entries have a denominator vanishing mod p is dropped.  Entries
+    whose coefficients all have denominators prime to p are reduced to
+    GF(p) once and evaluated on the whole parameter grid; an entry with a
+    coefficient whose denominator p divides is evaluated exactly in Q at
+    each point, since its value may still be p-integral there.
     """
     if fam.field.kind != "poly":
         raise FieldMismatchError("family must have polynomial entries")
-    names = fam.field.variables
-    n = fam.dim
-    members = set()
-    for values in iproduct(range(p), repeat=len(names)):
-        assign = dict(zip(names, values))
-        # unit variables cannot take the value 0
-        if any(v in fam.field.units and q == 0 for v, q in assign.items()):
+    f = fam.field
+    grid = _digit_rows(len(f.variables), p)
+    for c, v in enumerate(f.variables):
+        if v in f.units:
+            grid = grid[grid[:, c] != 0]
+    keep = np.ones(len(grid), dtype=bool)
+    entries = [x for plane in fam.sc for row in plane for x in row]
+    table = np.zeros((len(grid), len(entries)), dtype=np.int64)
+    for a, x in enumerate(entries):
+        if any(q.denominator % p == 0 for q in x.value.values()):
+            for r, values in enumerate(grid.tolist()):
+                val = x.eval_at(dict(zip(f.variables, values))).value
+                if val.denominator % p == 0:
+                    keep[r] = False
+                else:
+                    table[r, a] = _residue(val, p)
             continue
-        flat = []
-        ok = True
-        for i, j, k in iproduct(range(n), repeat=3):
-            val = fam.sc[i][j][k].eval_at(assign)
-            if val.value.denominator % p == 0:
-                ok = False
-                break
-            flat.append(int(GF(p).scalar(val.value).value))
-        if ok:
-            members.add(tuple(flat))
-    return members
+        for mono, q in x.value.items():
+            term = np.full(len(grid), _residue(q, p), dtype=np.int64)
+            for c, e in enumerate(mono):
+                if e:  # e < 0 only on units, whose column skips 0
+                    powers = [pow(g, e, p) if g else 0 for g in range(p)]
+                    term = term * np.array(powers)[grid[:, c]] % p
+            table[:, a] = (table[:, a] + term) % p
+    return set(map(tuple, table[keep].tolist()))
 
 
 def verify_family_membership(A: Algebra, fam: Algebra) -> CheckReport:

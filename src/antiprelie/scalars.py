@@ -560,12 +560,17 @@ def _json_int(x, what: str) -> int:
 
 
 def _read_json(path):
-    """The JSON document in a file; invalid JSON raises ParseError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """The JSON document in a file; a file that cannot be read, is not
+    UTF-8 or holds invalid JSON raises ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON in {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON in {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def _format_q(q: Fraction) -> str:

@@ -567,3 +567,17 @@ def test_invalid_json_files_exit_2(capsys, tmp_path, argv):
              "G": str(g_file), "GREF": str(tmp_path / "gref.json")}
     code, report, err = run(capsys, *[names.get(a, a) for a in argv])
     assert code == 2 and report is None and "invalid JSON" in err
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_input_file_exits_2(capsys, tmp_path, kind):
+    path = tmp_path / "pair.alg.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(json.dumps(_alg_blob(2)).encode("utf-16"))
+    with pytest.raises(ParseError):
+        load_algebra_file(path)
+    code, report, err = run(capsys, "check", "--pair", str(path),
+                            "--compatible")
+    assert code == 2 and report is None and "pair.alg.json" in err

@@ -16,7 +16,7 @@ from antiprelie import (GF, QQ, Algebra, AlgebraPair, BudgetExceededError,
 from antiprelie.algebra import anti_pre_lie_residuals, mixed_pair_residuals
 from antiprelie.cocycles import (_quadratic_coefficients,
                                  instantiate_family_gf, worker_count)
-from antiprelie.catalog import cocycle_families_of
+from antiprelie.catalog import cocycle_cases_of, cocycle_families_of
 
 LINEAR_DIMS = {
     ("A2", None): 5, ("A3", None): 6, ("A4", None): 4, ("A5", None): 4,
@@ -283,6 +283,132 @@ def test_brute_force_worker_partition_deterministic():
     solo = brute_force_Z2(base, workers=1)
     multi = brute_force_Z2(base, workers=4, chunk=1 << 14)
     assert [d.flat() for d in solo] == [d.flat() for d in multi]
+
+
+def _nested_scan(base):
+    """Reference survivors by the full (h, l) comparison: every high
+    block against every low block on all linear components, then the
+    quadratic residuals pair by pair."""
+    p, n3 = base.field.p, base.dim ** 3
+    L, Q, nq = _quadratic_coefficients(base, p)
+
+    def digits(width):
+        return np.array(list(iproduct(range(p), repeat=width)),
+                        dtype=np.int64).reshape(p ** width, width)
+
+    D_hi, D_lo = digits(n3 // 2), digits(n3 - n3 // 2)
+    N_hi = -(D_hi @ L[:n3 // 2]) % p
+    R_lo = D_lo @ L[n3 // 2:] % p
+    hi, lo = np.nonzero((R_lo[None, :, :] == N_hi[:, None, :]).all(axis=2))
+    S = np.concatenate([D_hi[hi], D_lo[lo]], axis=1)
+    acc = np.zeros((len(S), nq), dtype=np.int64)
+    for (a, b), coef in Q.items():
+        acc += (S[:, a] * S[:, b])[:, None] * coef[None, :]
+    return [tuple(row) for row in S[~(acc % p).any(axis=1)].tolist()]
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.data())
+def test_scan_join_equals_nested_comparison(data):
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    n = data.draw(st.sampled_from([1, 2]))
+    flat = data.draw(st.lists(st.integers(0, p - 1), min_size=n ** 3,
+                              max_size=n ** 3))
+    f = GF(p)
+    base = Algebra(f, n, [[[f.scalar(flat[(i * n + j) * n + k])
+                            for k in range(n)] for j in range(n)]
+                          for i in range(n)])
+    want = _nested_scan(base)
+    for chunk in (1, 7, 1 << 19):
+        for workers in (1, 3):
+            got = _flats(brute_force_Z2(base, workers=workers, chunk=chunk))
+            assert got == want, (chunk, workers)
+
+
+def test_quadratic_table_shared_and_read_only():
+    Q3 = _quadratic_coefficients(base_algebra("A3", prime=5), 5)[1]
+    Q7 = _quadratic_coefficients(base_algebra("A7", prime=5), 5)[1]
+    assert Q3 is not Q7 and list(Q3) == list(Q7)
+    assert all(Q3[ab] is Q7[ab] and not Q3[ab].flags.writeable for ab in Q3)
+    with pytest.raises(ValueError):
+        Q3[next(iter(Q3))][0] = 1
+    Q7.clear()
+    assert _quadratic_coefficients(base_algebra("A7", prime=5), 5)[1]
+
+
+def _members_by_eval_at(fam, p):
+    """Reference GF(p) members: every parameter point evaluated exactly
+    in Q with eval_at, dropped if a value's denominator vanishes mod p."""
+    names, units = fam.field.variables, fam.field.units
+    members = set()
+    for values in iproduct(range(p), repeat=len(names)):
+        assign = dict(zip(names, values))
+        if any(v in units and q == 0 for v, q in assign.items()):
+            continue
+        flat = []
+        for i, j, k in iproduct(range(fam.dim), repeat=3):
+            val = fam.sc[i][j][k].eval_at(assign).value
+            if val.denominator % p == 0:
+                break
+            flat.append(val.numerator * pow(val.denominator, -1, p) % p)
+        else:
+            members.add(tuple(flat))
+    return members
+
+
+PRIMES = [2, 3, 5, 7]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_instantiate_family_gf_laurent_family(p):
+    # units x and z skip 0 and carry negative exponents; the 1/2, 2/3 and
+    # 5/7 entries take the exact path at p = 2, 3 and 7 and are p-integral
+    # at some points only
+    ring = poly_ring(["x", "y", "z"], units=["x", "z"])
+    fam = Algebra.from_entries(
+        ring, 2, [(1, 1, 1, "x^-1"), (1, 1, 2, "3*x^-2*y + y^2"),
+                  (1, 2, 1, "2/3*x - 2/3*x^-1"),
+                  (2, 1, 2, "1/2*z^-3 - 1/2*z + x*z"),
+                  (2, 2, 1, "5/7*y^2 - 5/7*y"), (2, 2, 2, "x^2 - 4")])
+    got = instantiate_family_gf(fam, p)
+    assert got == _members_by_eval_at(fam, p)
+    assert got
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_instantiate_family_gf_vanishing_denominator(p):
+    # (x - 1)/5 is 5-integral only at x = 1, where it is 0
+    ring = poly_ring(["x"])
+    fam = Algebra.from_entries(ring, 2, [(1, 1, 1, "1/5*x - 1/5"),
+                                         (2, 2, 2, "x")])
+    got = instantiate_family_gf(fam, p)
+    assert got == _members_by_eval_at(fam, p)
+    if p == 5:
+        assert got == {(0, 0, 0, 0, 0, 0, 0, 1)}
+    else:
+        assert len(got) == p
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_instantiate_family_gf_without_parameters(p):
+    fam = Algebra.from_entries(poly_ring([]), 2, [(1, 1, 1, "1/2"),
+                                                  (2, 1, 2, "3")])
+    got = instantiate_family_gf(fam, p)
+    assert got == _members_by_eval_at(fam, p)
+    assert got == (set() if p == 2 else
+                   {((p + 1) // 2, 0, 0, 0, 0, 3 % p, 0, 0)})
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_instantiate_family_gf_catalog_families(p):
+    checked = 0
+    for name in ("A2", "A3", "A4", "A5", "A6", "A7", "A8", "A9"):
+        for case in cocycle_cases_of(name):
+            for fam in cocycle_families_of(name, case or None):
+                assert instantiate_family_gf(fam, p) == \
+                    _members_by_eval_at(fam, p), (name, case)
+                checked += 1
+    assert checked == 22
 
 
 def test_family_membership_symbolic():
