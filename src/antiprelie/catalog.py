@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
-from .algebra import (Algebra, AlgebraPair, cast_algebra,
+from .algebra import (Algebra, AlgebraPair, cast_algebra, cast_pair,
                       check_compatible_pair, check_identity)
 from .cocycles import (Deformation, is_automorphism, transform_deformation,
                        verify_family_membership)
@@ -28,6 +28,20 @@ CA_NAMES = tuple(f"CA{i}" for i in range(1, 46))
 
 SCOPES = ("A-families", "CA-families", "automorphisms", "cocycles",
           "transformations", "internal-isos")
+
+
+def _ring(names, units=()) -> Field:
+    """Q[names] with the given unit variables, or Q when names is empty."""
+    return Field("poly", variables=names, units=units) if names else QQ
+
+
+def _check_constraints(label: str, ring: Field, constraints, point: dict):
+    for cons in constraints:
+        val = ring.parse(cons["expr"]).eval_at(point)
+        if val.value == Fraction(cons["ne"]):
+            raise ConstraintError(
+                f"{label}constraint {cons['expr']} != {cons['ne']} "
+                f"violated by {point}")
 
 
 @dataclass(frozen=True)
@@ -47,64 +61,52 @@ class Family:
     def branch_values(self):
         return tuple(self.branch["values"]) if self.branch else (None,)
 
-    def ring(self, extra=()) -> Field:
+    def ring(self) -> Field:
         names = list(self.params)
         if self.branch and self.branch["name"] not in names:
             names.append(self.branch["name"])
-        for v in extra:
-            if v not in names:
-                names.append(v)
-        return Field("poly", variables=names) if names else QQ
+        return _ring(names)
+
+    def _branch_point(self, value) -> dict:
+        """{branch variable: value}, or {} for a family without a branch."""
+        if self.branch is None:
+            return {}
+        if value not in self.branch["values"]:
+            raise ConstraintError(f"{self.name} needs a branch value from "
+                                  f"{self.branch['values']}, got {value!r}")
+        return {self.branch["name"]: Fraction(value)}
+
+    def _tables(self, point: dict, target: Field) -> AlgebraPair:
+        """Both tables with the variables named in point replaced by its
+        rational values; the other variables must be variables of target.
+        Families without a star table get the zero second product."""
+        ring = self.ring()
+        point = {v: target.scalar(q) for v, q in point.items()}
+
+        def table(entries):
+            return Algebra.from_entries(target, self.dim, [
+                (i, j, k, substitute(ring.parse(str(c)), point, target))
+                for i, j, k, c in entries])
+
+        return AlgebraPair(table(self.circ_entries),
+                           table(self.star_entries or ()))
 
     def symbolic_pair(self, branch_value=None, ring=None) -> AlgebraPair:
         """The pair over a polynomial ring in the parameters, with the
         discrete branch variable substituted when the family has one."""
-        base_ring = self.ring()
-        circ = Algebra.from_entries(base_ring, self.dim, self.circ_entries)
-        star_entries = self.star_entries if self.star_entries is not None else ()
-        star = Algebra.from_entries(base_ring, self.dim, star_entries)
-        if self.branch is not None:
-            if branch_value is None:
-                raise ConstraintError(
-                    f"{self.name} needs a branch value from "
-                    f"{self.branch['values']}")
-            if branch_value not in self.branch["values"]:
-                raise ConstraintError(
-                    f"{self.name}: branch value {branch_value!r} not in "
-                    f"{self.branch['values']}")
-        target = ring if ring is not None else \
-            (Field("poly", variables=self.params) if self.params else QQ)
-        mapping = {}
-        if self.branch is not None:
-            mapping[self.branch["name"]] = target.scalar(branch_value)
-
-        def conv(A):
-            sc = [[[substitute(A.sc[i][j][k], mapping, target)
-                    for k in range(self.dim)] for j in range(self.dim)]
-                  for i in range(self.dim)]
-            return Algebra(target, self.dim, sc)
-
-        return AlgebraPair(conv(circ), conv(star))
+        return self._tables(self._branch_point(branch_value),
+                            ring if ring is not None else _ring(self.params))
 
     def check_constraints(self, assignment: dict):
-        ring = self.ring()
-        for cons in self.constraints:
-            val = ring.parse(cons["expr"]).eval_at(assignment)
-            if val.value == Fraction(cons["ne"]):
-                raise ConstraintError(
-                    f"{self.name}: constraint {cons['expr']} != {cons['ne']} "
-                    f"violated by {assignment}")
-
-
-def _data():
-    with resources.files("antiprelie.data").joinpath("catalog.json") \
-            .open("r", encoding="utf-8") as fh:
-        return json.load(fh)
+        _check_constraints(f"{self.name}: ", self.ring(), self.constraints,
+                           assignment)
 
 
 @lru_cache(maxsize=1)
 def load_catalog() -> dict:
-    return _data()
+    with resources.files("antiprelie.data").joinpath("catalog.json") \
+            .open("r", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def family_names():
@@ -131,36 +133,23 @@ def instantiate(f: Family, assignment: dict | None = None, branch=None,
     """Concrete pair over Q (or GF(p)) at a rational parameter point.
 
     Constraints are checked on the rational values before any reduction
-    mod p.  Families without a star table get the zero second product.
+    mod p; a value whose denominator p divides raises ConstraintError.
     """
     assignment = {k: Fraction(v) for k, v in (assignment or {}).items()}
     missing = [p for p in f.params if p not in assignment]
     if missing:
         raise ConstraintError(f"{f.name}: missing parameters {missing}")
     f.check_constraints(assignment)
-    if f.branch is not None:
-        if branch is None:
-            raise ConstraintError(f"{f.name} needs a branch value from "
-                                  f"{f.branch['values']}")
-        if branch not in f.branch["values"]:
-            raise ConstraintError(f"{f.name}: bad branch value {branch!r}")
-        assignment[f.branch["name"]] = Fraction(branch)
-    ring = f.ring()
-    target = GF(prime) if prime is not None else QQ
-
-    def conv(entries):
-        out = []
-        for i, j, k, text in entries:
-            c = ring.parse(str(text))
-            if ring.kind == "poly":
-                c = c.eval_at(assignment)
-            out.append((i, j, k, target.scalar(c.value)))
-        return out
-
-    circ = Algebra.from_entries(target, f.dim, conv(f.circ_entries))
-    star = Algebra.from_entries(target, f.dim,
-                                conv(f.star_entries or ()))
-    return AlgebraPair(circ, star)
+    assignment.update(f._branch_point(branch))
+    pair = f._tables(assignment, QQ)
+    if prime is None:
+        return pair
+    try:
+        return cast_pair(pair, GF(prime))
+    except ZeroDivisionError:
+        at = ", ".join(f"{v}={q}" for v, q in assignment.items())
+        raise ConstraintError(f"{f.name}: a denominator vanishes mod "
+                              f"{prime} at ({at})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +167,7 @@ class AutomorphismFamily:
 
     def ring(self, extra=()) -> Field:
         names = list(self.params) + [v for v in extra if v not in self.params]
-        units = [u for u in self.units if u in names]
-        return Field("poly", variables=names, units=units) if names else QQ
+        return _ring(names, [u for u in self.units if u in names])
 
     def symbolic_matrix(self, ring=None) -> Matrix:
         ring = ring if ring is not None else self.ring()
@@ -193,25 +181,10 @@ class AutomorphismFamily:
                 raise ConstraintError(f"missing automorphism parameter {p!r}")
             if p in self.units and assignment[p] == 0:
                 raise ConstraintError(f"parameter {p!r} must be nonzero")
-        ring = self.ring()
-        for cons in self.constraints:
-            val = ring.parse(cons["expr"])
-            if ring.kind == "poly":
-                val = val.eval_at(assignment)
-            if val.value == Fraction(cons["ne"]):
-                raise ConstraintError(
-                    f"automorphism constraint {cons['expr']} != {cons['ne']} "
-                    f"violated")
-        rows = []
-        for row in self.matrix_entries:
-            out = []
-            for x in row:
-                c = ring.parse(x)
-                if ring.kind == "poly":
-                    c = c.eval_at(assignment)
-                out.append(QQ.scalar(c.value))
-            rows.append(out)
-        return Matrix(QQ, rows)
+        _check_constraints("automorphism ", self.ring(), self.constraints,
+                           assignment)
+        return Matrix(QQ, [[substitute(x, assignment, QQ) for x in row]
+                           for row in self.symbolic_matrix().entries])
 
 
 def automorphism_families_of(name: str):
@@ -237,10 +210,9 @@ def automorphism_of(name: str, assignment: dict | None = None,
         raise UnknownEntryError(
             f"{name} has {len(fams)} automorphism families")
     theta = fams[index].concrete_matrix(assignment or {})
-    parent = get_family(name)
     # verified over the parent's ring, symbolically in any lambda
-    ring = parent.ring()
-    prod = Algebra.from_entries(ring, parent.dim, parent.circ_entries)
+    prod = get_family(name).symbolic_pair().circ
+    ring = prod.field
     if not is_automorphism(Matrix(ring, [[ring.scalar(x) for x in row]
                                          for row in theta.entries]), prod):
         raise ConstraintError(f"map is not an automorphism of {name}")
@@ -251,15 +223,14 @@ def automorphism_of(name: str, assignment: dict | None = None,
 # deformation families
 # ---------------------------------------------------------------------------
 
-_CASES = {"A6": ("0", "-1", "generic"), "A8": ("0", "-2", "generic")}
-
-
 def case_for(name: str, lam):
-    """The deformation case of base `name` at lambda = lam: A6 and A8
-    split on their special values of lambda, other bases have no case."""
-    if name not in _CASES:
+    """The deformation case of base `name` at lambda = lam: a base whose
+    cocycle families split by cases (A6, A8) takes the case named by lam
+    when there is one and "generic" otherwise; other bases have none."""
+    cases = load_catalog()["cocycle_families"].get(name, {})
+    if "generic" not in cases:
         return None
-    special = {Fraction(c): c for c in _CASES[name] if c != "generic"}
+    special = {Fraction(c): c for c in cases if c != "generic"}
     return special.get(lam, "generic")
 
 
@@ -272,46 +243,30 @@ def cocycle_cases_of(name: str):
 
 def cocycle_families_of(name: str, case: str | None = None):
     """Parameterized phi families for a base algebra, as Algebras over a
-    polynomial ring.  A6 and A8 need a case from {'0','-1','generic'} /
-    {'0','-2','generic'} respectively."""
+    polynomial ring.  A base with a case split (A6, A8) needs one of its
+    case keys in catalog.json."""
     data = load_catalog()["cocycle_families"]
     if name not in data:
         raise UnknownEntryError(f"no deformation family data for {name!r} "
                                 "(only A2..A9 are tabulated)")
     cases = data[name]
-    if name in _CASES:
-        if case is None or case not in cases:
-            raise ConstraintError(
-                f"{name} needs a case from {sorted(cases)}")
-        block = cases[case]
-    else:
+    if "" in cases:
         if case not in (None, ""):
             raise ConstraintError(f"{name} has no case split")
-        block = cases[""]
-    out = []
-    for raw in block:
-        ring = Field("poly", variables=raw["params"]) if raw["params"] else QQ
-        out.append(Algebra.from_entries(ring, 2, [tuple(e) for e in raw["phi"]]))
-    return out
+        case = ""
+    elif case is None or case not in cases:
+        raise ConstraintError(f"{name} needs a case from {sorted(cases)}")
+    return [Algebra.from_entries(_ring(raw["params"]), 2, raw["phi"])
+            for raw in cases[case]]
 
 
 def base_for(name: str, case: str | None):
-    """Symbolic base product for a deformation case (lambda kept symbolic
-    for the generic cases)."""
+    """Base product for a deformation case: lambda at the case's value,
+    kept symbolic for the generic case and bases without a split."""
     fam = get_family(name)
-    if name == "A6":
-        if case == "0":
-            return Algebra.from_entries(QQ, 2, [(2, 1, 1, -1)])
-        if case == "-1":
-            return Algebra.from_entries(QQ, 2, [(2, 1, 1, -1), (2, 2, 2, -1)])
-    if name == "A8":
-        if case == "0":
-            return Algebra.from_entries(QQ, 2, [(1, 2, 1, 1), (2, 2, 2, -1)])
-        if case == "-2":
-            return Algebra.from_entries(
-                QQ, 2, [(1, 2, 1, -1), (2, 1, 1, -2), (2, 2, 2, -3)])
-    ring = Field("poly", variables=fam.params) if fam.params else QQ
-    return Algebra.from_entries(ring, 2, fam.circ_entries)
+    if case in (None, "", "generic"):
+        return fam.symbolic_pair().circ
+    return instantiate(fam, {"lambda": case}).circ
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +334,7 @@ def _verify_automorphisms():
         ok, details = True, []
         for af in automorphism_families_of(name):
             ring = af.ring(fam.params)
-            prod = cast_algebra(
-                Algebra.from_entries(fam.ring(), fam.dim, fam.circ_entries),
-                ring)
+            prod = fam.symbolic_pair(ring=ring).circ
             if not is_automorphism(af.symbolic_matrix(ring), prod):
                 ok = False
                 details.append(f"member {af.index} fails to intertwine")
@@ -390,13 +343,16 @@ def _verify_automorphisms():
     return items
 
 
-def _cocycle_jobs():
-    data = load_catalog()["cocycle_families"]
-    for name in sorted(data, key=lambda s: (len(s), s)):
-        for case in data[name]:
-            base = base_for(name, case or None)
-            for idx, phi in enumerate(
-                    cocycle_families_of(name, case or None)):
+def _cocycle_jobs(names=None):
+    """(name, case, index, label, base, phi) for every cocycle family of
+    the named bases, by default of every tabulated base."""
+    if names is None:
+        names = sorted(load_catalog()["cocycle_families"],
+                       key=lambda s: (len(s), s))
+    for name in names:
+        for case in cocycle_cases_of(name):
+            base = base_for(name, case)
+            for idx, phi in enumerate(cocycle_families_of(name, case)):
                 label = name + (f"@{case}" if case else "") + f"#{idx+1}"
                 yield name, case, idx, label, base, phi
 
@@ -413,10 +369,8 @@ def _verify_cocycles():
 
 def _automorphism_ref(ref: str):
     """'A3' or 'A4:1' -> (family list entry)."""
-    if ":" in ref:
-        name, idx = ref.split(":")
-        return automorphism_families_of(name)[int(idx)]
-    return automorphism_families_of(ref)[0]
+    name, _, idx = ref.partition(":")
+    return automorphism_families_of(name)[int(idx or 0)]
 
 
 def _moves_to(base: Algebra, phi: Algebra, theta: Matrix, law: dict,
@@ -439,7 +393,7 @@ def _verify_transformation(base: Algebra, phi: Algebra, af,
     names = list(base_vars) + [v for v in phi.field.variables
                                if v not in base_vars]
     names += [p for p in af.params if p not in names]
-    ring = Field("poly", variables=names, units=af.units)
+    ring = _ring(names, af.units)
     phi_r = Algebra(ring, base.dim, cast_algebra(phi, ring).sc, base.basis)
     return _moves_to(cast_algebra(base, ring), phi_r, af.symbolic_matrix(ring),
                      law, ring)

@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import catalog as cat
 from .algebra import (AlgebraPair, check_compatible_associative,
@@ -18,8 +19,7 @@ from .algebra import (AlgebraPair, check_compatible_associative,
 from .cocycles import (DEFAULT_BUDGET, MAX_BUDGET, brute_force_Z2,
                        check_budget, Deformation, instantiate_family_gf,
                        linear_space, verify_family_membership)
-from .errors import (BudgetExceededError, ConstraintError, ParseError,
-                     PreconditionError, ToolkitError)
+from .errors import ParseError, PreconditionError, ToolkitError
 from .forms import (construct_from_vectors, induce_from_cocycle,
                     load_form_file)
 from .linalg import Matrix
@@ -179,15 +179,12 @@ def cmd_z2(args) -> int:
 
     if args.mode == "verify":
         items = []
-        for case in cat.cocycle_cases_of(name):
-            base = cat.base_for(name, case or None)
-            for idx, phi in enumerate(
-                    cat.cocycle_families_of(name, case or None)):
-                rep = verify_family_membership(base, phi)
-                ok &= rep.passed
-                items.append({"case": case, "family_index": idx,
-                              "passed": rep.passed,
-                              "failure_count": rep.failure_count})
+        for _, case, idx, _, base, phi in cat._cocycle_jobs([name]):
+            rep = verify_family_membership(base, phi)
+            ok &= rep.passed
+            items.append({"case": case, "family_index": idx,
+                          "passed": rep.passed,
+                          "failure_count": rep.failure_count})
         report["memberships"] = items
         emit(report, args, f"z2 verify {name}: {'PASS' if ok else 'FAIL'}")
         return 0 if ok else 1
@@ -322,6 +319,7 @@ def cmd_ops(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="apl",
@@ -337,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compatible-lie", action="store_true")
     p.add_argument("--compatible-associative", action="store_true")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("catalog", help="inspect or verify the catalog")
     p.add_argument("action", choices=("list", "show", "verify"))
@@ -345,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scope", default="all",
                    choices=("all",) + cat.SCOPES)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_catalog)
 
     p = sub.add_parser("z2", help="deformation-space analysis of a base")
     p.add_argument("--family", required=True)
@@ -358,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"candidate limit of --mode brute, 1 to {MAX_BUDGET}")
     p.add_argument("--workers", type=int)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_z2)
 
     p = sub.add_parser("derive", help="run a construction and verify it")
     p.add_argument("construction",
@@ -372,13 +367,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s2")
     p.add_argument("--out", help="write the full report here")
     p.add_argument("--emit", help="write the bare pair as .alg.json here")
-    p.set_defaults(func=cmd_derive)
 
     p = sub.add_parser("rep", help="representation-pair operations")
     p.add_argument("action", choices=("check", "dual", "semidirect"))
     p.add_argument("--rep", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_rep)
 
     p = sub.add_parser("ops", help="operator checks")
     p.add_argument("action", choices=("anti-o", "strong", "rb"))
@@ -387,24 +380,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--brackets")
     p.add_argument("--strong", action="store_true")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_ops)
 
     return top
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up at call time, so a replaced cmd_* function is the one run
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
-    except (ParseError, ConstraintError, BudgetExceededError,
-            FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return command(args)
     except PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return 1
-    except ToolkitError as exc:
+    except (ToolkitError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -284,12 +284,6 @@ class Matrix:
         adj = Matrix(self.field, cof).transpose()
         return adj.scale(dinv)
 
-    def is_invertible(self) -> bool:
-        try:
-            return not self.det().is_zero()
-        except ShapeMismatchError:
-            return False
-
     # -- serialization -------------------------------------------------------
 
     def to_json(self):

@@ -538,8 +538,8 @@ def parse_scalar(text: str, field: Field) -> Scalar:
         if parser.peek() != ("end", None):
             raise ParseError(f"trailing input in {text!r}")
         return node
-    except NotInvertibleError as exc:
-        raise ParseError(str(exc)) from exc
+    except (NotInvertibleError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad coefficient {text!r}: {exc}") from exc
 
 
 def parse_json_scalar(x, field: Field) -> Scalar:

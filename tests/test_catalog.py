@@ -1,8 +1,10 @@
 import copy
+from fractions import Fraction
 
 import pytest
 
-from antiprelie import (QQ, ConstraintError, Field, Matrix, cast_pair,
+from antiprelie import (GF, QQ, Algebra, AlgebraPair, ConstraintError, Field,
+                        Matrix, cast_pair,
                         automorphism_of,
                         check_compatible_lie, check_compatible_pair,
                         check_identity, cocycle_families_of, commutator_pair,
@@ -10,6 +12,7 @@ from antiprelie import (QQ, ConstraintError, Field, Matrix, cast_pair,
                         verify_catalog)
 from antiprelie import catalog
 from antiprelie.catalog import cocycle_cases_of
+from antiprelie.scalars import substitute
 from conftest import random_instance
 
 
@@ -239,3 +242,184 @@ def test_verify_catalog_rejects_corrupted_laws(monkeypatch, scope):
     monkeypatch.setattr(catalog, "load_catalog", lambda: corrupted)
     report = verify_catalog(scope)
     assert report.items and not any(it.passed for it in report.items)
+
+
+# ---------------------------------------------------------------------------
+# the A6/A8 case split and the special bases come from catalog.json only
+# ---------------------------------------------------------------------------
+
+SPECIAL_BASES = {
+    ("A6", "0"): [(2, 1, 1, -1)],
+    ("A6", "-1"): [(2, 1, 1, -1), (2, 2, 2, -1)],
+    ("A8", "0"): [(1, 2, 1, 1), (2, 2, 2, -1)],
+    ("A8", "-2"): [(1, 2, 1, -1), (2, 1, 1, -2), (2, 2, 2, -3)],
+}
+
+
+@pytest.mark.parametrize("name, case", sorted(SPECIAL_BASES))
+def test_special_bases_match_literal_tables(name, case):
+    expected = Algebra.from_entries(QQ, 2, SPECIAL_BASES[name, case])
+    assert catalog.base_for(name, case) == expected
+
+
+def test_generic_bases_keep_lambda_symbolic():
+    for name in ("A6", "A8"):
+        fam = get_family(name)
+        ring = Field("poly", variables=["lambda"])
+        expected = Algebra.from_entries(ring, 2, fam.circ_entries)
+        assert catalog.base_for(name, "generic") == expected
+
+
+def test_case_for_follows_the_cocycle_family_keys():
+    generic = Fraction(7, 3)
+    for name in catalog.A_NAMES:
+        specials = sorted({case for fam, case in SPECIAL_BASES
+                           if fam == name})
+        if specials:
+            assert sorted(cocycle_cases_of(name)) == \
+                sorted(specials + ["generic"])
+            for case in specials:
+                assert catalog.case_for(name, Fraction(case)) == case
+            assert catalog.case_for(name, generic) == "generic"
+        else:
+            for lam in (0, -1, -2, generic):
+                assert catalog.case_for(name, Fraction(lam)) is None
+
+
+# ---------------------------------------------------------------------------
+# the one table builder against reference builders that parse every
+# entry again and evaluate it with Fractions (eval_at) before reducing
+# ---------------------------------------------------------------------------
+
+def _oracle_symbolic_pair(fam, branch_value=None, ring=None):
+    base_ring = fam.ring()
+    circ = Algebra.from_entries(base_ring, fam.dim, fam.circ_entries)
+    star = Algebra.from_entries(base_ring, fam.dim, fam.star_entries or ())
+    if fam.branch is not None:
+        if branch_value is None:
+            raise ConstraintError("needs a branch value")
+        if branch_value not in fam.branch["values"]:
+            raise ConstraintError("bad branch value")
+    target = ring if ring is not None else \
+        (Field("poly", variables=fam.params) if fam.params else QQ)
+    mapping = {}
+    if fam.branch is not None:
+        mapping[fam.branch["name"]] = target.scalar(branch_value)
+
+    def conv(A):
+        sc = [[[substitute(A.sc[i][j][k], mapping, target)
+                for k in range(fam.dim)] for j in range(fam.dim)]
+              for i in range(fam.dim)]
+        return Algebra(target, fam.dim, sc)
+
+    return AlgebraPair(conv(circ), conv(star))
+
+
+def _oracle_instantiate(f, assignment=None, branch=None, prime=None):
+    assignment = {k: Fraction(v) for k, v in (assignment or {}).items()}
+    missing = [p for p in f.params if p not in assignment]
+    if missing:
+        raise ConstraintError(f"{f.name}: missing parameters {missing}")
+    f.check_constraints(assignment)
+    if f.branch is not None:
+        if branch is None:
+            raise ConstraintError("needs a branch value")
+        if branch not in f.branch["values"]:
+            raise ConstraintError("bad branch value")
+        assignment[f.branch["name"]] = Fraction(branch)
+    ring = f.ring()
+    target = GF(prime) if prime is not None else QQ
+
+    def conv(entries):
+        out = []
+        for i, j, k, text in entries:
+            c = ring.parse(str(text))
+            if ring.kind == "poly":
+                c = c.eval_at(assignment)
+            out.append((i, j, k, target.scalar(c.value)))
+        return out
+
+    return AlgebraPair(Algebra.from_entries(target, f.dim,
+                                            conv(f.circ_entries)),
+                       Algebra.from_entries(target, f.dim,
+                                            conv(f.star_entries or ())))
+
+
+def _oracle_concrete_matrix(af, assignment):
+    assignment = {k: Fraction(v) for k, v in (assignment or {}).items()}
+    for p in af.params:
+        if p not in assignment:
+            raise ConstraintError(f"missing automorphism parameter {p!r}")
+        if p in af.units and assignment[p] == 0:
+            raise ConstraintError(f"parameter {p!r} must be nonzero")
+    ring = af.ring()
+    for cons in af.constraints:
+        val = ring.parse(cons["expr"])
+        if ring.kind == "poly":
+            val = val.eval_at(assignment)
+        if val.value == Fraction(cons["ne"]):
+            raise ConstraintError("automorphism constraint violated")
+    rows = []
+    for row in af.matrix_entries:
+        out = []
+        for x in row:
+            c = ring.parse(x)
+            if ring.kind == "poly":
+                c = c.eval_at(assignment)
+            out.append(QQ.scalar(c.value))
+        rows.append(out)
+    return Matrix(QQ, rows)
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's result, or the type of the error it raised; a zero denominator
+    mod p, which the reference builders let escape as ZeroDivisionError,
+    counts as the ConstraintError that instantiate raises."""
+    try:
+        return fn(*args, **kwargs)
+    except ZeroDivisionError:
+        return ConstraintError
+    except Exception as exc:  # noqa: BLE001 - compared by type
+        return type(exc)
+
+
+def _point(names, rng):
+    """Rationals with small numerators, zero included, and denominators
+    that vanish mod 2, 3, 5 or 7."""
+    return {v: Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3, 5, 7)))
+            for v in names}
+
+
+@pytest.mark.parametrize("prime", [None, 2, 3, 5, 7])
+def test_instantiate_matches_reference_builder(rng, prime):
+    for name in family_names():
+        fam = get_family(name)
+        for branch in fam.branch_values + (2, None):
+            for _ in range(4):
+                point = _point(fam.params, rng)
+                if fam.params and rng.random() < 0.1:
+                    point.pop(fam.params[0])
+                expected = _outcome(_oracle_instantiate, fam, point, branch,
+                                    prime)
+                assert _outcome(instantiate, fam, point, branch=branch,
+                                prime=prime) == expected, (name, point)
+
+
+def test_symbolic_pair_matches_reference_builder():
+    for name in family_names():
+        fam = get_family(name)
+        for branch in fam.branch_values + (2, None):
+            assert _outcome(fam.symbolic_pair, branch_value=branch) == \
+                _outcome(_oracle_symbolic_pair, fam, branch), (name, branch)
+            ring = fam.ring()
+            assert _outcome(fam.symbolic_pair, branch, ring) == \
+                _outcome(_oracle_symbolic_pair, fam, branch, ring)
+
+
+def test_concrete_matrix_matches_reference_builder(rng):
+    for name in catalog.A_NAMES:
+        for af in catalog.automorphism_families_of(name):
+            for _ in range(20):
+                point = _point(af.params, rng)
+                assert _outcome(af.concrete_matrix, point) == \
+                    _outcome(_oracle_concrete_matrix, af, point), point

@@ -581,3 +581,66 @@ def test_unreadable_input_file_exits_2(capsys, tmp_path, kind):
     code, report, err = run(capsys, "check", "--pair", str(path),
                             "--compatible")
     assert code == 2 and report is None and "pair.alg.json" in err
+
+
+# ---------------------------------------------------------------------------
+# a coefficient or parameter whose denominator is zero, or vanishes mod p,
+# is an input error
+# ---------------------------------------------------------------------------
+
+def _zero_denominator_argv(tmp_path, where):
+    rep_file, rep = _rep_file(tmp_path)
+    identity = {"dim": 2, "gram": [["1", "0"], ["0", "1"]]}
+    form = tmp_path / "b.json"
+    form.write_text(json.dumps(identity))
+    if where in ("alg", "gf5"):
+        field = {"kind": "Q"} if where == "alg" else {"kind": "GF", "p": 5}
+        coeff = "1/0" if where == "alg" else "1/5"
+        path = tmp_path / "a.alg.json"
+        path.write_text(json.dumps({"dim": 2, "field": field,
+                                    "products": {"circ": [[1, 1, 1, coeff]]}}))
+        return ["check", "--file", str(path), "--identity", "jacobi"]
+    if where == "map":
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"entries": [["1/0", "0"], ["0", "1"]]}))
+        return ["ops", "anti-o", "--map", str(path), "--rep", rep_file]
+    if where == "form":
+        form.write_text(json.dumps({"dim": 2,
+                                    "gram": [["1/0", "0"], ["0", "1"]]}))
+        return ["derive", "from-vectors", "--form", str(form),
+                "--s1", "e1", "--s2", "e2"]
+    if where == "rep":
+        obj = representation_to_json(rep)
+        obj["rho"]["e1"] = [["1/0", "0"], ["0", "0"]]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        return ["rep", "check", "--rep", str(path)]
+    s1, s2 = ("1/0,1", "e2") if where == "s1" else ("e1", "0,1/0")
+    return ["derive", "from-vectors", "--form", str(form),
+            "--s1", s1, "--s2", s2]
+
+
+@pytest.mark.parametrize("where", ["alg", "gf5", "map", "form", "rep", "s1",
+                                   "s2"])
+def test_zero_denominator_in_input_exits_2(capsys, tmp_path, where):
+    code, report, err = run(capsys, *_zero_denominator_argv(tmp_path, where))
+    assert code == 2 and report is None and err.startswith("error:")
+
+
+@pytest.mark.parametrize("mode", ["brute", "linear"])
+def test_z2_parameter_denominator_vanishing_mod_p_exits_2(capsys, mode):
+    code, report, err = run(capsys, "z2", "--family", "A6", "--mode", mode,
+                            "--params", "lambda=1/5", "--prime", "5")
+    assert code == 2 and report is None
+    assert "lambda=1/5" in err and "mod 5" in err
+
+
+def test_command_replaced_after_first_call_is_run(monkeypatch, capsys):
+    import antiprelie.cli as cli
+
+    assert main(["catalog", "list"]) == 0
+    calls = []
+    monkeypatch.setattr(cli, "cmd_catalog", lambda args: calls.append(args)
+                        or 7)
+    assert main(["catalog", "show", "A1"]) == 7
+    assert [args.name for args in calls] == ["A1"]
