@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from functools import lru_cache
 
 from . import catalog as cat
 from .algebra import (AlgebraPair, check_compatible_associative,
@@ -319,7 +318,6 @@ def cmd_ops(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="apl",
