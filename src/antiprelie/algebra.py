@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 from itertools import product as iproduct
 
 from .errors import FieldMismatchError, ParseError, ShapeMismatchError
+from .linalg import _axpy, _vadd, _vec_is_zero, _vsub
 from .scalars import (Field, Scalar, _json_int, _read_json, cast_scalar,
                       format_scalar, parse_json_scalar)
 
@@ -193,14 +194,6 @@ class AlgebraPair:
 # products and derived tables
 # ---------------------------------------------------------------------------
 
-def _accumulate(out, c, row):
-    """out += c * row, skipping zero entries and a coefficient of one."""
-    one = c.is_one()
-    for k, s in enumerate(row):
-        if not s.is_zero():
-            out[k] = out[k] + (s if one else c * s)
-
-
 def multiply(A: Algebra, x, y):
     """Bilinear extension of the structure constants to coefficient vectors."""
     f = A.field
@@ -217,7 +210,7 @@ def multiply(A: Algebra, x, y):
             continue
         for j, yj in enumerate(y):
             if not yj.is_zero():
-                _accumulate(out, xi * yj, A.sc[i][j])
+                _axpy(out, xi * yj, A.sc[i][j])
     return out
 
 
@@ -226,7 +219,7 @@ def _left(A: Algebra, i: int, v, out=None):
     out = [A.field.zero()] * A.dim if out is None else out
     for j, c in enumerate(v):
         if not c.is_zero():
-            _accumulate(out, c, A.sc[i][j])
+            _axpy(out, c, A.sc[i][j])
     return out
 
 
@@ -235,7 +228,7 @@ def _right(A: Algebra, v, k: int, out=None):
     out = [A.field.zero()] * A.dim if out is None else out
     for i, c in enumerate(v):
         if not c.is_zero():
-            _accumulate(out, c, A.sc[i][k])
+            _axpy(out, c, A.sc[i][k])
     return out
 
 
@@ -267,7 +260,7 @@ def transported(A: Algebra, vecs):
             acc = [A.field.zero()] * A.dim
             for c, row in zip(y, rows):
                 if not c.is_zero():
-                    _accumulate(acc, c, row)
+                    _axpy(acc, c, row)
             line.append(acc)
         out.append(line)
     return out
@@ -275,8 +268,8 @@ def transported(A: Algebra, vecs):
 
 def commutator(A: Algebra) -> Algebra:
     """The bracket [x,y] = x*y - y*x as a new (antisymmetric) algebra."""
-    sc = [[[A.sc[i][j][k] - A.sc[j][i][k] for k in range(A.dim)]
-           for j in range(A.dim)] for i in range(A.dim)]
+    sc = [[_vsub(A.sc[i][j], A.sc[j][i]) for j in range(A.dim)]
+          for i in range(A.dim)]
     return Algebra(A.field, A.dim, sc, A.basis)
 
 
@@ -320,18 +313,6 @@ def _lift(A: Algebra, ring: Field) -> Algebra:
 # ---------------------------------------------------------------------------
 # identity checkers
 # ---------------------------------------------------------------------------
-
-def _vec_is_zero(v):
-    return all(x.is_zero() for x in v)
-
-
-def _vsub(a, b):
-    return [x - y for x, y in zip(a, b)]
-
-
-def _vadd(*vs):
-    return [sum(xs[1:], xs[0]) for xs in zip(*vs)]
-
 
 # Index pairs (s, t) of each pencil coefficient of a form bilinear in
 # two arguments from one pencil k1*u_0 + k2*u_1: its k1^2, k1*k2 and k2^2

@@ -166,7 +166,7 @@ def cmd_z2(args) -> int:
     params = parse_params(args.params)
     name = args.family
     fam = cat.get_family(name)
-    if fam.star_entries not in (None, ()):
+    if name not in cat.A_NAMES:
         raise ParseError("z2 runs on the single-product families A1..A9")
     needs_lambda = "lambda" in fam.params
     lam = params.get("lambda")
@@ -205,13 +205,14 @@ def cmd_z2(args) -> int:
              f"{len(basis_p)} over GF({args.prime})")
         return 0 if ok else 1
 
-    # brute force + containment tallies
+    # brute force + containment tallies; a base without tabulated
+    # families is rejected before the scan
+    families = cat.cocycle_families_of(name, cat.case_for(name, lam))
     sols = brute_force_Z2(base_p, budget=args.budget, workers=args.workers)
     flat_sols = {tuple(x.value for x in d.flat()) for d in sols}
-    case = cat.case_for(name, lam)
     union = set()
     tallies = []
-    for idx, phi in enumerate(cat.cocycle_families_of(name, case)):
+    for idx, phi in enumerate(families):
         members = instantiate_family_gf(phi, args.prime)
         contained = members <= flat_sols
         ok &= contained

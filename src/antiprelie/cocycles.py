@@ -27,7 +27,8 @@ from .algebra import (Algebra, AlgebraPair, CheckReport, _lift,
 from .errors import (BudgetExceededError, FieldMismatchError,
                      NotInvertibleError, ParseError, PreconditionError,
                      ShapeMismatchError)
-from .linalg import Matrix, _coefficient_rows, _indeterminates
+from .linalg import (Matrix, _coefficient_rows, _indeterminates, _vec_is_zero,
+                     _vsub)
 from .scalars import Field, _residue
 
 DEFAULT_BUDGET = 10 ** 8
@@ -63,7 +64,7 @@ def check_step1_conditions(d: Deformation) -> CheckReport:
         mixed_pair_residuals(AlgebraPair(d.base, d.phi))
     return make_report([(_STEP1_NAMES[name], idx, vec)
                         for name, idx, vec in residuals
-                        if any(not x.is_zero() for x in vec)])
+                        if not _vec_is_zero(vec)])
 
 
 def _generic_table(n: int, basis=None) -> Algebra:
@@ -328,9 +329,8 @@ def is_automorphism(theta: Matrix, A: Algebra) -> bool:
     if (theta.rows, theta.cols) != (A.dim, A.dim):
         raise ShapeMismatchError("automorphism must be square of dim")
     W = transported(A, theta.columns())
-    return all((x - y).is_zero()
-               for i, j in iproduct(range(A.dim), repeat=2)
-               for x, y in zip(theta.apply(A.sc[i][j]), W[i][j]))
+    return all(_vec_is_zero(_vsub(theta.apply(A.sc[i][j]), W[i][j]))
+               for i, j in iproduct(range(A.dim), repeat=2))
 
 
 def transform_deformation(d: Deformation, theta: Matrix) -> Deformation:

@@ -30,7 +30,8 @@ class ConstraintError(ToolkitError):
 
 
 class BudgetExceededError(ToolkitError):
-    """An exhaustive search would exceed the configured candidate budget."""
+    """An exhaustive search would exceed the configured candidate budget,
+    or an exact computation a fixed size limit."""
 
 
 class UnknownEntryError(ToolkitError, KeyError):

@@ -16,7 +16,8 @@ from .algebra import (Algebra, AlgebraPair, CheckReport, _lift,
                       commutator_pair, make_report, merge_reports)
 from .errors import (NotInvertibleError, ParseError, PreconditionError,
                      ShapeMismatchError)
-from .linalg import Matrix, _coefficient_rows, _indeterminates, parse_rows
+from .linalg import (Matrix, _coefficient_rows, _dot, _indeterminates,
+                     parse_rows)
 from .scalars import Field, Scalar, _json_int, _read_json, format_scalar
 
 
@@ -58,19 +59,6 @@ class BilinearForm:
             return form
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed form JSON: {exc}") from exc
-
-
-def _dot(x, y, zero) -> Scalar:
-    """sum_a x_a y_a, skipping the terms with a zero factor.
-
-    With e_k the k-th unit vector, B(x, e_k) is x against column k of the
-    Gram array and B(e_k, y) is row k against y.
-    """
-    acc = zero
-    for a, b in zip(x, y):
-        if not a.is_zero() and not b.is_zero():
-            acc = acc + a * b
-    return acc
 
 
 def load_form_file(path, field: Field) -> BilinearForm:

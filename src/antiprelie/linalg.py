@@ -1,14 +1,50 @@
 """Dense exact linear algebra over the toolkit's scalar fields.
 
 Matrices are immutable and small (algebra dimensions here are tiny), so
-everything is plain Gaussian elimination with exact division, plus
-cofactor fallbacks for polynomial entries where division is unavailable.
+everything is one Gauss-Jordan pass with exact division, plus cofactor
+fallbacks for polynomial entries where division is unavailable.
+
+The exact vector kernel lives here too: coefficient vectors are lists
+of Scalars, and every dot product, axpy and vector sum of the toolkit
+goes through `_dot`, `_axpy`, `_vadd`, `_vsub` and `_vec_is_zero`.
 """
 from __future__ import annotations
 
-from .errors import (FieldMismatchError, NotInvertibleError, ParseError,
-                     ShapeMismatchError)
+from .errors import (BudgetExceededError, FieldMismatchError,
+                     NotInvertibleError, ParseError, ShapeMismatchError)
 from .scalars import Field, Scalar, _json_int, parse_json_scalar
+
+MAX_COFACTOR_DIM = 8  # polynomial det and inverse: cofactor expansion is n!
+
+
+def _dot(x, y, zero) -> Scalar:
+    """sum_a x_a y_a, skipping the terms with a zero factor."""
+    acc = zero
+    for a, b in zip(x, y):
+        if not a.is_zero() and not b.is_zero():
+            acc = acc + a * b
+    return acc
+
+
+def _axpy(out, c, row):
+    """out += c * row in place, skipping zero entries and a coefficient
+    of one."""
+    one = c.is_one()
+    for k, s in enumerate(row):
+        if not s.is_zero():
+            out[k] = out[k] + (s if one else c * s)
+
+
+def _vec_is_zero(v):
+    return all(x.is_zero() for x in v)
+
+
+def _vsub(a, b):
+    return [x - y for x, y in zip(a, b)]
+
+
+def _vadd(*vs):
+    return [sum(xs[1:], xs[0]) for xs in zip(*vs)]
 
 
 class Matrix:
@@ -82,15 +118,13 @@ class Matrix:
 
     def __add__(self, other):
         self._same_shape(other)
-        return Matrix(self.field,
-                      [[a + b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.entries, other.entries)])
+        return Matrix(self.field, [_vadd(r1, r2) for r1, r2
+                                   in zip(self.entries, other.entries)])
 
     def __sub__(self, other):
         self._same_shape(other)
-        return Matrix(self.field,
-                      [[a - b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.entries, other.entries)])
+        return Matrix(self.field, [_vsub(r1, r2) for r1, r2
+                                   in zip(self.entries, other.entries)])
 
     def __neg__(self):
         return Matrix(self.field, [[-x for x in row] for row in self.entries])
@@ -102,34 +136,16 @@ class Matrix:
         if self.cols != other.rows:
             raise ShapeMismatchError(f"{self.rows}x{self.cols} @ "
                                      f"{other.rows}x{other.cols}")
-        zero = self.field.zero()
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    if not a.is_zero():
-                        acc = acc + a * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return Matrix(self.field, out)
+        cols, zero = other.columns(), self.field.zero()
+        return Matrix(self.field, [[_dot(row, col, zero) for col in cols]
+                                   for row in self.entries])
 
     def apply(self, vec):
         """Matrix-vector product; vec is a sequence of Scalars."""
         if len(vec) != self.cols:
             raise ShapeMismatchError("vector length mismatch")
         zero = self.field.zero()
-        out = []
-        for i in range(self.rows):
-            acc = zero
-            for k in range(self.cols):
-                a = self.entries[i][k]
-                if not a.is_zero() and not vec[k].is_zero():
-                    acc = acc + a * vec[k]
-            out.append(acc)
-        return out
+        return [_dot(row, vec, zero) for row in self.entries]
 
     def _same_shape(self, other):
         if not isinstance(other, Matrix):
@@ -141,8 +157,10 @@ class Matrix:
 
     # -- elimination ---------------------------------------------------------
 
-    def rref(self):
-        """Reduced row echelon form; returns (matrix, pivot column list).
+    def _eliminate(self):
+        """One Gauss-Jordan pass: (reduced row echelon rows, pivot column
+        list, determinant).  The determinant is the product of the pivots
+        with a sign per row swap, zero unless every row holds a pivot.
 
         Requires a field with division (Q or GF); polynomial entries are
         rejected.
@@ -151,16 +169,19 @@ class Matrix:
             raise NotInvertibleError("row reduction needs a division field")
         m = [list(row) for row in self.entries]
         pivots = []
-        r = 0
+        det = self.field.one()
         for c in range(self.cols):
-            pivot_row = None
-            for i in range(r, self.rows):
-                if not m[i][c].is_zero():
-                    pivot_row = i
-                    break
+            r = len(pivots)
+            if r == self.rows:
+                break
+            pivot_row = next((i for i in range(r, self.rows)
+                              if not m[i][c].is_zero()), None)
             if pivot_row is None:
                 continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
+            if pivot_row != r:
+                m[r], m[pivot_row] = m[pivot_row], m[r]
+                det = -det
+            det = det * m[r][c]
             inv = m[r][c].invert()
             m[r] = [inv * x for x in m[r]]
             for i in range(self.rows):
@@ -168,10 +189,18 @@ class Matrix:
                     f = m[i][c]
                     m[i] = [a - f * b for a, b in zip(m[i], m[r])]
             pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return Matrix(self.field, m), pivots
+        if len(pivots) < self.rows:
+            det = self.field.zero()
+        return m, pivots, det
+
+    def rref(self):
+        """Reduced row echelon form; returns (matrix, pivot column list).
+
+        Requires a field with division (Q or GF); polynomial entries are
+        rejected.
+        """
+        rows, pivots, _ = self._eliminate()
+        return Matrix(self.field, rows), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -190,6 +219,12 @@ class Matrix:
             basis.append(vec)
         return basis
 
+    def _rref_beside(self, right):
+        """rref of the augmented matrix [self | right], right given by rows."""
+        rr, pivots = Matrix(self.field, [row + tuple(extra) for row, extra
+                                         in zip(self.entries, right)]).rref()
+        return rr.entries, pivots
+
     def solve(self, rhs):
         """One exact solution x of self @ x = rhs, or None if inconsistent.
 
@@ -197,46 +232,26 @@ class Matrix:
         """
         if len(rhs) != self.rows:
             raise ShapeMismatchError("rhs length mismatch")
-        aug = Matrix(self.field,
-                     [list(row) + [rhs[i]] for i, row in enumerate(self.entries)])
-        rr, pivots = aug.rref()
+        rows, pivots = self._rref_beside([[x] for x in rhs])
         if self.cols in pivots:
             return None
-        zero = self.field.zero()
-        x = [zero] * self.cols
+        x = [self.field.zero()] * self.cols
         for r, pc in enumerate(pivots):
-            x[pc] = rr.entries[r][self.cols]
+            x[pc] = rows[r][self.cols]
         return x
 
     def det(self) -> Scalar:
+        """Exact determinant: elimination over a field, cofactor expansion
+        (at most MAX_COFACTOR_DIM rows) over a polynomial ring."""
         if self.rows != self.cols:
             raise ShapeMismatchError("determinant of non-square matrix")
         if self.field.kind != "poly":
-            return self._det_gauss()
+            return self._eliminate()[2]
+        if self.rows > MAX_COFACTOR_DIM:
+            raise BudgetExceededError(
+                f"determinant of a {self.rows}x{self.rows} polynomial matrix:"
+                f" cofactor expansion is limited to {MAX_COFACTOR_DIM} rows")
         return self._det_cofactor(self.entries)
-
-    def _det_gauss(self) -> Scalar:
-        n = self.rows
-        m = [list(row) for row in self.entries]
-        det = self.field.one()
-        for c in range(n):
-            pivot_row = None
-            for i in range(c, n):
-                if not m[i][c].is_zero():
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                return self.field.zero()
-            if pivot_row != c:
-                m[c], m[pivot_row] = m[pivot_row], m[c]
-                det = -det
-            det = det * m[c][c]
-            inv = m[c][c].invert()
-            for i in range(c + 1, n):
-                if not m[i][c].is_zero():
-                    f = inv * m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-        return det
 
     def _det_cofactor(self, rows) -> Scalar:
         n = len(rows)
@@ -261,15 +276,11 @@ class Matrix:
             raise ShapeMismatchError("inverse of non-square matrix")
         n = self.rows
         if self.field.kind != "poly":
-            aug = Matrix(self.field,
-                         [list(self.entries[i])
-                          + list(Matrix.identity(self.field, n).entries[i])
-                          for i in range(n)])
-            rr, pivots = aug.rref()
+            rows, pivots = self._rref_beside(
+                Matrix.identity(self.field, n).entries)
             if pivots != list(range(n)):
                 raise NotInvertibleError("singular matrix")
-            return Matrix(self.field,
-                          [row[n:] for row in rr.entries])
+            return Matrix(self.field, [row[n:] for row in rows])
         d = self.det()
         dinv = d.invert()  # raises NotInvertibleError unless d is a unit
         cof = []

@@ -19,10 +19,9 @@ from __future__ import annotations
 from itertools import product as iproduct
 
 from .algebra import (_PENCIL, Algebra, AlgebraPair, CheckReport, _left,
-                      _right, _symmetry_failures, _vadd, make_report,
-                      transported)
+                      _right, _symmetry_failures, make_report, transported)
 from .errors import NotInvertibleError, PreconditionError, ShapeMismatchError
-from .linalg import Matrix
+from .linalg import Matrix, _vadd, _vec_is_zero, _vsub
 from .representations import RepresentationPair, adjoint_pair
 
 __all__ = [
@@ -39,20 +38,16 @@ def _pencil_failures(R: RepresentationPair, tables, cyclic: bool, prefix):
     hold vectors of g; act_1, act_2 = rho, mu, and _PENCIL's pairs (s, t)
     are (action, bracket) indices of act_k(X_k) = (k1 rho + k2 mu)(k1 X_1
     + k2 X_2)."""
-    m = R.v_dim
-    zero = R.field.zero()
     # cols[s][t][p][q][w] = act_s(X_t[p][q]) e_w
     cols = [[[[act(v).columns() for v in row] for row in X] for X in tables]
             for act in (R.rho_of, R.mu_of)]
     failures = []
-    for a, b, c in iproduct(range(m), repeat=3):
+    for a, b, c in iproduct(range(R.v_dim), repeat=3):
         words = ((a, b, c), (b, c, a), (c, a, b)) if cyclic else ((a, b, c),)
         for name, combos in _PENCIL:
-            total = [zero] * m
-            for s, t in combos:
-                for p, q, w in words:
-                    total = [x + y for x, y in zip(total, cols[s][t][p][q][w])]
-            if any(not x.is_zero() for x in total):
+            total = _vadd(*(cols[s][t][p][q][w] for s, t in combos
+                            for p, q, w in words))
+            if not _vec_is_zero(total):
                 failures.append((prefix + name, (a, b, c), total))
     return failures
 
@@ -71,9 +66,8 @@ def _anti_o_failures(T: Matrix, R: RepresentationPair, prefix="anti_o_"):
         # acts[b][a] = act(T e_b) e_a
         acts = [act(t).columns() for t in Tu]
         for a, b in iproduct(range(m), repeat=2):
-            inner = [x - y for x, y in zip(acts[b][a], acts[a][b])]
-            r = [x - y for x, y in zip(lhs[a][b], T.apply(inner))]
-            if any(not c.is_zero() for c in r):
+            r = _vsub(lhs[a][b], T.apply(_vsub(acts[b][a], acts[a][b])))
+            if not _vec_is_zero(r):
                 failures.append((name, (a, b), r))
     return failures
 

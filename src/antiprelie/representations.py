@@ -19,7 +19,7 @@ from .algebra import (_PENCIL, Algebra, AlgebraPair, CheckReport,
                       pair_to_json)
 from .errors import (FieldMismatchError, ParseError, PreconditionError,
                      ShapeMismatchError)
-from .linalg import Matrix, parse_rows
+from .linalg import Matrix, _dot, parse_rows
 from .scalars import Scalar, _json_int, _read_json, format_scalar
 
 
@@ -55,30 +55,11 @@ class RepresentationPair:
 
 
 def _combine(mats, x, field, m) -> Matrix:
-    """sum_c x_c * mats[c], entry by entry into a single m x m Matrix.
-
-    Zero coefficients are skipped; the terms of each entry are added in
-    coefficient order, as c * mats[c][r][s].
-    """
-    terms = []
-    for c, mat in zip(x, mats):
-        if not isinstance(c, Scalar):
-            c = field.scalar(c)
-        if not c.is_zero():
-            terms.append((c, mat.entries))
-    if not terms:
-        return Matrix.zero(field, m, m)
-    (c0, first), rest = terms[0], terms[1:]
-    rows = []
-    for r in range(m):
-        row = []
-        for s in range(m):
-            acc = c0 * first[r][s]
-            for c, entries in rest:
-                acc = acc + c * entries[r][s]
-            row.append(acc)
-        rows.append(row)
-    return Matrix(field, rows)
+    """sum_c x_c * mats[c], entry by entry into a single m x m Matrix."""
+    x = [c if isinstance(c, Scalar) else field.scalar(c) for c in x]
+    zero = field.zero()
+    return Matrix(field, [[_dot(x, [mat.entries[r][s] for mat in mats], zero)
+                           for s in range(m)] for r in range(m)])
 
 
 _REP_EQUATIONS = {"k1k1": "rep_eq_1", "k1k2": "rep_eq_3", "k2k2": "rep_eq_2"}

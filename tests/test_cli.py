@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from antiprelie import (QQ, BilinearForm, Matrix, ParseError,
+from antiprelie import (QQ, Algebra, AlgebraPair, BilinearForm, Field,
+                        Matrix, ParseError, RepresentationPair,
                         algebra_from_json, dump_algebra_file, get_family,
                         instantiate, left_multiplication_pair, dual_pair,
                         load_algebra_file, pair_to_json,
@@ -134,6 +135,47 @@ def test_z2_verify(capsys):
 def test_z2_needs_lambda(capsys):
     code, _, err = run(capsys, "z2", "--family", "A6", "--mode", "brute")
     assert code == 2
+
+
+@pytest.mark.parametrize("mode", ["linear", "brute"])
+def test_z2_rejects_compatible_families(capsys, mode):
+    code, report, err = run(capsys, "z2", "--family", "CA3", "--mode", mode,
+                            "--prime", "5")
+    assert code == 2 and report is None
+    assert "single-product families A1..A9" in err
+
+
+def test_z2_brute_without_families_exits_2_before_the_scan(capsys,
+                                                           monkeypatch):
+    import antiprelie.cli as cli
+    monkeypatch.setattr(cli, "brute_force_Z2", lambda *a, **k: pytest.fail(
+        "scanned a base without tabulated families"))
+    code, report, err = run(capsys, "z2", "--family", "A1", "--mode",
+                            "brute", "--prime", "7")
+    assert code == 2 and report is None and "A1" in err
+    code, report, _ = run(capsys, "z2", "--family", "A1", "--mode",
+                          "linear", "--prime", "5")
+    assert code == 0 and report["linear_dimension_GF"] == 8
+
+
+def test_derive_from_invertible_past_the_cofactor_limit_exits_2(
+        capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(Matrix, "_det_cofactor", lambda *a: pytest.fail(
+        "cofactor expansion ran past the limit"))
+    ring = Field("poly", variables=["x"])
+    n = 10
+    zero = Algebra.zero_algebra(ring, n)
+    mats = (Matrix.zero(ring, n, n),) * n
+    rep = RepresentationPair(AlgebraPair(zero, zero), n, mats, mats)
+    rep_file = tmp_path / "rep.json"
+    rep_file.write_text(json.dumps(representation_to_json(rep)))
+    t_file = tmp_path / "t.json"
+    t_file.write_text(json.dumps({"entries": [
+        [f"x+{n * i + j}" for j in range(n)] for i in range(n)]}))
+    code, report, err = run(capsys, "derive", "from-invertible", "--rep",
+                            str(rep_file), "--map", str(t_file))
+    assert code == 2 and report is None
+    assert "cofactor expansion is limited to 8 rows" in err
 
 
 def test_derive_from_vectors(capsys, tmp_path):

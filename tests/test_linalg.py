@@ -1,9 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from antiprelie import (GF, QQ, Matrix, NotInvertibleError,
+from antiprelie import (GF, QQ, BudgetExceededError, Matrix,
+                        NotInvertibleError, PreconditionError,
                         ShapeMismatchError, poly_ring)
+from antiprelie.linalg import MAX_COFACTOR_DIM
 
 
 def M(rows, field=QQ):
@@ -86,3 +90,56 @@ def test_shape_checks():
 def test_json_round_trip():
     a = M([[Fraction(1, 2), -1], [0, 3]])
     assert Matrix.from_json(a.to_json(), QQ) == a
+
+
+def test_poly_det_past_the_cofactor_limit_raises_before_work(monkeypatch):
+    ring = poly_ring(["x"])
+    assert Matrix.identity(ring, MAX_COFACTOR_DIM).det() == ring.one()
+    monkeypatch.setattr(Matrix, "_det_cofactor", lambda *a: pytest.fail(
+        "cofactor expansion ran past the limit"))
+    big = Matrix.identity(ring, MAX_COFACTOR_DIM + 1)
+    for op in (big.det, big.inverse):
+        with pytest.raises(BudgetExceededError) as info:
+            op()
+        assert not isinstance(info.value, PreconditionError)
+
+
+ELIMINATION_FIELDS = {"Q": (QQ, [0, 0, 1, -1, 2, Fraction(1, 2)]),
+                      "GF5": (GF(5), [0, 0, 1, 2, 3, 4]),
+                      "GF7": (GF(7), [0, 0, 1, 3, 5, 6])}
+
+
+@st.composite
+def square_systems(draw):
+    """A 1-4-dim square matrix and a right-hand side.  The last 0 to n-1
+    rows are multiples of the first, so singular and rank-deficient
+    matrices are common."""
+    field, values = ELIMINATION_FIELDS[draw(st.sampled_from(
+        sorted(ELIMINATION_FIELDS)))]
+    n = draw(st.integers(1, 4))
+    entry = st.sampled_from(values)
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    for r in range(n - draw(st.integers(0, n - 1)), n):
+        c = draw(entry)
+        rows[r] = [c * x for x in rows[0]]
+    rhs = [field.scalar(draw(entry)) for _ in range(n)]
+    return Matrix.from_rows(field, rows), rhs
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_systems())
+def test_elimination_agrees_with_cofactor_oracle(system):
+    a, rhs = system
+    det = a.det()
+    assert det == a._det_cofactor(a.entries)
+    if det.is_zero():
+        with pytest.raises(NotInvertibleError):
+            a.inverse()
+    else:
+        assert a.inverse() @ a == Matrix.identity(a.field, a.rows)
+    x = a.solve(rhs)
+    aug = Matrix(a.field, [row + (b,) for row, b in zip(a.entries, rhs)])
+    if aug.rank() > a.rank():
+        assert x is None
+    else:
+        assert a.apply(x) == rhs
