@@ -25,7 +25,8 @@ import json
 from dataclasses import dataclass, replace
 from itertools import product as iproduct
 
-from .errors import FieldMismatchError, ParseError, ShapeMismatchError
+from .errors import (FieldMismatchError, ParseError, PreconditionError,
+                     ShapeMismatchError)
 from .linalg import _axpy, _vadd, _vec_is_zero, _vsub
 from .scalars import (Field, Scalar, _json_int, _read_json, cast_scalar,
                       format_scalar, parse_json_scalar)
@@ -52,6 +53,11 @@ class CheckReport:
 
     def __bool__(self):
         return self.passed
+
+    def require(self, what: str) -> None:
+        """Raise PreconditionError naming the failure count, unless passed."""
+        if not self.passed:
+            raise PreconditionError(f"{what} ({self.failure_count} failures)")
 
     def to_json(self):
         return {

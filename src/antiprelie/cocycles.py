@@ -13,7 +13,6 @@ joining the two halves of each candidate on equal partial residuals.
 """
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -180,11 +179,10 @@ def _scan_chunk(args):
 
 
 def worker_count(requested=None) -> int:
-    """Effective worker count: an explicit request wins, APL_WORKERS
-    applies only when none is given, and the default is 1.  A count that
-    is not an integer >= 1 raises ParseError."""
+    """Effective worker count: the request, or 1 when none is given.  A
+    count that is not an integer >= 1 raises ParseError."""
     if requested is None:
-        requested = os.environ.get("APL_WORKERS") or 1
+        return 1
     try:
         count = int(requested)
     except ValueError:

@@ -14,8 +14,7 @@ from itertools import product as iproduct
 
 from .algebra import (Algebra, AlgebraPair, CheckReport, _lift,
                       commutator_pair, make_report, merge_reports)
-from .errors import (NotInvertibleError, ParseError, PreconditionError,
-                     ShapeMismatchError)
+from .errors import NotInvertibleError, ParseError, ShapeMismatchError
 from .linalg import (Matrix, _coefficient_rows, _dot, _indeterminates,
                      parse_rows)
 from .scalars import Field, Scalar, _json_int, _read_json, format_scalar
@@ -127,37 +126,25 @@ def check_invariant(B: BilinearForm, P: AlgebraPair) -> CheckReport:
 
 def induce_from_cocycle(B: BilinearForm, G: AlgebraPair) -> AlgebraPair:
     """Solve B(x.y, z) = B(y, [x,z]_1) and B(x*y, z) = B(y, [x,z]_2) for
-    the products, per basis pair, with the fixed Gram array.
+    the products: the Gram array is symmetric, so the coefficient column
+    of e_i.e_j is gram^-1 applied to (B(e_j, [e_i,e_k]_1))_k.
 
     Preconditions (checked): B symmetric and nondegenerate, B a
     commutative 2-cocycle on G, G a compatible Lie pair.
     """
     from .algebra import check_compatible_lie
-    if not check_form(B, "symmetric").passed:
-        raise PreconditionError("form is not symmetric")
-    if not check_form(B, "nondegenerate").passed:
-        raise PreconditionError("form is degenerate")
-    if not check_comm_2cocycle(B, G).passed:
-        raise PreconditionError("form is not a commutative 2-cocycle")
-    if not check_compatible_lie(G).passed:
-        raise PreconditionError("brackets are not a compatible Lie pair")
-    n = G.dim
-    f = B.field
-    rows = B.gram.entries
+    check_form(B, "symmetric").require("form is not symmetric")
+    check_form(B, "nondegenerate").require("form is degenerate")
+    check_comm_2cocycle(B, G).require("form is not a commutative 2-cocycle")
+    check_compatible_lie(G).require("brackets are not a compatible Lie pair")
+    n, zero = G.dim, B.field.zero()
+    rows, gram_inv = B.gram.entries, B.gram.inverse()
 
     def build(brk: Algebra):
-        sc = []
-        for i in range(n):
-            plane = []
-            for j in range(n):
-                rhs = [_dot(rows[j], brk.sc[i][k], f.zero())
-                       for k in range(n)]
-                col = B.gram.solve(rhs)
-                if col is None:
-                    raise PreconditionError("Gram system inconsistent")
-                plane.append(col)
-            sc.append(plane)
-        return Algebra(f, n, sc, G.basis)
+        sc = [[gram_inv.apply([_dot(rows[j], brk.sc[i][k], zero)
+                               for k in range(n)])
+               for j in range(n)] for i in range(n)]
+        return Algebra(B.field, n, sc, G.basis)
 
     return AlgebraPair(build(G.circ), build(G.star))
 
@@ -182,8 +169,7 @@ def construct_from_vectors(B: BilinearForm, s1, s2) -> AlgebraPair:
     For symmetric B the result is a compatible anti-pre-Lie pair on which
     B is invariant.
     """
-    if not check_form(B, "symmetric").passed:
-        raise PreconditionError("form is not symmetric")
+    check_form(B, "symmetric").require("form is not symmetric")
     n = B.dim
     f = B.field
     s1 = [x if isinstance(x, Scalar) else f.scalar(x) for x in s1]

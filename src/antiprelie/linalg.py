@@ -14,7 +14,7 @@ from .errors import (BudgetExceededError, FieldMismatchError,
                      NotInvertibleError, ParseError, ShapeMismatchError)
 from .scalars import Field, Scalar, _json_int, parse_json_scalar
 
-MAX_COFACTOR_DIM = 8  # polynomial det and inverse: cofactor expansion is n!
+MAX_COFACTOR_DIM = 8  # polynomial det costs n!, the adjugate n^2 (n-1)!
 
 
 def _dot(x, y, zero) -> Scalar:
@@ -271,7 +271,7 @@ class Matrix:
 
     def inverse(self) -> Matrix:
         """Exact inverse; over a polynomial ring the determinant must be a
-        unit (adjugate construction)."""
+        unit (adjugate construction, below MAX_COFACTOR_DIM rows)."""
         if self.rows != self.cols:
             raise ShapeMismatchError("inverse of non-square matrix")
         n = self.rows
@@ -281,6 +281,10 @@ class Matrix:
             if pivots != list(range(n)):
                 raise NotInvertibleError("singular matrix")
             return Matrix(self.field, [row[n:] for row in rows])
+        if n >= MAX_COFACTOR_DIM:
+            raise BudgetExceededError(
+                f"inverse of a {n}x{n} polynomial matrix: the adjugate is "
+                f"limited to {MAX_COFACTOR_DIM - 1} rows")
         d = self.det()
         dinv = d.invert()  # raises NotInvertibleError unless d is a unit
         cof = []

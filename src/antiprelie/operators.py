@@ -89,10 +89,7 @@ def check_anti_o(T: Matrix, R: RepresentationPair) -> CheckReport:
 
 def check_strong(T: Matrix, R: RepresentationPair) -> CheckReport:
     """Strongness of an anti-O-operator; raises if T is not anti-O."""
-    base = check_anti_o(T, R)
-    if not base.passed:
-        raise PreconditionError("T is not an anti-O-operator "
-                                f"({base.failure_count} failures)")
+    check_anti_o(T, R).require("T is not an anti-O-operator")
     return make_report(_strong_failures(T, R))
 
 
@@ -128,10 +125,7 @@ def induce_on_domain(T: Matrix, R: RepresentationPair) -> AlgebraPair:
 
     The result is a compatible anti-pre-Lie pair exactly when T is strong.
     """
-    base = check_anti_o(T, R)
-    if not base.passed:
-        raise PreconditionError("T is not an anti-O-operator "
-                                f"({base.failure_count} failures)")
+    check_anti_o(T, R).require("T is not an anti-O-operator")
     return _domain_pair(T, R)
 
 
@@ -148,13 +142,14 @@ def _domain_pair(T: Matrix, R: RepresentationPair,
 
 
 def _column_echelon_basis(T: Matrix):
-    """Basis of the column space: reduced row echelon of T^t, nonzero rows.
+    """Basis of the column space, the nonzero rows of the reduced row
+    echelon form of T^t, with their pivot columns.
 
     First-pivot tie-breaking comes from the elimination order, so the
     basis is deterministic.
     """
     rr, pivots = T.transpose().rref()
-    return [list(rr.entries[r]) for r in range(len(pivots))]
+    return [list(rr.entries[r]) for r in range(len(pivots))], pivots
 
 
 def induce_on_image(T: Matrix, R: RepresentationPair):
@@ -162,40 +157,26 @@ def induce_on_image(T: Matrix, R: RepresentationPair):
 
     The products are well defined on T(V) because T is anti-O: for k in
     ker T, [Tu, Tk] = 0 gives T(rho(Tu)k) = 0, that is T(u.k) = 0, and
-    k.u = -rho(Tk)u = 0; likewise for mu.  Returns (pair_on_image,
+    k.u = -rho(Tk)u = 0; likewise for mu.  The image basis is in reduced
+    row echelon form, so the coordinates of a vector of T(V) are its
+    entries at the pivot columns.  Returns (pair_on_image,
     image_basis_vectors).
     """
-    strong = check_strong(T, R)  # raises if not anti-O
-    if not strong.passed:
-        raise PreconditionError("T is not strong "
-                                f"({strong.failure_count} failures)")
+    check_strong(T, R).require("T is not strong")  # raises if not anti-O
     domain = _domain_pair(T, R)  # check_strong has checked anti-O
     f = R.field
-    basis = _column_echelon_basis(T)
+    basis, pivots = _column_echelon_basis(T)
     r = len(basis)
     if r == 0:
         zero = Algebra.zero_algebra(f, 1)
         return AlgebraPair(zero, zero), []
-    # preimages of the image basis vectors (deterministic rref solve)
-    pre = []
-    for w in basis:
-        x = T.solve(w)
-        if x is None:
-            raise NotInvertibleError("image basis vector left the column space")
-        pre.append(x)
-    bmat = Matrix(f, [[basis[j][k] for j in range(r)]
-                      for k in range(R.g.dim)])
+    # preimages of the image basis vectors, which lie in T(V) by
+    # construction (deterministic rref solve)
+    pre = [T.solve(w) for w in basis]
 
     def build(A: Algebra):
-        sc = []
-        for row in transported(A, pre):
-            plane = []
-            for w in row:
-                coeffs = bmat.solve(T.apply(w))
-                if coeffs is None:
-                    raise NotInvertibleError("product left the image subspace")
-                plane.append(coeffs)
-            sc.append(plane)
+        sc = [[[Tw[c] for c in pivots] for Tw in map(T.apply, row)]
+              for row in transported(A, pre)]
         return Algebra(f, r, sc)
 
     return AlgebraPair(build(domain.circ), build(domain.star)), basis
@@ -204,10 +185,8 @@ def induce_on_image(T: Matrix, R: RepresentationPair):
 def induce_from_rb(Rop: Matrix, G: AlgebraPair) -> AlgebraPair:
     """x.y = -[R(x),y]_1,  x*y = -[R(x),y]_2 for a strong anti-RB operator:
     the domain products of R on the adjoint pair, on G's basis."""
-    rep = check_anti_rota_baxter(Rop, G, strong=True)
-    if not rep.passed:
-        raise PreconditionError("R is not a strong anti-Rota-Baxter operator "
-                                f"({rep.failure_count} failures)")
+    check_anti_rota_baxter(Rop, G, strong=True).require(
+        "R is not a strong anti-Rota-Baxter operator")
     return _domain_pair(Rop, adjoint_pair(G), G.basis)
 
 
@@ -240,10 +219,7 @@ def induce_from_invertible(T: Matrix, R: RepresentationPair) -> AlgebraPair:
         raise ShapeMismatchError("invertible operator requires V ~ g")
     if T.det().is_zero():
         raise NotInvertibleError("T is singular")
-    base = check_anti_o(T, R)
-    if not base.passed:
-        raise PreconditionError("T is not an anti-O-operator "
-                                f"({base.failure_count} failures)")
+    check_anti_o(T, R).require("T is not an anti-O-operator")
     tinv_cols = T.inverse().columns()
 
     def build(mats):

@@ -17,8 +17,7 @@ from operator import add
 from .algebra import (_PENCIL, Algebra, AlgebraPair, CheckReport,
                       algebra_from_json, commutator_pair, make_report,
                       pair_to_json)
-from .errors import (FieldMismatchError, ParseError, PreconditionError,
-                     ShapeMismatchError)
+from .errors import FieldMismatchError, ParseError, ShapeMismatchError
 from .linalg import Matrix, _dot, parse_rows
 from .scalars import Scalar, _json_int, _read_json, format_scalar
 
@@ -131,10 +130,7 @@ def semidirect_product(R: RepresentationPair) -> AlgebraPair:
     Basis order is (g basis, then V basis).  Raises PreconditionError if R
     is not a representation pair.
     """
-    rep = check_representation_pair(R)
-    if not rep.passed:
-        raise PreconditionError("not a representation pair "
-                                f"({rep.failure_count} failing equations)")
+    check_representation_pair(R).require("not a representation pair")
     n, m = R.g.dim, R.v_dim
     f = R.field
     dim = n + m
@@ -164,8 +160,9 @@ def check_equivalence(R1: RepresentationPair, R2: RepresentationPair,
     if (phi.rows, phi.cols) != (R2.v_dim, R1.v_dim):
         raise ShapeMismatchError("phi has the wrong shape")
     failures = []
-    if phi.det().is_zero():
-        failures.append(("invertible", (), [phi.det()]))
+    det = phi.det()
+    if det.is_zero():
+        failures.append(("invertible", (), [det]))
     for i in range(R1.g.dim):
         d_rho = phi @ R1.rho[i] - R2.rho[i] @ phi
         if not d_rho.is_zero():

@@ -238,16 +238,10 @@ def test_brute_force_equals_step1_filter_gf2(flat):
     assert _flats(brute_force_Z2(base)) == _direct_step1(base)
 
 
-def test_worker_count_precedence(monkeypatch):
-    monkeypatch.delenv("APL_WORKERS", raising=False)
+def test_worker_count_precedence():
     assert worker_count() == 1 and worker_count(3) == 3
-    monkeypatch.setenv("APL_WORKERS", "")
-    assert worker_count() == 1
-    monkeypatch.setenv("APL_WORKERS", "2")
-    assert worker_count() == 2 and worker_count(1) == 1
-    monkeypatch.setenv("APL_WORKERS", "abc")
-    assert worker_count(3) == 3
-    for bad in (None, 0, -1, "x"):
+    assert worker_count(1) == 1 and worker_count("2") == 2
+    for bad in (0, -1, "x"):
         with pytest.raises(ParseError):
             worker_count(bad)
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antiprelie import (GF, QQ, Algebra, AlgebraPair, BilinearForm, Matrix,
+                        cast_algebra, cast_pair,
                         NotInvertibleError, PreconditionError, adjoint_pair, check_comm_2cocycle,
                         check_compatible_lie, check_compatible_pair,
                         check_equivalence, check_form, check_invariant,
@@ -112,6 +113,19 @@ def test_induce_from_cocycle_worked_example():
     assert out.circ == expected
     assert commutator_pair(out) == G
     assert check_compatible_pair(out).passed
+
+
+def test_induce_from_cocycle_over_polynomials_matches_q():
+    # the worked example cast to Q[lambda]: the Gram array has determinant
+    # -1, a unit, so its inverse exists over the ring
+    ring = poly_ring(["lambda"])
+    b = Algebra.from_entries(QQ, 2, [(1, 2, 1, 1), (2, 1, 1, -1)])
+    form = B([[0, 1], [1, 0]])
+    over_q = induce_from_cocycle(form, AlgebraPair(b, b))
+    b_poly = cast_algebra(b, ring)
+    out = induce_from_cocycle(B([[0, 1], [1, 0]], ring),
+                              AlgebraPair(b_poly, b_poly))
+    assert out == cast_pair(over_q, ring)
 
 
 def test_induce_from_cocycle_rejects_degenerate():

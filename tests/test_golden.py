@@ -2,12 +2,23 @@
 
 A refactor that should not change any verdict or report must leave
 every digest here unchanged.  The inputs under tests/golden/ are fixed
-files: a CA10 symbolic pair with one structure constant changed, and
-the GF(5) left-multiplication pair of CA30 at beta = 1, gamma = 2 with
-two maps, an invertible anti-O-operator and a map that is not one.
+files:
+- a CA10 symbolic pair with one structure constant changed;
+- the GF(5) left-multiplication pair of CA30 at beta = 1, gamma = 2
+  with three maps: an invertible anti-O-operator, a rank-one one and a
+  map that is not one;
+- the bracket pair of CA30 at beta = 1, gamma = 2 over Q on A + A*
+  (the semidirect product with the dual of its left multiplications)
+  and the pairing form on it;
+- a symmetric 3x3 form over Q for the two-vector construction;
+- the commutator pair of CA35 at lambda = 1, alpha = 2, beta = 1,
+  delta = 1 over GF(5) with a strong anti-Rota-Baxter operator on it.
 A deliberate change of a report updates its digest in the same commit.
+A run that fails a precondition writes nothing on stdout; its stderr
+line names the failure count.
 """
 import hashlib
+import re
 from pathlib import Path
 
 import pytest
@@ -18,6 +29,7 @@ GOLDEN = Path(__file__).parent / "golden"
 REP = str(GOLDEN / "ca30-gf5.rep.json")
 T_INV = str(GOLDEN / "anti-o-invertible.map.json")
 T_BAD = str(GOLDEN / "not-anti-o.map.json")
+T_RANK1 = str(GOLDEN / "anti-o-rank1.map.json")
 
 CASES = [
     (("catalog", "verify", "--scope", "all"), 0,
@@ -37,6 +49,22 @@ CASES = [
      "5e1207253c3ac9c94dcd407dd3652f32c8745659169315c51353557fa12ed007"),
     (("derive", "from-invertible", "--rep", REP, "--map", T_INV), 0,
      "aa2385654d151edb43edbfe2772a9f7304172b03babd0128c5829f63e632f625"),
+    (("derive", "from-cocycle", "--form", str(GOLDEN / "pairing4.form.json"),
+      "--brackets", str(GOLDEN / "ca30-tstar.alg.json")), 0,
+     "babdaa8444eef9a644852d6e8597f41ec888ea2cf043d99a7762ae27de2bed7b"),
+    (("derive", "from-vectors", "--form", str(GOLDEN / "sym3.form.json"),
+      "--s1", "1,0,2", "--s2", "e3"), 0,
+     "ee95417aca22bc355e7b51c00df181b061d7e65ae61f0be38ccdcd36eb03f134"),
+    (("derive", "from-rb",
+      "--brackets", str(GOLDEN / "ca35-gf5-brackets.alg.json"),
+      "--map", str(GOLDEN / "strong-anti-rb.map.json")), 0,
+     "60a1711b0e42c2ca7b6aae5aee11d2a41a328ded3932d54ab741670ebd24fb55"),
+    (("derive", "from-anti-o", "--rep", REP, "--map", T_RANK1), 0,
+     "907637abe85339ea479e73929522a33bd01f5abac8af42f7b52684163656c765"),
+    (("rep", "semidirect", "--rep", REP), 0,
+     "fe738186100bcfe2297a29f76e8dcac9f028b4338f1fa7b1d1280edd198f82d2"),
+    (("derive", "from-anti-o", "--rep", REP, "--map", T_BAD), 1,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]
 
 
@@ -45,5 +73,8 @@ CASES = [
                               for i, c in enumerate(CASES)])
 def test_report_bytes_are_pinned(capsys, argv, code, digest):
     assert main(list(argv)) == code
-    out = capsys.readouterr().out.encode("utf-8")
-    assert hashlib.sha256(out).hexdigest() == digest
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == digest
+    if not captured.out:
+        assert re.fullmatch(r"precondition failed: .+ \(\d+ failures\)\n",
+                            captured.err), captured.err

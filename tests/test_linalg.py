@@ -104,6 +104,25 @@ def test_poly_det_past_the_cofactor_limit_raises_before_work(monkeypatch):
         assert not isinstance(info.value, PreconditionError)
 
 
+def test_poly_inverse_stops_below_the_cofactor_limit(monkeypatch):
+    # the adjugate needs n^2 cofactor minors: at 8 rows it is refused
+    # before any expansion, at 7 a sparse unit-determinant matrix inverts
+    ring = poly_ring(["x"])
+    x = ring.variable("x")
+    n = MAX_COFACTOR_DIM - 1
+    rows = [[ring.one() if i == j else ring.zero() for j in range(n)]
+            for i in range(n)]
+    rows[0][n - 1], rows[2][3], rows[5][1] = x, x + ring.one(), -x
+    sparse = Matrix(ring, rows)
+    assert sparse @ sparse.inverse() == Matrix.identity(ring, n)
+    monkeypatch.setattr(Matrix, "_det_cofactor", lambda *a: pytest.fail(
+        "cofactor expansion ran past the limit"))
+    dense = Matrix(ring, [[x + ring.scalar(i + j) for j in range(n + 1)]
+                          for i in range(n + 1)])
+    with pytest.raises(BudgetExceededError, match="adjugate"):
+        dense.inverse()
+
+
 ELIMINATION_FIELDS = {"Q": (QQ, [0, 0, 1, -1, 2, Fraction(1, 2)]),
                       "GF5": (GF(5), [0, 0, 1, 2, 3, 4]),
                       "GF7": (GF(7), [0, 0, 1, 3, 5, 6])}

@@ -692,7 +692,7 @@ def old_induce_on_image(T, R):
                     img = T.apply(multiply(A, x, y))
                     if any(not c.is_zero() for c in img):
                         raise PreconditionError("not well-defined")
-    basis = operators._column_echelon_basis(T)
+    basis, _ = operators._column_echelon_basis(T)
     r = len(basis)
     if r == 0:
         zero = Algebra.zero_algebra(f, 1)
