@@ -62,6 +62,9 @@ class Matrix:
             for x in row:
                 if not isinstance(x, Scalar) or x.field != field:
                     raise FieldMismatchError("entry field mismatch")
+        self._set(field, entries, rows, cols)
+
+    def _set(self, field, entries, rows, cols):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
@@ -71,6 +74,16 @@ class Matrix:
         raise AttributeError("Matrix is immutable")
 
     # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, field: Field, rows) -> Matrix:
+        """A Matrix of rows computed from checked matrices of `field`,
+        so equally long and on the field: nothing is checked again."""
+        entries = tuple(map(tuple, rows))
+        m = object.__new__(cls)
+        m._set(field, entries, len(entries),
+               len(entries[0]) if entries else 0)
+        return m
 
     @staticmethod
     def from_rows(field: Field, rows):
@@ -113,32 +126,34 @@ class Matrix:
         return list(zip(*self.entries))
 
     def transpose(self) -> Matrix:
-        return Matrix(self.field, list(zip(*self.entries))) if self.rows \
-            else Matrix(self.field, [])
+        return Matrix._trusted(self.field, zip(*self.entries))
 
     def __add__(self, other):
         self._same_shape(other)
-        return Matrix(self.field, [_vadd(r1, r2) for r1, r2
-                                   in zip(self.entries, other.entries)])
+        return Matrix._trusted(self.field, map(_vadd, self.entries,
+                                               other.entries))
 
     def __sub__(self, other):
         self._same_shape(other)
-        return Matrix(self.field, [_vsub(r1, r2) for r1, r2
-                                   in zip(self.entries, other.entries)])
+        return Matrix._trusted(self.field, map(_vsub, self.entries,
+                                               other.entries))
 
     def __neg__(self):
-        return Matrix(self.field, [[-x for x in row] for row in self.entries])
+        return Matrix._trusted(self.field,
+                               [[-x for x in row] for row in self.entries])
 
     def scale(self, c: Scalar) -> Matrix:
-        return Matrix(self.field, [[c * x for x in row] for row in self.entries])
+        return Matrix._trusted(self.field, [[c * x for x in row]
+                                            for row in self.entries])
 
     def __matmul__(self, other: Matrix) -> Matrix:
         if self.cols != other.rows:
             raise ShapeMismatchError(f"{self.rows}x{self.cols} @ "
                                      f"{other.rows}x{other.cols}")
         cols, zero = other.columns(), self.field.zero()
-        return Matrix(self.field, [[_dot(row, col, zero) for col in cols]
-                                   for row in self.entries])
+        return Matrix._trusted(self.field, [[_dot(row, col, zero)
+                                             for col in cols]
+                                            for row in self.entries])
 
     def apply(self, vec):
         """Matrix-vector product; vec is a sequence of Scalars."""
@@ -247,11 +262,23 @@ class Matrix:
             raise ShapeMismatchError("determinant of non-square matrix")
         if self.field.kind != "poly":
             return self._eliminate()[2]
-        if self.rows > MAX_COFACTOR_DIM:
+        self._require_det_rows()
+        return self._det_cofactor(self.entries)
+
+    def _require_det_rows(self):
+        """Refuse a polynomial determinant past MAX_COFACTOR_DIM rows."""
+        if self.field.kind == "poly" and self.rows > MAX_COFACTOR_DIM:
             raise BudgetExceededError(
                 f"determinant of a {self.rows}x{self.rows} polynomial matrix:"
                 f" cofactor expansion is limited to {MAX_COFACTOR_DIM} rows")
-        return self._det_cofactor(self.entries)
+
+    def _require_adjugate_rows(self):
+        """Refuse a polynomial inverse from MAX_COFACTOR_DIM rows on."""
+        n = self.rows
+        if self.field.kind == "poly" and n >= MAX_COFACTOR_DIM:
+            raise BudgetExceededError(
+                f"inverse of a {n}x{n} polynomial matrix: the adjugate is "
+                f"limited to {MAX_COFACTOR_DIM - 1} rows")
 
     def _det_cofactor(self, rows) -> Scalar:
         n = len(rows)
@@ -281,10 +308,7 @@ class Matrix:
             if pivots != list(range(n)):
                 raise NotInvertibleError("singular matrix")
             return Matrix(self.field, [row[n:] for row in rows])
-        if n >= MAX_COFACTOR_DIM:
-            raise BudgetExceededError(
-                f"inverse of a {n}x{n} polynomial matrix: the adjugate is "
-                f"limited to {MAX_COFACTOR_DIM - 1} rows")
+        self._require_adjugate_rows()
         d = self.det()
         dinv = d.invert()  # raises NotInvertibleError unless d is a unit
         cof = []

@@ -1,28 +1,52 @@
 """Anti-O-operators, anti-Rota-Baxter operators, and induced products.
 
+For a fixed representation pair R, the anti-O and strong residuals of a
+map T: V -> g are homogeneous quadratic forms in the n*m entries of T,
+with coefficients contracted from R's structure constants and action
+matrices.  Each identity gets one table per R, listing for every residual
+component, in witness order, the nonzero triples (u, v, c) with u <= v
+over the row-major entries of T, stored as keys u*n*m + v beside their
+coefficients.  The build is one pass over R's constants and costs about
+one direct check: the triples are read off R's constants without merging
+(a monomial may occur twice), and the rotations of a strong index triple
+share one entry, as they have the same cyclic words.  A table is built on
+first use and kept on R, outside the dataclass fields, so R's ==, hash
+and repr ignore it.
+
+One evaluator serves every anti-O and strong evaluation on a concrete T:
+`check_anti_o`, `check_strong`, `check_anti_rota_baxter` and the
+preconditions of the constructions.  It works on plain values on one
+common denominator: residues over GF(p), reduced mod p once per
+component; integers over Q; integer-coefficient dicts over a Laurent
+ring, as Fraction arithmetic would cost more than the direct check.  Only
+the failing residuals are wrapped back into Scalars, so reports are those
+of the direct check.
+
 Conditions quantified over all pencil coefficients (k1, k2) are decided
 coefficient-wise: two coefficients for the bilinear operator identity,
 three (k1^2, k1*k2, k2^2) for the cyclic "strong" conditions and the
-anti-Rota-Baxter converse, all through one polarization helper.
+anti-Rota-Baxter converse.
 
 An anti-Rota-Baxter operator R on a bracket pair G is checked as an
 anti-O-operator on the adjoint pair (ad_1, ad_2, G), and `induce_from_rb`
 is `induce_on_domain` there.  The two identities agree only when both
 brackets are antisymmetric, so that is a checked precondition.
-
-Columns of T and of every action matrix are read directly, each action
-matrix is built once per check, and the products of the vectors T e_a
-come from one transported table per bracket.
 """
 from __future__ import annotations
 
+from fractions import Fraction
+from itertools import compress
 from itertools import product as iproduct
+from math import lcm
+from operator import add, attrgetter, mul
 
 from .algebra import (_PENCIL, Algebra, AlgebraPair, CheckReport, _left,
                       _right, _symmetry_failures, make_report, transported)
-from .errors import NotInvertibleError, PreconditionError, ShapeMismatchError
-from .linalg import Matrix, _vadd, _vec_is_zero, _vsub
+from .errors import (FieldMismatchError, NotInvertibleError,
+                     PreconditionError, ShapeMismatchError)
+from .linalg import Matrix, _vadd, _vec_is_zero
 from .representations import RepresentationPair, adjoint_pair
+from .scalars import Scalar
 
 __all__ = [
     "check_anti_o", "check_strong", "check_anti_rota_baxter",
@@ -31,66 +55,199 @@ __all__ = [
 ]
 
 
-def _pencil_failures(R: RepresentationPair, tables, cyclic: bool, prefix):
-    """Nonzero k1^2, k1*k2, k2^2 components of act_k(X_k[p][q]) e_w on
-    every index triple (a, b, c), summed over the cyclic words (a, b, c),
-    (b, c, a), (c, a, b) or taken on (a, b, c) alone.  tables = (X_1, X_2)
-    hold vectors of g; act_1, act_2 = rho, mu, and _PENCIL's pairs (s, t)
-    are (action, bracket) indices of act_k(X_k) = (k1 rho + k2 mu)(k1 X_1
-    + k2 X_2)."""
-    # cols[s][t][p][q][w] = act_s(X_t[p][q]) e_w
-    cols = [[[[act(v).columns() for v in row] for row in X] for X in tables]
-            for act in (R.rho_of, R.mu_of)]
-    failures = []
-    for a, b, c in iproduct(range(R.v_dim), repeat=3):
-        words = ((a, b, c), (b, c, a), (c, a, b)) if cyclic else ((a, b, c),)
-        for name, combos in _PENCIL:
-            total = _vadd(*(cols[s][t][p][q][w] for s, t in combos
-                            for p, q, w in words))
-            if not _vec_is_zero(total):
-                failures.append((prefix + name, (a, b, c), total))
-    return failures
+def _plain(field, scalars):
+    """(den, value): value maps each of the Scalars to a plain value on
+    the common denominator den of all their coefficients: a residue over
+    GF(p) (den 1), an integer over Q, and over a Laurent ring a dict
+    {exponents: integer}."""
+    if field.kind == "GF":
+        return 1, attrgetter("value")
+    if field.kind == "Q":
+        den = lcm(*(x.value.denominator for x in scalars))
+        return den, lambda x: x.value.numerator * (den // x.value.denominator)
+    den = lcm(*(c.denominator for x in scalars for c in x.value.values()))
+    return den, lambda x: {mono: c.numerator * (den // c.denominator)
+                           for mono, c in x.value.items()}
 
 
-def _anti_o_failures(T: Matrix, R: RepresentationPair, prefix="anti_o_"):
-    """[T(u),T(v)] = T(rho(T(v))u - rho(T(u))v), separately for
-    (bracket1, rho) and (bracket2, mu)."""
+def _poly_dot(xs, ys):
+    """sum_a x_a y_a of Laurent polynomials as {exponents: integer}."""
+    acc = {}
+    get = acc.get
+    for x, y in zip(xs, ys):
+        if x and y:
+            for m1, c1 in x.items():
+                for m2, c2 in y.items():
+                    mono = tuple(map(add, m1, m2))
+                    acc[mono] = get(mono, 0) + c1 * c2
+    return {mono: c for mono, c in acc.items() if c}
+
+
+def _scalar(f, s, scale):
+    """The Scalar of a plain value s on the denominator 1/scale."""
+    if f.kind == "GF":
+        return Scalar(f, s)
+    if f.kind == "Q":
+        return Scalar(f, s * scale)
+    return Scalar(f, {mono: c * scale for mono, c in s.items()})
+
+
+def _negated(x):
+    return {mono: -c for mono, c in x.items()} if isinstance(x, dict) else -x
+
+
+def _constants(R: RepresentationPair):
+    """(sc, acts, den): sc[t][i][j][k] of bracket t and the action
+    matrices acts[t][i][r][c] of rho (t = 0) and mu (t = 1), as plain
+    values on one denominator den."""
+    brackets, mats = (R.g.circ, R.g.star), (R.rho, R.mu)
+    den, value = _plain(R.field, [x for A in brackets for p in A.sc
+                                  for r in p for x in r] +
+                        [x for ms in mats for M in ms
+                         for r in M.entries for x in r])
+    sc = [[[list(map(value, r)) for r in p] for p in A.sc] for A in brackets]
+    acts = [[[list(map(value, r)) for r in M.entries] for M in ms]
+            for ms in mats]
+    return sc, acts, den
+
+
+def _column_keys(n, m):
+    """cols[p][q]: the keys of the monomials T_ip T_jq over (i, j), where
+    the key of T_u T_v is u*N + v with u <= v over the N = n*m entries T_ia
+    at u = i*m + a, and the full key table."""
+    N = n * m
+    key = [[min(u, v) * N + max(u, v) for v in range(N)] for u in range(N)]
+    cols = [[[key[i * m + p][j * m + q] for i in range(n) for j in range(n)]
+             for q in range(m)] for p in range(m)]
+    return cols, key
+
+
+def _triples(keys, coefs):
+    """The terms of one residual component with a nonzero coefficient, as
+    (keys, coefficients); a monomial may occur in several terms."""
+    return tuple(compress(keys, coefs)), tuple(filter(None, coefs))
+
+
+def _anti_o_table(R: RepresentationPair):
+    """(rows, groups, den) of the anti-O identity.  Component k of the
+    residual of bracket t at (a, b) is
+
+      [Te_a, Te_b]_k - T(act(Te_b) e_a - act(Te_a) e_b)_k
+        = sum_ij T_ia T_jb sc[i][j][k] - sum_jc T_kc T_jb A_j[c][a]
+          + sum_ic T_kc T_ia A_i[c][b]
+
+    with (bracket, act) = (circ, rho) or (star, mu) and A_j = act(e_j)."""
     n, m = R.g.dim, R.v_dim
+    sc, acts, den = _constants(R)
+    cols, key = _column_keys(n, m)
+    # side[k][x] lists the keys of T_kc T_jx over (j, c)
+    side = [[[key[k * m + c][j * m + x] for j in range(n) for c in range(m)]
+             for x in range(m)] for k in range(n)]
+    rows, groups = [], []
+    for t in (0, 1):
+        S, A = sc[t], acts[t]
+        coef = [[S[i][j][k] for i in range(n) for j in range(n)]
+                for k in range(n)]
+        at = [[A[j][c][x] for j in range(n) for c in range(m)]
+              for x in range(m)]
+        neg = [list(map(_negated, col)) for col in at]
+        for a, b in iproduct(range(m), repeat=2):
+            rows.append((str(t + 1), (a, b), len(groups)))
+            groups.append([_triples(cols[a][b] + side[k][b] + side[k][a],
+                                    coef[k] + neg[a] + at[b])
+                           for k in range(n)])
+    return rows, groups, den
+
+
+def _strong_table(R: RepresentationPair):
+    """(rows, groups, den) of the strong identity: component r of the
+    k1^2, k1*k2 and k2^2 parts of the cyclic sum of act(X(Te_p, Te_q)) e_w
+    over the words (p, q, w) of (a, b, c), with act = k1 rho + k2 mu and
+    X = k1 [,]_1 + k2 [,]_2.  In a part with (action, bracket) pairs
+    (s, t), the coefficient of T_ip T_jq is the sum of
+    sum_k sc_t[i][j][k] A_s[k][r][w].  The rotations of (a, b, c) have the
+    same words, so they share one group."""
+    n, m, p = R.g.dim, R.v_dim, R.field.p
+    sc, acts, den = _constants(R)
+    dot = _poly_dot if R.field.kind == "poly" else \
+        (lambda xs, ys: sum(map(mul, xs, ys)))
+    cols, _ = _column_keys(n, m)
+    # acol[s][r][w] = A_s[k][r][w] over k
+    acol = [[[[A[k][r][w] for k in range(n)] for w in range(m)]
+             for r in range(m)] for A in acts]
+
+    def contract(combos, r, w):
+        coef = [dot([x for _, t in combos for x in sc[t][i][j]],
+                    [y for s, _ in combos for y in acol[s][r][w]])
+                for i in range(n) for j in range(n)]
+        return [c % p for c in coef] if p else coef
+
+    parts = [(name, [[contract(combos, r, w) for w in range(m)]
+                     for r in range(m)]) for name, combos in _PENCIL]
+    rows, groups, first = [], [], {}
+    for abc in iproduct(range(m), repeat=3):
+        a, b, c = abc
+        for name, coef in parts:
+            g = first.setdefault((min(abc, (b, c, a), (c, a, b)), name),
+                                 len(groups))
+            if g == len(groups):
+                groups.append([_triples(
+                    cols[a][b] + cols[b][c] + cols[c][a],
+                    coef[r][c] + coef[r][a] + coef[r][b]) for r in range(m)])
+            rows.append((name, abc, g))
+    return rows, groups, den * den
+
+
+def _table(R: RepresentationPair, identity: str):
+    """The table of `identity` ("anti_o" or "strong") for R, built by
+    _<identity>_table on first use and then kept on R, like Field.zero()."""
+    attr = f"_{identity}_table"
+    try:
+        return getattr(R, attr)
+    except AttributeError:
+        object.__setattr__(R, attr, globals()[attr](R))
+        return getattr(R, attr)
+
+
+def _failures(T: Matrix, R: RepresentationPair, identity: str, prefix):
+    """The failing residuals of `identity` at T, as (prefix + name,
+    indices, residual Scalars), from R's table on plain values."""
+    n, m, f = R.g.dim, R.v_dim, R.field
     if (T.rows, T.cols) != (n, m):
         raise ShapeMismatchError(f"T must be {n}x{m}, got {T.rows}x{T.cols}")
-    Tu = T.columns()
-    failures = []
-    for name, bracket, act in ((prefix + "1", R.g.circ, R.rho_of),
-                               (prefix + "2", R.g.star, R.mu_of)):
-        lhs = transported(bracket, Tu)
-        # acts[b][a] = act(T e_b) e_a
-        acts = [act(t).columns() for t in Tu]
-        for a, b in iproduct(range(m), repeat=2):
-            r = _vsub(lhs[a][b], T.apply(_vsub(acts[b][a], acts[a][b])))
-            if not _vec_is_zero(r):
-                failures.append((name, (a, b), r))
-    return failures
-
-
-def _strong_failures(T: Matrix, R: RepresentationPair, prefix="strong_"):
-    """Cyclic vanishing, pencil coefficient-wise: the k1^2, k1*k2, k2^2
-    components of rho_pencil([Tu,Tv]_pencil)w + cyclic."""
-    Tu = T.columns()
-    return _pencil_failures(R, [transported(br, Tu)
-                                for br in (R.g.circ, R.g.star)],
-                            True, prefix)
+    if T.field != f:
+        raise FieldMismatchError("T and the representation pair are over "
+                                 "different fields")
+    rows, groups, den = _table(R, identity)
+    entries = [x for row in T.entries for x in row]
+    t_den, value = _plain(f, entries)
+    vals = list(map(value, entries))
+    if f.kind == "poly":
+        prods = [_poly_dot((x,), (y,)) for x in vals for y in vals]
+        sums = [[_poly_dot(cs, map(prods.__getitem__, ks))
+                 for ks, cs in comps] for comps in groups]
+    else:
+        prods = [x * y for x in vals for y in vals]
+        sums = [[sum(map(mul, cs, map(prods.__getitem__, ks)))
+                 for ks, cs in comps] for comps in groups]
+        if f.p:
+            sums = [[s % f.p for s in r] for r in sums]
+    scale = None if f.p else Fraction(1, den * t_den * t_den)
+    return [(prefix + name, ix, [_scalar(f, s, scale) for s in sums[g]])
+            for name, ix, g in rows if any(sums[g])]
 
 
 def check_anti_o(T: Matrix, R: RepresentationPair) -> CheckReport:
     """The anti-O identity for each bracket; linearity in (k1,k2) makes
     the two coefficient checks equivalent to the all-pencil statement."""
-    return make_report(_anti_o_failures(T, R))
+    return make_report(_failures(T, R, "anti_o", "anti_o_"))
 
 
 def check_strong(T: Matrix, R: RepresentationPair) -> CheckReport:
-    """Strongness of an anti-O-operator; raises if T is not anti-O."""
+    """Strongness of an anti-O-operator: the k1^2, k1*k2, k2^2 components
+    of rho_pencil([Tu,Tv]_pencil)w + cyclic.  Raises if T is not anti-O."""
     check_anti_o(T, R).require("T is not an anti-O-operator")
-    return make_report(_strong_failures(T, R))
+    return make_report(_failures(T, R, "strong", "strong_"))
 
 
 def _require_antisymmetric(G: AlgebraPair):
@@ -114,9 +271,9 @@ def check_anti_rota_baxter(Rop: Matrix, G: AlgebraPair,
         raise ShapeMismatchError("anti-Rota-Baxter operator must be square")
     _require_antisymmetric(G)
     ad = adjoint_pair(G)
-    failures = _anti_o_failures(Rop, ad, "anti_rb_")
+    failures = _failures(Rop, ad, "anti_o", "anti_rb_")
     if strong:
-        failures += _strong_failures(Rop, ad, "strong_rb_")
+        failures += _failures(Rop, ad, "strong", "strong_rb_")
     return make_report(failures)
 
 
@@ -205,10 +362,17 @@ def check_rb_converse(Rop: Matrix, G: AlgebraPair) -> CheckReport:
                                                  _right(brk, Re[i], j))))
                  for j in range(n)] for i in range(n)]
 
-    # [X, e_k] is the adjoint action of X read at column k
-    return make_report(_pencil_failures(
-        adjoint_pair(G), (inner(G.circ), inner(G.star)), False,
-        "rb_converse_"))
+    # [X, e_k] is column k of ad_s(X): cols[s][t][i][j][k] = [X_t[i][j], e_k]_s
+    ad, tables = adjoint_pair(G), (inner(G.circ), inner(G.star))
+    cols = [[[[act(v).columns() for v in row] for row in X] for X in tables]
+            for act in (ad.rho_of, ad.mu_of)]
+    failures = []
+    for i, j, k in iproduct(range(n), repeat=3):
+        for name, combos in _PENCIL:
+            total = _vadd(*(cols[s][t][i][j][k] for s, t in combos))
+            if not _vec_is_zero(total):
+                failures.append(("rb_converse_" + name, (i, j, k), total))
+    return make_report(failures)
 
 
 def induce_from_invertible(T: Matrix, R: RepresentationPair) -> AlgebraPair:
@@ -217,6 +381,9 @@ def induce_from_invertible(T: Matrix, R: RepresentationPair) -> AlgebraPair:
     n = R.g.dim
     if (T.rows, T.cols) != (n, R.v_dim) or R.v_dim != n:
         raise ShapeMismatchError("invertible operator requires V ~ g")
+    # both limits before a polynomial det, which costs n!
+    T._require_det_rows()
+    T._require_adjugate_rows()
     if T.det().is_zero():
         raise NotInvertibleError("T is singular")
     check_anti_o(T, R).require("T is not an anti-O-operator")

@@ -57,8 +57,9 @@ def _combine(mats, x, field, m) -> Matrix:
     """sum_c x_c * mats[c], entry by entry into a single m x m Matrix."""
     x = [c if isinstance(c, Scalar) else field.scalar(c) for c in x]
     zero = field.zero()
-    return Matrix(field, [[_dot(x, [mat.entries[r][s] for mat in mats], zero)
-                           for s in range(m)] for r in range(m)])
+    return Matrix._trusted(field, [[_dot(x, [mat.entries[r][s]
+                                             for mat in mats], zero)
+                                    for s in range(m)] for r in range(m)])
 
 
 _REP_EQUATIONS = {"k1k1": "rep_eq_1", "k1k2": "rep_eq_3", "k2k2": "rep_eq_2"}

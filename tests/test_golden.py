@@ -12,7 +12,13 @@ files:
   and the pairing form on it;
 - a symmetric 3x3 form over Q for the two-vector construction;
 - the commutator pair of CA35 at lambda = 1, alpha = 2, beta = 1,
-  delta = 1 over GF(5) with a strong anti-Rota-Baxter operator on it.
+  delta = 1 over GF(5) with a strong anti-Rota-Baxter operator on it;
+- a GF(5) bracket pair with actions on a 3-dimensional V that break the
+  representation equations, and the projection T of V onto g, which is
+  anti-O there but not strong (18 failures, past the witness cap);
+- the zero pair of dimension 8 over Q[x] and the dense unit-determinant
+  map L L^t on it (L unitriangular with entries x + i + j), which
+  `derive from-invertible` refuses before expanding a determinant.
 A deliberate change of a report updates its digest in the same commit.
 A run that fails a precondition writes nothing on stdout; its stderr
 line names the failure count.
@@ -30,6 +36,9 @@ REP = str(GOLDEN / "ca30-gf5.rep.json")
 T_INV = str(GOLDEN / "anti-o-invertible.map.json")
 T_BAD = str(GOLDEN / "not-anti-o.map.json")
 T_RANK1 = str(GOLDEN / "anti-o-rank1.map.json")
+BRACKETS = str(GOLDEN / "ca35-gf5-brackets.alg.json")
+NOT_REP = str(GOLDEN / "strong-fails.rep.json")
+T_PROJ = str(GOLDEN / "projection.map.json")
 
 CASES = [
     (("catalog", "verify", "--scope", "all"), 0,
@@ -55,8 +64,7 @@ CASES = [
     (("derive", "from-vectors", "--form", str(GOLDEN / "sym3.form.json"),
       "--s1", "1,0,2", "--s2", "e3"), 0,
      "ee95417aca22bc355e7b51c00df181b061d7e65ae61f0be38ccdcd36eb03f134"),
-    (("derive", "from-rb",
-      "--brackets", str(GOLDEN / "ca35-gf5-brackets.alg.json"),
+    (("derive", "from-rb", "--brackets", BRACKETS,
       "--map", str(GOLDEN / "strong-anti-rb.map.json")), 0,
      "60a1711b0e42c2ca7b6aae5aee11d2a41a328ded3932d54ab741670ebd24fb55"),
     (("derive", "from-anti-o", "--rep", REP, "--map", T_RANK1), 0,
@@ -65,6 +73,15 @@ CASES = [
      "fe738186100bcfe2297a29f76e8dcac9f028b4338f1fa7b1d1280edd198f82d2"),
     (("derive", "from-anti-o", "--rep", REP, "--map", T_BAD), 1,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("ops", "rb", "--strong", "--brackets", BRACKETS, "--map",
+      str(GOLDEN / "strong-anti-rb.map.json")), 0,
+     "429c5d43e30efe5aa2a786de6b6395bc27471afc54438805df76a3a645588253"),
+    (("ops", "rb", "--strong", "--brackets", BRACKETS, "--map", T_BAD), 1,
+     "aeb0a83c6b493b7316213943024c72fecf734267f7ac5ddce70d200a19878c76"),
+    (("ops", "anti-o", "--rep", NOT_REP, "--map", T_PROJ), 0,
+     "010758da2032822ead861299232f93c888a82ccb3b0fd6558822a6a477767fb1"),
+    (("ops", "strong", "--rep", NOT_REP, "--map", T_PROJ), 1,
+     "532cbcfd37530c14b692bd353bcbba4bdccd36d1181b51d7a82055a773f0251a"),
 ]
 
 

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antiprelie import (GF, QQ, BudgetExceededError, Matrix,
-                        NotInvertibleError, PreconditionError,
+from antiprelie import (GF, QQ, BudgetExceededError, FieldMismatchError,
+                        Matrix, NotInvertibleError, PreconditionError,
                         ShapeMismatchError, poly_ring)
 from antiprelie.linalg import MAX_COFACTOR_DIM
 
@@ -162,3 +162,80 @@ def test_elimination_agrees_with_cofactor_oracle(system):
         assert x is None
     else:
         assert a.apply(x) == rhs
+
+
+# ---------------------------------------------------------------------------
+# Matrix results built from checked matrices skip the entry checks; the
+# public constructors keep them.
+# ---------------------------------------------------------------------------
+
+def test_public_constructors_still_check_entries():
+    with pytest.raises(FieldMismatchError):
+        Matrix(QQ, [[QQ.one(), GF(5).one()]])
+    with pytest.raises(FieldMismatchError):
+        Matrix.from_rows(GF(5), [[1, 2], [3, QQ.scalar(Fraction(1, 2))]])
+    with pytest.raises(FieldMismatchError):
+        Matrix(QQ, [[1, 2]])  # plain ints are not Scalars
+    with pytest.raises(ShapeMismatchError):
+        Matrix(QQ, [[QQ.one(), QQ.one()], [QQ.one()]])
+    with pytest.raises(ShapeMismatchError):
+        Matrix.from_rows(GF(5), [[1], [2, 3]])
+
+
+def old_matrix_ops(a, b, c):
+    """The results of the matrix operations, each built through the
+    checking constructor as before."""
+    f = a.field
+    return {
+        "add": Matrix(f, [[x + y for x, y in zip(r1, r2)]
+                          for r1, r2 in zip(a.entries, b.entries)]),
+        "sub": Matrix(f, [[x - y for x, y in zip(r1, r2)]
+                          for r1, r2 in zip(a.entries, b.entries)]),
+        "neg": Matrix(f, [[-x for x in row] for row in a.entries]),
+        "scale": Matrix(f, [[c * x for x in row] for row in a.entries]),
+        "matmul": Matrix(f, [[sum((x * y for x, y in zip(row, col)),
+                                  f.zero()) for col in zip(*b.entries)]
+                             for row in a.transpose().entries]),
+        "transpose": Matrix(f, list(zip(*a.entries))),
+    }
+
+
+@st.composite
+def matrix_triples(draw):
+    field, values = ELIMINATION_FIELDS[draw(st.sampled_from(
+        sorted(ELIMINATION_FIELDS)))]
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    entry = st.sampled_from(values)
+
+    def matrix():
+        return Matrix.from_rows(field, [[draw(entry) for _ in range(cols)]
+                                        for _ in range(rows)])
+    return matrix(), matrix(), field.scalar(draw(entry))
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrix_triples())
+def test_matrix_operations_equal_checked_constructions(args):
+    a, b, c = args
+    want = old_matrix_ops(a, b, c)
+    got = {"add": a + b, "sub": a - b, "neg": -a, "scale": a.scale(c),
+           "matmul": a.transpose() @ b, "transpose": a.transpose()}
+    for name, m in got.items():
+        assert m == want[name], name
+        assert (m.rows, m.cols, m.field) == \
+            (want[name].rows, want[name].cols, want[name].field)
+        assert type(m.entries) is tuple and \
+            all(type(row) is tuple for row in m.entries)
+
+
+def test_matrix_operations_keep_field_checks():
+    a = M([[1, 2], [3, 4]])
+    b = M([[1, 2], [3, 4]], GF(5))
+    for op in (a.__add__, a.__sub__):
+        with pytest.raises(FieldMismatchError):
+            op(b)
+    with pytest.raises(FieldMismatchError):
+        a.scale(GF(5).one())
+    with pytest.raises(FieldMismatchError):
+        a @ b
+    assert Matrix(QQ, []).transpose() == Matrix(QQ, [])

@@ -1,5 +1,7 @@
 import json
+import random
 from itertools import product as iproduct
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 
 import antiprelie.operators as operators
 import antiprelie.representations as representations
-from antiprelie import (GF, QQ, Algebra, AlgebraPair, Matrix,
+from antiprelie import (GF, QQ, Algebra, AlgebraPair, BudgetExceededError,
+                        FieldMismatchError, Matrix,
                         NotInvertibleError, PreconditionError,
                         RepresentationPair, Scalar, ShapeMismatchError,
                         ToolkitError, adjoint_pair, check_anti_o,
@@ -20,6 +23,8 @@ from antiprelie import (GF, QQ, Algebra, AlgebraPair, Matrix,
                         poly_ring)
 from antiprelie.algebra import make_report
 from conftest import random_instance
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def gf5_pair(name, assignment=None, branch=None):
@@ -324,6 +329,10 @@ def old_combine(mats, x, field, m):
 
 
 def old_check_anti_o(T, R):
+    return make_report(old_anti_o_failures(T, R))
+
+
+def old_anti_o_failures(T, R):
     n, m = R.g.dim, R.v_dim
     if (T.rows, T.cols) != (n, m):
         raise ShapeMismatchError("T has the wrong shape")
@@ -342,7 +351,7 @@ def old_check_anti_o(T, R):
                 r = [x - y for x, y in zip(lhs, rhs)]
                 if any(not c.is_zero() for c in r):
                     failures.append((name, (a, b), r))
-    return make_report(failures)
+    return failures
 
 
 def old_strong_failures(T, R):
@@ -422,11 +431,27 @@ def _same_outcome(new, old, *args):
     return True
 
 
+def _listed(failures):
+    """Every failure, uncapped and in report order, with printed residuals."""
+    return sorted((name, tuple(ix), [str(x) for x in r])
+                  for name, ix, r in failures)
+
+
+def _same_report(new, old):
+    """Equal reports: JSON, failure count and the witness vectors."""
+    assert new.to_json() == old.to_json()
+    assert (new.passed, new.failure_count, new.witnesses) == \
+        (old.passed, old.failure_count, old.witnesses)
+
+
 def _agrees_with_oracles(T, R):
     """The optimized checks and constructions against the oracles; True
     when T passed the anti-O check."""
-    assert check_anti_o(T, R).to_json() == old_check_anti_o(T, R).to_json()
-    assert operators._strong_failures(T, R) == old_strong_failures(T, R)
+    _same_report(check_anti_o(T, R), old_check_anti_o(T, R))
+    assert _listed(operators._failures(T, R, "anti_o", "anti_o_")) == \
+        _listed(old_anti_o_failures(T, R))
+    assert _listed(operators._failures(T, R, "strong", "strong_")) == \
+        _listed(old_strong_failures(T, R))
     passed = _same_outcome(check_strong, old_check_strong, T, R)
     _same_outcome(induce_from_invertible, old_induce_from_invertible, T, R)
     _same_outcome(induce_on_image, old_induce_on_image, T, R)
@@ -591,6 +616,10 @@ def test_anti_o_builds_each_action_once_on_catalog(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def old_check_anti_rota_baxter(Rop, G, strong=False):
+    return make_report(old_anti_rota_baxter_failures(Rop, G, strong))
+
+
+def old_anti_rota_baxter_failures(Rop, G, strong=False):
     n = G.dim
     if (Rop.rows, Rop.cols) != (n, n):
         raise ShapeMismatchError("anti-Rota-Baxter operator must be square")
@@ -622,7 +651,7 @@ def old_check_anti_rota_baxter(Rop, G, strong=False):
                         total = [x + y for x, y in zip(total, term)]
                 if any(not x.is_zero() for x in total):
                     failures.append((name, (i, j, k), total))
-    return make_report(failures)
+    return failures
 
 
 def old_induce_from_rb(Rop, G):
@@ -725,8 +754,12 @@ def _rb_agrees_with_oracles(Rop, G):
     """The anti-RB checks and construction against the oracles; True when
     Rop is a strong anti-Rota-Baxter operator."""
     for strong in (False, True):
-        assert check_anti_rota_baxter(Rop, G, strong).to_json() == \
-            old_check_anti_rota_baxter(Rop, G, strong).to_json()
+        _same_report(check_anti_rota_baxter(Rop, G, strong),
+                     old_check_anti_rota_baxter(Rop, G, strong))
+    ad = adjoint_pair(G)
+    assert _listed(operators._failures(Rop, ad, "anti_o", "anti_rb_") +
+                   operators._failures(Rop, ad, "strong", "strong_rb_")) == \
+        _listed(old_anti_rota_baxter_failures(Rop, G, True))
     assert check_rb_converse(Rop, G).to_json() == \
         old_check_rb_converse(Rop, G).to_json()
     _same_outcome(induce_on_image, old_induce_on_image, Rop, adjoint_pair(G))
@@ -820,3 +853,159 @@ def test_cli_rb_exits_1_on_non_antisymmetric_brackets(G, tmp_path, capsys):
         out = capsys.readouterr()
         assert code == 1 and out.out == ""
         assert "precondition failed" in out.err
+
+
+# ---------------------------------------------------------------------------
+# The quadratic tables: reports equal the oracles', uncapped witness lists
+# included; errors and the per-pair cache.
+# ---------------------------------------------------------------------------
+
+def dense_inputs(field, coeffs, n, m, seed):
+    rng = random.Random(seed)
+
+    def entry():
+        return field.parse(rng.choice(coeffs))
+
+    def table():
+        return Algebra(field, n, [[[entry() for _ in range(n)]
+                                   for _ in range(n)] for _ in range(n)])
+
+    def matrix(rows, cols):
+        return Matrix(field, [[entry() for _ in range(cols)]
+                              for _ in range(rows)])
+
+    R = RepresentationPair(AlgebraPair(table(), table()), m,
+                           tuple(matrix(m, m) for _ in range(n)),
+                           tuple(matrix(m, m) for _ in range(n)))
+    return matrix(n, m), R
+
+
+@pytest.mark.parametrize("kind", sorted(OPERATOR_FIELDS))
+def test_table_reports_cap_witnesses_like_the_oracles(kind):
+    # dense inputs at n = m = 3 fail on all 18 anti-O residuals and on
+    # more than 16 strong ones, past the witness cap
+    field, coeffs = OPERATOR_FIELDS[kind]
+    T, R = dense_inputs(field, coeffs, 3, 3, seed=5)
+    new, old = check_anti_o(T, R), old_check_anti_o(T, R)
+    assert new.failure_count > 16 and len(new.witnesses) == 16
+    _same_report(new, old)
+    strong = operators._failures(T, R, "strong", "strong_")
+    assert len(strong) > 16
+    assert _listed(strong) == _listed(old_strong_failures(T, R))
+    _same_report(make_report(strong), make_report(old_strong_failures(T, R)))
+
+
+def test_strong_report_on_a_non_representation_past_the_cap():
+    # the golden input: T projects V = k^3 onto g and is anti-O, but the
+    # actions break the representation equations and T is not strong
+    from antiprelie.representations import (check_representation_pair,
+                                            load_representation_file)
+    R = load_representation_file(str(GOLDEN / "strong-fails.rep.json"))
+    T = Matrix.from_rows(GF(5), [[1, 0, 0], [0, 1, 0]])
+    assert not check_representation_pair(R).passed
+    assert check_anti_o(T, R).passed
+    new, old = check_strong(T, R), old_check_strong(T, R)
+    assert new.failure_count == 18
+    _same_report(new, old)
+
+
+def _zero_rep(field, n, m):
+    g = AlgebraPair(Algebra.zero_algebra(field, n),
+                    Algebra.zero_algebra(field, n))
+    zero = Matrix.zero(field, m, m)
+    return RepresentationPair(g, m, (zero,) * n, (zero,) * n)
+
+
+@pytest.mark.parametrize("other", [GF(7), QQ, poly_ring(["s", "u"])])
+def test_map_over_another_field_raises(other):
+    R = left_multiplication_pair(gf5_pair("CA30", {"beta": 1, "gamma": 2}))
+    G = commutator_pair(gf5_pair("CA30", {"beta": 1, "gamma": 2}))
+    for T in (Matrix.zero(other, 2, 2), Matrix.identity(other, 2)):
+        for check in (check_anti_o, check_strong, induce_on_domain,
+                      induce_on_image):
+            with pytest.raises(FieldMismatchError):
+                check(T, R)
+        for strong in (False, True):
+            with pytest.raises(FieldMismatchError):
+                check_anti_rota_baxter(T, G, strong)
+
+
+def test_map_of_the_wrong_shape_raises():
+    R = _zero_rep(QQ, 2, 3)
+    for T in (Matrix.zero(QQ, 3, 2), Matrix.zero(QQ, 2, 2),
+              Matrix.zero(QQ, 2, 4)):
+        for check in (check_anti_o, check_strong, induce_on_domain):
+            with pytest.raises(ShapeMismatchError):
+                check(T, R)
+    assert check_strong(Matrix.zero(QQ, 2, 3), R).passed
+
+
+def test_tables_are_built_once_per_pair(monkeypatch):
+    built = []
+    for name in ("_anti_o_table", "_strong_table"):
+        real = getattr(operators, name)
+        monkeypatch.setattr(operators, name,
+                            lambda R, real=real, name=name:
+                            built.append(name) or real(R))
+    pair = gf5_pair("CA30", {"beta": 1, "gamma": 2})
+    R = left_multiplication_pair(pair)
+    T = Matrix.from_rows(GF(5), [[0, 1], [0, 4]])
+    assert check_anti_o(T, R).passed
+    assert check_strong(T, R).passed
+    induce_on_domain(T, R)
+    induce_on_image(T, R)
+    for S in all_maps(GF(5)):
+        check_anti_o(S, R)
+    assert built == ["_anti_o_table", "_strong_table"]
+    # the tables stay out of the dataclass: equality, hash and repr
+    fresh = left_multiplication_pair(pair)
+    assert R == fresh and hash(R) == hash(fresh) and repr(R) == repr(fresh)
+    check_anti_o(T, fresh)
+    assert built == ["_anti_o_table", "_strong_table", "_anti_o_table"]
+
+
+# ---------------------------------------------------------------------------
+# induce_from_invertible refuses a polynomial map past the adjugate limit
+# before it expands any determinant.
+# ---------------------------------------------------------------------------
+
+GOLDEN_REP8 = str(GOLDEN / "zero8-poly.rep.json")
+GOLDEN_MAP8 = str(GOLDEN / "unimodular8-poly.map.json")
+
+
+def _no_cofactor_expansion(monkeypatch):
+    monkeypatch.setattr(Matrix, "_det_cofactor", lambda *a: pytest.fail(
+        "cofactor expansion started"))
+
+
+def test_induce_from_invertible_refuses_large_polynomial_map_first(
+        monkeypatch):
+    from antiprelie.linalg import MAX_COFACTOR_DIM
+    from antiprelie.representations import load_representation_file
+    R = load_representation_file(GOLDEN_REP8)
+    T = Matrix.from_json(json.loads(Path(GOLDEN_MAP8).read_text()), R.field)
+    assert T.rows == MAX_COFACTOR_DIM
+    _no_cofactor_expansion(monkeypatch)
+    with pytest.raises(BudgetExceededError, match="adjugate"):
+        induce_from_invertible(T, R)
+
+
+def test_cli_from_invertible_exits_2_on_large_polynomial_map(monkeypatch,
+                                                            capsys):
+    from antiprelie.cli import main
+    _no_cofactor_expansion(monkeypatch)
+    assert main(["derive", "from-invertible", "--rep", GOLDEN_REP8,
+                 "--map", GOLDEN_MAP8]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "adjugate" in out.err
+
+
+def test_induce_from_invertible_messages_below_the_limit():
+    ring = poly_ring(["x"])
+    x, zero, one = ring.variable("x"), ring.zero(), ring.one()
+    R = _zero_rep(ring, 2, 2)
+    with pytest.raises(NotInvertibleError, match="T is singular"):
+        induce_from_invertible(Matrix(ring, [[x, x], [x, x]]), R)
+    with pytest.raises(NotInvertibleError,
+                       match="x involves non-unit variable 'x'"):
+        induce_from_invertible(Matrix(ring, [[x, zero], [zero, one]]), R)
