@@ -1,26 +1,25 @@
 """Anti-O-operators, anti-Rota-Baxter operators, and induced products.
 
 For a fixed representation pair R, the anti-O and strong residuals of a
-map T: V -> g are homogeneous quadratic forms in the n*m entries of T,
-with coefficients contracted from R's structure constants and action
-matrices.  Each identity gets one table per R, listing for every residual
-component, in witness order, the nonzero triples (u, v, c) with u <= v
-over the row-major entries of T, stored as keys u*n*m + v beside their
-coefficients.  The build is one pass over R's constants and costs about
-one direct check: the triples are read off R's constants without merging
-(a monomial may occur twice), and the rotations of a strong index triple
-share one entry, as they have the same cyclic words.  A table is built on
-first use and kept on R, outside the dataclass fields, so R's ==, hash
-and repr ignore it.
+map T: V -> g are quadratic in the n*m entries of T and are evaluated on
+plain values: residues over GF(p), reduced mod p once per component;
+integers on one common denominator over Q; integer-coefficient dicts
+over a Laurent ring, as Fraction arithmetic would cost more than the
+check itself.  R's structure constants and action matrices are converted
+once, on first use, and kept on R outside the dataclass fields, so R's
+==, hash and repr ignore them; they hold O(n^3 + n*m^2) values, the size
+of R itself.
 
-One evaluator serves every anti-O and strong evaluation on a concrete T:
-`check_anti_o`, `check_strong`, `check_anti_rota_baxter` and the
-preconditions of the constructions.  It works on plain values on one
-common denominator: residues over GF(p), reduced mod p once per
-component; integers over Q; integer-coefficient dicts over a Laurent
-ring, as Fraction arithmetic would cost more than the direct check.  Only
-the failing residuals are wrapped back into Scalars, so reports are those
-of the direct check.
+Each anti-O residual component is one dot product of products of
+entries of T with R's constants, O(n^3 m^2 + n^2 m^3) per check.  The
+strong residuals first take the brackets [Te_p, Te_q] and then one dot
+product per component with the action entries, O(m^2 n^3 + n m^4); the
+rotations of an index triple share one evaluation, as they have the
+same cyclic words.  One evaluator, `_failures`, serves every anti-O and
+strong evaluation on a concrete T: `check_anti_o`, `check_strong`,
+`check_anti_rota_baxter` and the preconditions of the constructions.
+Only the failing residuals are wrapped back into Scalars, so reports are
+those of the direct check.
 
 Conditions quantified over all pencil coefficients (k1, k2) are decided
 coefficient-wise: two coefficients for the bilinear operator identity,
@@ -35,7 +34,6 @@ brackets are antisymmetric, so that is a checked precondition.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
 from itertools import product as iproduct
 from math import lcm
 from operator import add, attrgetter, mul
@@ -46,7 +44,7 @@ from .errors import (FieldMismatchError, NotInvertibleError,
                      PreconditionError, ShapeMismatchError)
 from .linalg import Matrix, _vadd, _vec_is_zero
 from .representations import RepresentationPair, adjoint_pair
-from .scalars import Scalar
+from .scalars import _make
 
 __all__ = [
     "check_anti_o", "check_strong", "check_anti_rota_baxter",
@@ -83,13 +81,22 @@ def _poly_dot(xs, ys):
     return {mono: c for mono, c in acc.items() if c}
 
 
-def _scalar(f, s, scale):
-    """The Scalar of a plain value s on the denominator 1/scale."""
+def _poly_mul(x, y):
+    return _poly_dot((x,), (y,))
+
+
+def _int_dot(xs, ys):
+    return sum(map(mul, xs, ys))
+
+
+def _scalar(f, s, den):
+    """The Scalar of a plain value s on the denominator den.  s comes from
+    checked Scalars through ring operations, so it is canonical."""
     if f.kind == "GF":
-        return Scalar(f, s)
+        return _make(f, s)
     if f.kind == "Q":
-        return Scalar(f, s * scale)
-    return Scalar(f, {mono: c * scale for mono, c in s.items()})
+        return _make(f, Fraction(s, den))
+    return _make(f, {mono: Fraction(c, den) for mono, c in s.items()})
 
 
 def _negated(x):
@@ -97,144 +104,118 @@ def _negated(x):
 
 
 def _constants(R: RepresentationPair):
-    """(sc, acts, den): sc[t][i][j][k] of bracket t and the action
-    matrices acts[t][i][r][c] of rho (t = 0) and mu (t = 1), as plain
-    values on one denominator den."""
-    brackets, mats = (R.g.circ, R.g.star), (R.rho, R.mu)
-    den, value = _plain(R.field, [x for A in brackets for p in A.sc
+    """R's plain constants, built by `_build_constants` on first use and
+    then kept on R, like Field.zero()."""
+    try:
+        return R._plain_constants
+    except AttributeError:
+        object.__setattr__(R, "_plain_constants", _build_constants(R))
+        return R._plain_constants
+
+
+def _build_constants(R: RepresentationPair):
+    """(S, A, nA, Ak, den): for t = 0, 1 (bracket 1 with rho, bracket 2
+    with mu), S[t][k] lists [e_i, e_j]_k over (i, j), A[t][x] lists
+    act(e_j)[c][x] over (j, c) and nA = -A; Ak[part][r][w] lists
+    act_s(e_k)[r][w] over the (action, bracket) pairs (s, t) of each
+    pencil part and k.  All are plain values on one denominator den."""
+    n, m = R.g.dim, R.v_dim
+    brackets, actions = (R.g.circ, R.g.star), (R.rho, R.mu)
+    den, value = _plain(R.field, [x for B in brackets for p in B.sc
                                   for r in p for x in r] +
-                        [x for ms in mats for M in ms
+                        [x for ms in actions for M in ms
                          for r in M.entries for x in r])
-    sc = [[[list(map(value, r)) for r in p] for p in A.sc] for A in brackets]
-    acts = [[[list(map(value, r)) for r in M.entries] for M in ms]
-            for ms in mats]
-    return sc, acts, den
+    S = [[[value(B.sc[i][j][k]) for i in range(n) for j in range(n)]
+          for k in range(n)] for B in brackets]
+    A = [[[value(M.entries[c][x]) for M in ms for c in range(m)]
+          for x in range(m)] for ms in actions]
+    nA = [[list(map(_negated, col)) for col in At] for At in A]
+    Ak = [[[[A[s][w][k * m + r] for s, _ in combos for k in range(n)]
+            for w in range(m)] for r in range(m)] for _, combos in _PENCIL]
+    return S, A, nA, Ak, den
 
 
-def _column_keys(n, m):
-    """cols[p][q]: the keys of the monomials T_ip T_jq over (i, j), where
-    the key of T_u T_v is u*N + v with u <= v over the N = n*m entries T_ia
-    at u = i*m + a, and the full key table."""
-    N = n * m
-    key = [[min(u, v) * N + max(u, v) for v in range(N)] for u in range(N)]
-    cols = [[[key[i * m + p][j * m + q] for i in range(n) for j in range(n)]
-             for q in range(m)] for p in range(m)]
-    return cols, key
-
-
-def _triples(keys, coefs):
-    """The terms of one residual component with a nonzero coefficient, as
-    (keys, coefficients); a monomial may occur in several terms."""
-    return tuple(compress(keys, coefs)), tuple(filter(None, coefs))
-
-
-def _anti_o_table(R: RepresentationPair):
-    """(rows, groups, den) of the anti-O identity.  Component k of the
-    residual of bracket t at (a, b) is
+def _anti_o_residuals(cols, rows, consts, times, dot):
+    """(den, rows) of the anti-O identity: component k of bracket t at
+    (a, b) is
 
       [Te_a, Te_b]_k - T(act(Te_b) e_a - act(Te_a) e_b)_k
-        = sum_ij T_ia T_jb sc[i][j][k] - sum_jc T_kc T_jb A_j[c][a]
-          + sum_ic T_kc T_ia A_i[c][b]
+        = sum_ij T_ia T_jb [e_i, e_j]_k - sum_jc T_jb T_kc act(e_j)[c][a]
+          + sum_jc T_ja T_kc act(e_j)[c][b],
 
-    with (bracket, act) = (circ, rho) or (star, mu) and A_j = act(e_j)."""
-    n, m = R.g.dim, R.v_dim
-    sc, acts, den = _constants(R)
-    cols, key = _column_keys(n, m)
-    # side[k][x] lists the keys of T_kc T_jx over (j, c)
-    side = [[[key[k * m + c][j * m + x] for j in range(n) for c in range(m)]
-             for x in range(m)] for k in range(n)]
-    rows, groups = [], []
+    one dot product, with (bracket, act) = (circ, rho), (star, mu)."""
+    S, A, nA, _, den = consts
+    m = len(cols)
+    # P[a][b] lists T_ia T_jb over (i, j), Q[k][x] T_jx T_kc over (j, c)
+    P = [[[times(x, y) for x in ca for y in cb] for cb in cols] for ca in cols]
+    Q = [[[times(x, y) for x in col for y in row] for col in cols]
+         for row in rows]
+    out = []
     for t in (0, 1):
-        S, A = sc[t], acts[t]
-        coef = [[S[i][j][k] for i in range(n) for j in range(n)]
-                for k in range(n)]
-        at = [[A[j][c][x] for j in range(n) for c in range(m)]
-              for x in range(m)]
-        neg = [list(map(_negated, col)) for col in at]
         for a, b in iproduct(range(m), repeat=2):
-            rows.append((str(t + 1), (a, b), len(groups)))
-            groups.append([_triples(cols[a][b] + side[k][b] + side[k][a],
-                                    coef[k] + neg[a] + at[b])
-                           for k in range(n)])
-    return rows, groups, den
+            Pab, C = P[a][b], nA[t][a] + A[t][b]
+            out.append((str(t + 1), (a, b),
+                        [dot(Pab + Qk[b] + Qk[a], Sk + C)
+                         for Qk, Sk in zip(Q, S[t])]))
+    return den, out
 
 
-def _strong_table(R: RepresentationPair):
-    """(rows, groups, den) of the strong identity: component r of the
-    k1^2, k1*k2 and k2^2 parts of the cyclic sum of act(X(Te_p, Te_q)) e_w
-    over the words (p, q, w) of (a, b, c), with act = k1 rho + k2 mu and
-    X = k1 [,]_1 + k2 [,]_2.  In a part with (action, bracket) pairs
-    (s, t), the coefficient of T_ip T_jq is the sum of
-    sum_k sc_t[i][j][k] A_s[k][r][w].  The rotations of (a, b, c) have the
-    same words, so they share one group."""
-    n, m, p = R.g.dim, R.v_dim, R.field.p
-    sc, acts, den = _constants(R)
-    dot = _poly_dot if R.field.kind == "poly" else \
-        (lambda xs, ys: sum(map(mul, xs, ys)))
-    cols, _ = _column_keys(n, m)
-    # acol[s][r][w] = A_s[k][r][w] over k
-    acol = [[[[A[k][r][w] for k in range(n)] for w in range(m)]
-             for r in range(m)] for A in acts]
-
-    def contract(combos, r, w):
-        coef = [dot([x for _, t in combos for x in sc[t][i][j]],
-                    [y for s, _ in combos for y in acol[s][r][w]])
-                for i in range(n) for j in range(n)]
-        return [c % p for c in coef] if p else coef
-
-    parts = [(name, [[contract(combos, r, w) for w in range(m)]
-                     for r in range(m)]) for name, combos in _PENCIL]
-    rows, groups, first = [], [], {}
+def _strong_residuals(cols, rows, consts, times, dot):
+    """(den, rows) of the strong identity: component r of the k1^2, k1*k2
+    and k2^2 parts of the cyclic sum of act(X(Te_p, Te_q)) e_w over the
+    words (p, q, w) of (a, b, c), with act = k1 rho + k2 mu and
+    X = k1 [,]_1 + k2 [,]_2.  A part sums
+    sum_k [Te_p, Te_q]_t,k act_s(e_k)[r][w] over its (action, bracket)
+    pairs (s, t): one dot product per component, after one per entry of
+    the brackets [Te_p, Te_q]_t.  The rotations of (a, b, c) have the
+    same words, so they share one evaluation."""
+    S, _, _, Ak, den = consts
+    m = len(cols)
+    P = [[[times(x, y) for x in cp for y in cq] for cq in cols] for cp in cols]
+    # X[t][p][q] = [Te_p, Te_q]_t, and per part the brackets its pairs take
+    X = [[[[dot(Ppq, Sk) for Sk in St] for Ppq in Pp] for Pp in P]
+         for St in S]
+    Xp = [[[[x for _, t in combos for x in X[t][p][q]] for q in range(m)]
+           for p in range(m)] for _, combos in _PENCIL]
+    out, seen = [], {}
     for abc in iproduct(range(m), repeat=3):
         a, b, c = abc
-        for name, coef in parts:
-            g = first.setdefault((min(abc, (b, c, a), (c, a, b)), name),
-                                 len(groups))
-            if g == len(groups):
-                groups.append([_triples(
-                    cols[a][b] + cols[b][c] + cols[c][a],
-                    coef[r][c] + coef[r][a] + coef[r][b]) for r in range(m)])
-            rows.append((name, abc, g))
-    return rows, groups, den * den
+        key = min(abc, (b, c, a), (c, a, b))
+        if key not in seen:
+            seen[key] = [[dot(Xq[a][b] + Xq[b][c] + Xq[c][a],
+                              Ar[c] + Ar[a] + Ar[b]) for Ar in Aq]
+                         for Xq, Aq in zip(Xp, Ak)]
+        out.extend((name, abc, sums)
+                   for (name, _), sums in zip(_PENCIL, seen[key]))
+    return den * den, out
 
 
-def _table(R: RepresentationPair, identity: str):
-    """The table of `identity` ("anti_o" or "strong") for R, built by
-    _<identity>_table on first use and then kept on R, like Field.zero()."""
-    attr = f"_{identity}_table"
-    try:
-        return getattr(R, attr)
-    except AttributeError:
-        object.__setattr__(R, attr, globals()[attr](R))
-        return getattr(R, attr)
+_RESIDUALS = {"anti_o": _anti_o_residuals, "strong": _strong_residuals}
 
 
 def _failures(T: Matrix, R: RepresentationPair, identity: str, prefix):
-    """The failing residuals of `identity` at T, as (prefix + name,
-    indices, residual Scalars), from R's table on plain values."""
+    """The failing residuals of `identity` ("anti_o" or "strong") at T, as
+    (prefix + name, indices, residual Scalars), computed on plain values
+    from R's cached constants."""
     n, m, f = R.g.dim, R.v_dim, R.field
     if (T.rows, T.cols) != (n, m):
         raise ShapeMismatchError(f"T must be {n}x{m}, got {T.rows}x{T.cols}")
     if T.field != f:
         raise FieldMismatchError("T and the representation pair are over "
                                  "different fields")
-    rows, groups, den = _table(R, identity)
-    entries = [x for row in T.entries for x in row]
-    t_den, value = _plain(f, entries)
-    vals = list(map(value, entries))
-    if f.kind == "poly":
-        prods = [_poly_dot((x,), (y,)) for x in vals for y in vals]
-        sums = [[_poly_dot(cs, map(prods.__getitem__, ks))
-                 for ks, cs in comps] for comps in groups]
-    else:
-        prods = [x * y for x in vals for y in vals]
-        sums = [[sum(map(mul, cs, map(prods.__getitem__, ks)))
-                 for ks, cs in comps] for comps in groups]
-        if f.p:
-            sums = [[s % f.p for s in r] for r in sums]
-    scale = None if f.p else Fraction(1, den * t_den * t_den)
-    return [(prefix + name, ix, [_scalar(f, s, scale) for s in sums[g]])
-            for name, ix, g in rows if any(sums[g])]
+    t_den, value = _plain(f, [x for row in T.entries for x in row])
+    rows = [list(map(value, row)) for row in T.entries]
+    cols = [list(col) for col in zip(*rows)]
+    times, dot = (_poly_mul, _poly_dot) if f.kind == "poly" else \
+        (mul, _int_dot)
+    den, residuals = _RESIDUALS[identity](cols, rows, _constants(R), times,
+                                          dot)
+    if f.p:
+        residuals = [(name, ix, [s % f.p for s in sums])
+                     for name, ix, sums in residuals]
+    den *= t_den * t_den
+    return [(prefix + name, ix, [_scalar(f, s, den) for s in sums])
+            for name, ix, sums in residuals if any(sums)]
 
 
 def check_anti_o(T: Matrix, R: RepresentationPair) -> CheckReport:

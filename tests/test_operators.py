@@ -431,12 +431,6 @@ def _same_outcome(new, old, *args):
     return True
 
 
-def _listed(failures):
-    """Every failure, uncapped and in report order, with printed residuals."""
-    return sorted((name, tuple(ix), [str(x) for x in r])
-                  for name, ix, r in failures)
-
-
 def _same_report(new, old):
     """Equal reports: JSON, failure count and the witness vectors."""
     assert new.to_json() == old.to_json()
@@ -448,10 +442,10 @@ def _agrees_with_oracles(T, R):
     """The optimized checks and constructions against the oracles; True
     when T passed the anti-O check."""
     _same_report(check_anti_o(T, R), old_check_anti_o(T, R))
-    assert _listed(operators._failures(T, R, "anti_o", "anti_o_")) == \
-        _listed(old_anti_o_failures(T, R))
-    assert _listed(operators._failures(T, R, "strong", "strong_")) == \
-        _listed(old_strong_failures(T, R))
+    assert operators._failures(T, R, "anti_o", "anti_o_") == \
+        old_anti_o_failures(T, R)
+    assert operators._failures(T, R, "strong", "strong_") == \
+        old_strong_failures(T, R)
     passed = _same_outcome(check_strong, old_check_strong, T, R)
     _same_outcome(induce_from_invertible, old_induce_from_invertible, T, R)
     _same_outcome(induce_on_image, old_induce_on_image, T, R)
@@ -757,9 +751,9 @@ def _rb_agrees_with_oracles(Rop, G):
         _same_report(check_anti_rota_baxter(Rop, G, strong),
                      old_check_anti_rota_baxter(Rop, G, strong))
     ad = adjoint_pair(G)
-    assert _listed(operators._failures(Rop, ad, "anti_o", "anti_rb_") +
-                   operators._failures(Rop, ad, "strong", "strong_rb_")) == \
-        _listed(old_anti_rota_baxter_failures(Rop, G, True))
+    assert operators._failures(Rop, ad, "anti_o", "anti_rb_") + \
+        operators._failures(Rop, ad, "strong", "strong_rb_") == \
+        old_anti_rota_baxter_failures(Rop, G, True)
     assert check_rb_converse(Rop, G).to_json() == \
         old_check_rb_converse(Rop, G).to_json()
     _same_outcome(induce_on_image, old_induce_on_image, Rop, adjoint_pair(G))
@@ -856,8 +850,8 @@ def test_cli_rb_exits_1_on_non_antisymmetric_brackets(G, tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# The quadratic tables: reports equal the oracles', uncapped witness lists
-# included; errors and the per-pair cache.
+# The plain-value evaluator: reports equal the oracles', uncapped witness
+# lists included; errors and the per-pair constants.
 # ---------------------------------------------------------------------------
 
 def dense_inputs(field, coeffs, n, m, seed):
@@ -881,7 +875,7 @@ def dense_inputs(field, coeffs, n, m, seed):
 
 
 @pytest.mark.parametrize("kind", sorted(OPERATOR_FIELDS))
-def test_table_reports_cap_witnesses_like_the_oracles(kind):
+def test_dense_reports_cap_witnesses_like_the_oracles(kind):
     # dense inputs at n = m = 3 fail on all 18 anti-O residuals and on
     # more than 16 strong ones, past the witness cap
     field, coeffs = OPERATOR_FIELDS[kind]
@@ -891,7 +885,7 @@ def test_table_reports_cap_witnesses_like_the_oracles(kind):
     _same_report(new, old)
     strong = operators._failures(T, R, "strong", "strong_")
     assert len(strong) > 16
-    assert _listed(strong) == _listed(old_strong_failures(T, R))
+    assert strong == old_strong_failures(T, R)
     _same_report(make_report(strong), make_report(old_strong_failures(T, R)))
 
 
@@ -940,13 +934,11 @@ def test_map_of_the_wrong_shape_raises():
     assert check_strong(Matrix.zero(QQ, 2, 3), R).passed
 
 
-def test_tables_are_built_once_per_pair(monkeypatch):
+def test_constants_are_built_once_per_pair(monkeypatch):
     built = []
-    for name in ("_anti_o_table", "_strong_table"):
-        real = getattr(operators, name)
-        monkeypatch.setattr(operators, name,
-                            lambda R, real=real, name=name:
-                            built.append(name) or real(R))
+    real = operators._build_constants
+    monkeypatch.setattr(operators, "_build_constants",
+                        lambda R: built.append(R) or real(R))
     pair = gf5_pair("CA30", {"beta": 1, "gamma": 2})
     R = left_multiplication_pair(pair)
     T = Matrix.from_rows(GF(5), [[0, 1], [0, 4]])
@@ -956,12 +948,12 @@ def test_tables_are_built_once_per_pair(monkeypatch):
     induce_on_image(T, R)
     for S in all_maps(GF(5)):
         check_anti_o(S, R)
-    assert built == ["_anti_o_table", "_strong_table"]
-    # the tables stay out of the dataclass: equality, hash and repr
+    assert len(built) == 1 and built[0] is R
+    # the constants stay out of the dataclass: equality, hash and repr
     fresh = left_multiplication_pair(pair)
     assert R == fresh and hash(R) == hash(fresh) and repr(R) == repr(fresh)
     check_anti_o(T, fresh)
-    assert built == ["_anti_o_table", "_strong_table", "_anti_o_table"]
+    assert len(built) == 2 and built[1] is fresh
 
 
 # ---------------------------------------------------------------------------
