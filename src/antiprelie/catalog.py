@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
-from .algebra import (Algebra, AlgebraPair, cast_algebra, cast_pair,
+from .algebra import (Algebra, AlgebraPair, cast_algebra,
                       check_compatible_pair, check_identity)
 from .cocycles import (Deformation, is_automorphism, transform_deformation,
                        verify_family_membership)
@@ -141,11 +141,8 @@ def instantiate(f: Family, assignment: dict | None = None, branch=None,
         raise ConstraintError(f"{f.name}: missing parameters {missing}")
     f.check_constraints(assignment)
     assignment.update(f._branch_point(branch))
-    pair = f._tables(assignment, QQ)
-    if prime is None:
-        return pair
     try:
-        return cast_pair(pair, GF(prime))
+        return f._tables(assignment, QQ if prime is None else GF(prime))
     except ZeroDivisionError:
         at = ", ".join(f"{v}={q}" for v, q in assignment.items())
         raise ConstraintError(f"{f.name}: a denominator vanishes mod "

@@ -16,7 +16,7 @@ from .algebra import (AlgebraPair, check_compatible_associative,
                       check_compatible_lie, check_compatible_pair,
                       check_identity, load_algebra_file, pair_to_json)
 from .cocycles import (DEFAULT_BUDGET, MAX_BUDGET, brute_force_Z2,
-                       check_budget, Deformation, instantiate_family_gf,
+                       check_budget, instantiate_family_gf,
                        linear_space, verify_family_membership)
 from .errors import ParseError, PreconditionError, ToolkitError
 from .forms import (construct_from_vectors, induce_from_cocycle,
@@ -196,9 +196,8 @@ def cmd_z2(args) -> int:
         basis_p = linear_space(base_p)
         report["linear_dimension_Q"] = len(basis_q)
         report["linear_dimension_GF"] = len(basis_p)
-        report["basis_GF"] = [[str(x) for x in d.flat()]
-                              for d in (Deformation(base_p, b)
-                                        for b in basis_p)]
+        report["basis_GF"] = [[str(x) for plane in b.sc for row in plane
+                               for x in row] for b in basis_p]
         ok = len(basis_q) == len(basis_p)
         emit(report, args,
              f"z2 linear {name}: dim {len(basis_q)} over Q, "

@@ -5,8 +5,9 @@ everything is one Gauss-Jordan pass with exact division, plus cofactor
 fallbacks for polynomial entries where division is unavailable.
 
 The exact vector kernel lives here too: coefficient vectors are lists
-of Scalars, and every dot product, axpy and vector sum of the toolkit
-goes through `_dot`, `_axpy`, `_vadd`, `_vsub` and `_vec_is_zero`.
+of Scalars, and their dot products, axpys and sums go through `_dot`,
+`_axpy`, `_vadd`, `_vsub` and `_vec_is_zero`.  The operator checks
+take their dot products on plain values instead (see `operators`).
 """
 from __future__ import annotations
 
@@ -201,8 +202,7 @@ class Matrix:
             m[r] = [inv * x for x in m[r]]
             for i in range(self.rows):
                 if i != r and not m[i][c].is_zero():
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                    _axpy(m[i], -m[i][c], m[r])
             pivots.append(c)
         if len(pivots) < self.rows:
             det = self.field.zero()

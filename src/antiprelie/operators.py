@@ -15,10 +15,13 @@ entries of T with R's constants, O(n^3 m^2 + n^2 m^3) per check.  The
 strong residuals first take the brackets [Te_p, Te_q] and then one dot
 product per component with the action entries, O(m^2 n^3 + n m^4); the
 rotations of an index triple share one evaluation, as they have the
-same cyclic words.  One evaluator, `_failures`, serves every anti-O and
-strong evaluation on a concrete T: `check_anti_o`, `check_strong`,
-`check_anti_rota_baxter` and the preconditions of the constructions.
-Only the failing residuals are wrapped back into Scalars, so reports are
+same cyclic words.  The anti-Rota-Baxter converse is the same
+contraction on a single word, applied to the anti-O form on G's adjoint
+pair with G's right multiplications in place of the negated left
+action.  One evaluator, `_failures`, serves every operator identity on a
+concrete map: `check_anti_o`, `check_strong`, `check_anti_rota_baxter`,
+`check_rb_converse` and the preconditions of the constructions.  Only
+the failing residuals are wrapped back into Scalars, so reports are
 those of the direct check.
 
 Conditions quantified over all pencil coefficients (k1, k2) are decided
@@ -29,7 +32,8 @@ anti-Rota-Baxter converse.
 An anti-Rota-Baxter operator R on a bracket pair G is checked as an
 anti-O-operator on the adjoint pair (ad_1, ad_2, G), and `induce_from_rb`
 is `induce_on_domain` there.  The two identities agree only when both
-brackets are antisymmetric, so that is a checked precondition.
+brackets are antisymmetric, so that is a checked precondition; the
+converse takes any bracket pair.
 """
 from __future__ import annotations
 
@@ -38,11 +42,11 @@ from itertools import product as iproduct
 from math import lcm
 from operator import add, attrgetter, mul
 
-from .algebra import (_PENCIL, Algebra, AlgebraPair, CheckReport, _left,
-                      _right, _symmetry_failures, make_report, transported)
+from .algebra import (_PENCIL, Algebra, AlgebraPair, CheckReport,
+                      _symmetry_failures, make_report, transported)
 from .errors import (FieldMismatchError, NotInvertibleError,
                      PreconditionError, ShapeMismatchError)
-from .linalg import Matrix, _vadd, _vec_is_zero
+from .linalg import Matrix
 from .representations import RepresentationPair, adjoint_pair
 from .scalars import _make
 
@@ -135,15 +139,14 @@ def _build_constants(R: RepresentationPair):
     return S, A, nA, Ak, den
 
 
-def _anti_o_residuals(cols, rows, consts, times, dot):
-    """(den, rows) of the anti-O identity: component k of bracket t at
-    (a, b) is
-
-      [Te_a, Te_b]_k - T(act(Te_b) e_a - act(Te_a) e_b)_k
-        = sum_ij T_ia T_jb [e_i, e_j]_k - sum_jc T_jb T_kc act(e_j)[c][a]
-          + sum_jc T_ja T_kc act(e_j)[c][b],
-
-    one dot product, with (bracket, act) = (circ, rho), (star, mu)."""
+def _anti_o_residuals(cols, rows, consts, times, dot, left=None):
+    """(den, rows) of the anti-O form: rows (name, (a, b), X) in the order
+    of (t, a, b), name "1" or "2" for t = 0, 1, where X lists over k
+    sum_ij T_ia T_jb [e_i, e_j]_k + sum_jc T_jb T_kc left[t][a][(j, c)]
+    + sum_jc T_ja T_kc act(e_j)[c][b], one dot product each, with
+    (bracket, act) = (circ, rho), (star, mu).  With left = nA, the
+    default, X is the anti-O residual
+    [Te_a, Te_b]_k - T(act(Te_b) e_a - act(Te_a) e_b)_k."""
     S, A, nA, _, den = consts
     m = len(cols)
     # P[a][b] lists T_ia T_jb over (i, j), Q[k][x] T_jx T_kc over (j, c)
@@ -151,13 +154,20 @@ def _anti_o_residuals(cols, rows, consts, times, dot):
     Q = [[[times(x, y) for x in col for y in row] for col in cols]
          for row in rows]
     out = []
-    for t in (0, 1):
-        for a, b in iproduct(range(m), repeat=2):
-            Pab, C = P[a][b], nA[t][a] + A[t][b]
-            out.append((str(t + 1), (a, b),
-                        [dot(Pab + Qk[b] + Qk[a], Sk + C)
-                         for Qk, Sk in zip(Q, S[t])]))
+    for name, St, Lt, At in zip("12", S, nA if left is None else left, A):
+        for ab in iproduct(range(m), repeat=2):
+            a, b = ab
+            Pab, C = P[a][b], Lt[a] + At[b]
+            out.append((name, ab, [dot(Pab + Qk[b] + Qk[a], Sk + C)
+                                   for Qk, Sk in zip(Q, St)]))
     return den, out
+
+
+def _by_part(X, m):
+    """Per pencil part, Xp[p][q] joins the vectors X[(t*m + p)*m + q] of
+    the part's (action, bracket) pairs (s, t), in the order of its Ak."""
+    return [[[[x for _, t in combos for x in X[(t * m + p) * m + q]]
+              for q in range(m)] for p in range(m)] for _, combos in _PENCIL]
 
 
 def _strong_residuals(cols, rows, consts, times, dot):
@@ -172,11 +182,9 @@ def _strong_residuals(cols, rows, consts, times, dot):
     S, _, _, Ak, den = consts
     m = len(cols)
     P = [[[times(x, y) for x in cp for y in cq] for cq in cols] for cp in cols]
-    # X[t][p][q] = [Te_p, Te_q]_t, and per part the brackets its pairs take
-    X = [[[[dot(Ppq, Sk) for Sk in St] for Ppq in Pp] for Pp in P]
-         for St in S]
-    Xp = [[[[x for _, t in combos for x in X[t][p][q]] for q in range(m)]
-           for p in range(m)] for _, combos in _PENCIL]
+    # the brackets [Te_p, Te_q]_t in the order of (t, p, q)
+    Xp = _by_part([[dot(Ppq, Sk) for Sk in St] for St in S for Pp in P
+                   for Ppq in Pp], m)
     out, seen = [], {}
     for abc in iproduct(range(m), repeat=3):
         a, b, c = abc
@@ -190,11 +198,25 @@ def _strong_residuals(cols, rows, consts, times, dot):
     return den * den, out
 
 
-_RESIDUALS = {"anti_o": _anti_o_residuals, "strong": _strong_residuals}
+def _converse_residuals(cols, rows, consts, times, dot):
+    """(den, rows) of the anti-Rota-Baxter converse on G's adjoint pair:
+    X_t(i, j) = [Re_i, Re_j]_t + R([e_i, Re_j]_t + [Re_i, e_j]_t) is the
+    anti-O form with left[t][a] = [e_a, e_j]_t over (j, c), G's right
+    multiplications (nA when G is antisymmetric), and a pencil part sums
+    [X_t(i, j), e_k]_s over its pairs (s, t) on the one word (i, j, k)."""
+    S, _, _, Ak, den = consts
+    n = len(cols)
+    right = [[[St[c][a * n + j] for j in range(n) for c in range(n)]
+              for a in range(n)] for St in S]
+    _, form = _anti_o_residuals(cols, rows, consts, times, dot, right)
+    Xp = _by_part([X for _, _, X in form], n)
+    return den * den, [(name, (i, j, k), [dot(Xq[i][j], Ar[k]) for Ar in Aq])
+                       for i, j, k in iproduct(range(n), repeat=3)
+                       for (name, _), Xq, Aq in zip(_PENCIL, Xp, Ak)]
 
 
-def _failures(T: Matrix, R: RepresentationPair, identity: str, prefix):
-    """The failing residuals of `identity` ("anti_o" or "strong") at T, as
+def _failures(T: Matrix, R: RepresentationPair, residuals, prefix):
+    """The failing rows of the residual function `residuals` at T, as
     (prefix + name, indices, residual Scalars), computed on plain values
     from R's cached constants."""
     n, m, f = R.g.dim, R.v_dim, R.field
@@ -208,8 +230,7 @@ def _failures(T: Matrix, R: RepresentationPair, identity: str, prefix):
     cols = [list(col) for col in zip(*rows)]
     times, dot = (_poly_mul, _poly_dot) if f.kind == "poly" else \
         (mul, _int_dot)
-    den, residuals = _RESIDUALS[identity](cols, rows, _constants(R), times,
-                                          dot)
+    den, residuals = residuals(cols, rows, _constants(R), times, dot)
     if f.p:
         residuals = [(name, ix, [s % f.p for s in sums])
                      for name, ix, sums in residuals]
@@ -221,40 +242,37 @@ def _failures(T: Matrix, R: RepresentationPair, identity: str, prefix):
 def check_anti_o(T: Matrix, R: RepresentationPair) -> CheckReport:
     """The anti-O identity for each bracket; linearity in (k1,k2) makes
     the two coefficient checks equivalent to the all-pencil statement."""
-    return make_report(_failures(T, R, "anti_o", "anti_o_"))
+    return make_report(_failures(T, R, _anti_o_residuals, "anti_o_"))
 
 
 def check_strong(T: Matrix, R: RepresentationPair) -> CheckReport:
     """Strongness of an anti-O-operator: the k1^2, k1*k2, k2^2 components
     of rho_pencil([Tu,Tv]_pencil)w + cyclic.  Raises if T is not anti-O."""
     check_anti_o(T, R).require("T is not an anti-O-operator")
-    return make_report(_failures(T, R, "strong", "strong_"))
-
-
-def _require_antisymmetric(G: AlgebraPair):
-    for name, A in (("bracket 1", G.circ), ("bracket 2", G.star)):
-        if _symmetry_failures(A, "antisymmetric"):
-            raise PreconditionError(
-                f"{name} is not antisymmetric; anti-Rota-Baxter operators "
-                "are checked as anti-O-operators on the adjoint pair")
+    return make_report(_failures(T, R, _strong_residuals, "strong_"))
 
 
 def check_anti_rota_baxter(Rop: Matrix, G: AlgebraPair,
                            strong: bool = False) -> CheckReport:
     """[R(x),R(y)] = R([R(y),x] + [y,R(x)]) for each bracket; with the
     strong flag, also the cyclic condition coefficient-wise in the pencil.
-
     Both are the anti-O conditions of R on the adjoint pair, relabelled
-    anti_rb_* and strong_rb_*; the brackets must be antisymmetric.
-    """
-    n = G.dim
-    if (Rop.rows, Rop.cols) != (n, n):
+    anti_rb_* and strong_rb_*; the brackets must be antisymmetric."""
+    return _anti_rb_report(Rop, G, adjoint_pair(G), strong)
+
+
+def _anti_rb_report(Rop, G: AlgebraPair, ad, strong) -> CheckReport:
+    """`check_anti_rota_baxter` on G's adjoint pair ad."""
+    if (Rop.rows, Rop.cols) != (G.dim, G.dim):
         raise ShapeMismatchError("anti-Rota-Baxter operator must be square")
-    _require_antisymmetric(G)
-    ad = adjoint_pair(G)
-    failures = _failures(Rop, ad, "anti_o", "anti_rb_")
+    for name, A in (("bracket 1", G.circ), ("bracket 2", G.star)):
+        if _symmetry_failures(A, "antisymmetric"):
+            raise PreconditionError(
+                f"{name} is not antisymmetric; anti-Rota-Baxter operators "
+                "are checked as anti-O-operators on the adjoint pair")
+    failures = _failures(Rop, ad, _anti_o_residuals, "anti_rb_")
     if strong:
-        failures += _failures(Rop, ad, "strong", "strong_rb_")
+        failures += _failures(Rop, ad, _strong_residuals, "strong_rb_")
     return make_report(failures)
 
 
@@ -323,37 +341,17 @@ def induce_on_image(T: Matrix, R: RepresentationPair):
 def induce_from_rb(Rop: Matrix, G: AlgebraPair) -> AlgebraPair:
     """x.y = -[R(x),y]_1,  x*y = -[R(x),y]_2 for a strong anti-RB operator:
     the domain products of R on the adjoint pair, on G's basis."""
-    check_anti_rota_baxter(Rop, G, strong=True).require(
+    ad = adjoint_pair(G)
+    _anti_rb_report(Rop, G, ad, strong=True).require(
         "R is not a strong anti-Rota-Baxter operator")
-    return _domain_pair(Rop, adjoint_pair(G), G.basis)
+    return _domain_pair(Rop, ad, G.basis)
 
 
 def check_rb_converse(Rop: Matrix, G: AlgebraPair) -> CheckReport:
     """[[R(x),R(y)] + R([x,R(y)] + [R(x),y]), z] = 0, coefficient-wise in
     the pencil (k1^2, k1*k2, k2^2 components); any bracket pair."""
-    n = G.dim
-    if (Rop.rows, Rop.cols) != (n, n):
-        raise ShapeMismatchError("operator must be square")
-    Re = Rop.columns()
-
-    def inner(brk):
-        """X[i][j] = [Re_i, Re_j] + R([e_i, Re_j] + [Re_i, e_j])."""
-        W = transported(brk, Re)
-        return [[_vadd(W[i][j], Rop.apply(_vadd(_left(brk, i, Re[j]),
-                                                 _right(brk, Re[i], j))))
-                 for j in range(n)] for i in range(n)]
-
-    # [X, e_k] is column k of ad_s(X): cols[s][t][i][j][k] = [X_t[i][j], e_k]_s
-    ad, tables = adjoint_pair(G), (inner(G.circ), inner(G.star))
-    cols = [[[[act(v).columns() for v in row] for row in X] for X in tables]
-            for act in (ad.rho_of, ad.mu_of)]
-    failures = []
-    for i, j, k in iproduct(range(n), repeat=3):
-        for name, combos in _PENCIL:
-            total = _vadd(*(cols[s][t][i][j][k] for s, t in combos))
-            if not _vec_is_zero(total):
-                failures.append(("rb_converse_" + name, (i, j, k), total))
-    return make_report(failures)
+    return make_report(_failures(Rop, adjoint_pair(G), _converse_residuals,
+                                 "rb_converse_"))
 
 
 def induce_from_invertible(T: Matrix, R: RepresentationPair) -> AlgebraPair:

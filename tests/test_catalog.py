@@ -327,6 +327,11 @@ def _oracle_instantiate(f, assignment=None, branch=None, prime=None):
         if branch not in f.branch["values"]:
             raise ConstraintError("bad branch value")
         assignment[f.branch["name"]] = Fraction(branch)
+    # a parameter whose denominator vanishes mod p is refused, whether or
+    # not an entry uses it
+    if prime is not None and any(q.denominator % prime == 0
+                                 for q in assignment.values()):
+        raise ZeroDivisionError(f"a denominator vanishes mod {prime}")
     ring = f.ring()
     target = GF(prime) if prime is not None else QQ
 

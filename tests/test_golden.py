@@ -18,7 +18,11 @@ files:
   anti-O there but not strong (18 failures, past the witness cap);
 - the zero pair of dimension 8 over Q[x] and the dense unit-determinant
   map L L^t on it (L unitriangular with entries x + i + j), which
-  `derive from-invertible` refuses before expanding a determinant.
+  `derive from-invertible` refuses before expanding a determinant;
+- the brackets [e1,e2]_1 = e1 and [e1,e2]_2 = 1/2 e2 over Q and over
+  Q[x, x^-1] with x a unit, each with a map that fails the anti-RB
+  identity and the converse condition, so that converse residuals with
+  denominators and Laurent terms are pinned.
 A deliberate change of a report updates its digest in the same commit.
 A run that fails a precondition writes nothing on stdout; its stderr
 line names the failure count.
@@ -82,6 +86,14 @@ CASES = [
      "010758da2032822ead861299232f93c888a82ccb3b0fd6558822a6a477767fb1"),
     (("ops", "strong", "--rep", NOT_REP, "--map", T_PROJ), 1,
      "532cbcfd37530c14b692bd353bcbba4bdccd36d1181b51d7a82055a773f0251a"),
+    (("ops", "rb", "--strong", "--brackets",
+      str(GOLDEN / "solvable-q.alg.json"),
+      "--map", str(GOLDEN / "rb-fails-q.map.json")), 1,
+     "080dc22688658b054482b48b4e878c122024bdcee072c732dc0af46d23371827"),
+    (("ops", "rb", "--strong", "--brackets",
+      str(GOLDEN / "solvable-laurent.alg.json"),
+      "--map", str(GOLDEN / "rb-fails-laurent.map.json")), 1,
+     "a523b1e47a6f5256db14e95d0222f58933ee29d62548defa48dc922ff23e8955"),
 ]
 
 

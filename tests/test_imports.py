@@ -1,0 +1,44 @@
+"""Every module of the package (its `__init__` aside, which re-exports)
+uses each name it imports: a name that is imported and never read is
+left over from a refactor.  Only the stdlib `ast` module is used, so the
+check runs wherever the tests run."""
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "antiprelie"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str):
+    """The names bound by the module's imports that nothing reads, in
+    the order of their import statements."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # a name listed in __all__ is used by re-export
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used |= {e.value for e in node.value.elts}
+    return [name for name in imported if name not in used]
+
+
+def test_the_check_sees_an_unused_import():
+    source = "import json\nfrom .linalg import Matrix, _vadd\nMatrix()\n"
+    assert unused_imports(source) == ["json", "_vadd"]
+    assert unused_imports("from __future__ import annotations\n") == []
+    assert unused_imports("import os.path\nos.sep\n") == []
+    assert unused_imports("from a import b\n__all__ = ['b']\n") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_uses_every_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -442,10 +442,10 @@ def _agrees_with_oracles(T, R):
     """The optimized checks and constructions against the oracles; True
     when T passed the anti-O check."""
     _same_report(check_anti_o(T, R), old_check_anti_o(T, R))
-    assert operators._failures(T, R, "anti_o", "anti_o_") == \
-        old_anti_o_failures(T, R)
-    assert operators._failures(T, R, "strong", "strong_") == \
-        old_strong_failures(T, R)
+    assert operators._failures(T, R, operators._anti_o_residuals,
+                               "anti_o_") == old_anti_o_failures(T, R)
+    assert operators._failures(T, R, operators._strong_residuals,
+                               "strong_") == old_strong_failures(T, R)
     passed = _same_outcome(check_strong, old_check_strong, T, R)
     _same_outcome(induce_from_invertible, old_induce_from_invertible, T, R)
     _same_outcome(induce_on_image, old_induce_on_image, T, R)
@@ -666,6 +666,10 @@ def old_induce_from_rb(Rop, G):
 
 
 def old_check_rb_converse(Rop, G):
+    return make_report(old_rb_converse_failures(Rop, G))
+
+
+def old_rb_converse_failures(Rop, G):
     n = G.dim
     if (Rop.rows, Rop.cols) != (n, n):
         raise ShapeMismatchError("operator must be square")
@@ -691,7 +695,7 @@ def old_check_rb_converse(Rop, G):
                 total = [x + y for x, y in zip(total, term)]
             if any(not x.is_zero() for x in total):
                 failures.append((name, (i, j, k), total))
-    return make_report(failures)
+    return failures
 
 
 def old_induce_on_image(T, R):
@@ -744,6 +748,16 @@ def old_induce_on_image(T, R):
     return AlgebraPair(build(domain.circ), build(domain.star)), basis
 
 
+def _converse_agrees_with_oracle(Rop, G):
+    """The uncapped converse failure list equals the oracle's, in order,
+    and so does the report."""
+    assert operators._failures(Rop, adjoint_pair(G),
+                               operators._converse_residuals,
+                               "rb_converse_") == \
+        old_rb_converse_failures(Rop, G)
+    _same_report(check_rb_converse(Rop, G), old_check_rb_converse(Rop, G))
+
+
 def _rb_agrees_with_oracles(Rop, G):
     """The anti-RB checks and construction against the oracles; True when
     Rop is a strong anti-Rota-Baxter operator."""
@@ -751,11 +765,12 @@ def _rb_agrees_with_oracles(Rop, G):
         _same_report(check_anti_rota_baxter(Rop, G, strong),
                      old_check_anti_rota_baxter(Rop, G, strong))
     ad = adjoint_pair(G)
-    assert operators._failures(Rop, ad, "anti_o", "anti_rb_") + \
-        operators._failures(Rop, ad, "strong", "strong_rb_") == \
-        old_anti_rota_baxter_failures(Rop, G, True)
-    assert check_rb_converse(Rop, G).to_json() == \
-        old_check_rb_converse(Rop, G).to_json()
+    failures = operators._failures(Rop, ad, operators._anti_o_residuals,
+                                   "anti_rb_")
+    failures += operators._failures(Rop, ad, operators._strong_residuals,
+                                    "strong_rb_")
+    assert failures == old_anti_rota_baxter_failures(Rop, G, True)
+    _converse_agrees_with_oracle(Rop, G)
     _same_outcome(induce_on_image, old_induce_on_image, Rop, adjoint_pair(G))
     return _same_outcome(induce_from_rb, old_induce_from_rb, Rop, G)
 
@@ -802,9 +817,7 @@ def test_rb_checks_match_oracles_on_antisymmetric_pairs(inputs):
 @settings(max_examples=60, deadline=None)
 @given(bracket_pairs(antisymmetric=False))
 def test_rb_converse_matches_oracle_on_any_pair(inputs):
-    Rop, G = inputs
-    assert check_rb_converse(Rop, G).to_json() == \
-        old_check_rb_converse(Rop, G).to_json()
+    _converse_agrees_with_oracle(*inputs)
 
 
 def test_rb_checks_match_oracles_on_all_gf5_maps():
@@ -812,6 +825,19 @@ def test_rb_checks_match_oracles_on_all_gf5_maps():
                                           "beta": 1}, branch=1))
     passed = sum(_rb_agrees_with_oracles(Rop, G) for Rop in all_maps(GF(5)))
     assert 1 < passed < 625
+
+
+def test_rb_converse_matches_oracle_on_all_gf5_maps_of_any_pair():
+    # the CA35 pair itself is not antisymmetric, so G's right
+    # multiplications differ from the negated adjoint action
+    G = gf5_pair("CA35", {"lambda": 1, "alpha": 2, "beta": 1}, branch=1)
+    with pytest.raises(PreconditionError, match="antisymmetric"):
+        check_anti_rota_baxter(Matrix.zero(GF(5), 2, 2), G)
+    failing = 0
+    for Rop in all_maps(GF(5)):
+        _converse_agrees_with_oracle(Rop, G)
+        failing += not check_rb_converse(Rop, G).passed
+    assert 0 < failing < 625
 
 
 def non_antisymmetric_pairs():
@@ -830,8 +856,7 @@ def test_anti_rb_needs_antisymmetric_brackets(G):
         with pytest.raises(PreconditionError, match="antisymmetric"):
             induce_from_rb(rop, G)
         # the converse condition takes any bracket pair
-        assert check_rb_converse(rop, G).to_json() == \
-            old_check_rb_converse(rop, G).to_json()
+        _converse_agrees_with_oracle(rop, G)
 
 
 @pytest.mark.parametrize("G", non_antisymmetric_pairs())
@@ -883,7 +908,8 @@ def test_dense_reports_cap_witnesses_like_the_oracles(kind):
     new, old = check_anti_o(T, R), old_check_anti_o(T, R)
     assert new.failure_count > 16 and len(new.witnesses) == 16
     _same_report(new, old)
-    strong = operators._failures(T, R, "strong", "strong_")
+    strong = operators._failures(T, R, operators._strong_residuals,
+                                 "strong_")
     assert len(strong) > 16
     assert strong == old_strong_failures(T, R)
     _same_report(make_report(strong), make_report(old_strong_failures(T, R)))
@@ -922,6 +948,9 @@ def test_map_over_another_field_raises(other):
         for strong in (False, True):
             with pytest.raises(FieldMismatchError):
                 check_anti_rota_baxter(T, G, strong)
+        for construct in (check_rb_converse, induce_from_rb):
+            with pytest.raises(FieldMismatchError):
+                construct(T, G)
 
 
 def test_map_of_the_wrong_shape_raises():
@@ -932,6 +961,10 @@ def test_map_of_the_wrong_shape_raises():
             with pytest.raises(ShapeMismatchError):
                 check(T, R)
     assert check_strong(Matrix.zero(QQ, 2, 3), R).passed
+    G = AlgebraPair(Algebra.zero_algebra(QQ, 2), Algebra.zero_algebra(QQ, 2))
+    for check in (check_rb_converse, check_anti_rota_baxter, induce_from_rb):
+        with pytest.raises(ShapeMismatchError):
+            check(Matrix.zero(QQ, 2, 3), G)
 
 
 def test_constants_are_built_once_per_pair(monkeypatch):
