@@ -5,31 +5,37 @@ coefficient of e_k in e_i * e_j.  All identities are verified on basis
 tuples only; multilinearity makes that complete, and over polynomial
 rings the verdicts are exact polynomial identities.
 
-The checkers never multiply basis vectors: e_i * e_j is the row
-sc[i][j], and the degree-3 word tables e_a * (e_b * e_c) and
-(e_a * e_b) * e_c are built once for all triples by scaling table rows
-(zero coefficients skipped, a coefficient of one not multiplied).
-Exact arithmetic makes the residuals equal to `multiply`'s.
+The checkers never multiply basis vectors.  Each quadratic identity
+(anti-pre-Lie, pre-Lie, Jacobi, associative) is a signed sum of two
+degree-3 words, the inner e_a * (e_b * e_c) and the outer
+(e_a * e_b) * e_c, at permutations of the triple, and is written once,
+as a row of the incidence table `_INCIDENCE`.  `_residuals` converts
+the structure constants once to plain values (see `linalg`), takes each
+word component as one dot product of a nonzero table row with a
+nonzero column, and adds it into the residual components the incidence
+table lists; components are reduced mod p once, and only nonzero ones
+are wrapped back into Scalars.  Exact arithmetic makes the residuals
+equal to `multiply`'s.
 
-Each quadratic identity (anti-pre-Lie, pre-Lie, Jacobi, associative) is
-written once, on word tables summed over ordered product pairs (X, Y):
-[(A, A)] checks A, and [(circ, star), (star, circ)] is the k1*k2
-coefficient of the identity of k1*circ + k2*star, the mixed condition
-of a compatible pair.  `_PENCIL` holds those index pairs for every
-pencil coefficient and is shared with the operator and representation
-checks.
+Words are summed over ordered product pairs (X, Y): [(A, A)] checks A,
+and [(circ, star), (star, circ)] is the k1*k2 coefficient of the
+identity of k1*circ + k2*star, the mixed condition of a compatible
+pair.  `_PENCIL` holds those index pairs for every pencil coefficient
+and is shared with the operator and representation checks.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
 from itertools import product as iproduct
+from operator import add, sub
 
 from .errors import (FieldMismatchError, ParseError, PreconditionError,
                      ShapeMismatchError)
-from .linalg import _axpy, _vadd, _vec_is_zero, _vsub
-from .scalars import (Field, Scalar, _json_int, _read_json, cast_scalar,
-                      format_scalar, parse_json_scalar)
+from .linalg import (_axpy, _int_dot, _plain, _poly_dot, _scalar, _vadd,
+                     _vec_is_zero, _vsub)
+from .scalars import (Field, Scalar, _json_int, _poly_add, _read_json,
+                      cast_scalar, format_scalar, parse_json_scalar)
 
 MAX_WITNESSES = 16
 MAX_DIM = 64  # .alg.json input; the toolkit's own tables stay far below
@@ -220,15 +226,6 @@ def multiply(A: Algebra, x, y):
     return out
 
 
-def _left(A: Algebra, i: int, v, out=None):
-    """e_i * v, read off the rows sc[i][j] of the table (added into out)."""
-    out = [A.field.zero()] * A.dim if out is None else out
-    for j, c in enumerate(v):
-        if not c.is_zero():
-            _axpy(out, c, A.sc[i][j])
-    return out
-
-
 def _right(A: Algebra, v, k: int, out=None):
     """v * e_k, read off the rows sc[i][k] of the table (added into out)."""
     out = [A.field.zero()] * A.dim if out is None else out
@@ -236,21 +233,6 @@ def _right(A: Algebra, v, k: int, out=None):
         if not c.is_zero():
             _axpy(out, c, A.sc[i][k])
     return out
-
-
-def _words(pairs, outer: bool):
-    """W[a][b][c] = the sum over the product pairs (X, Y) of the word
-    (e_a *Y e_b) *X e_c if outer, else e_a *X (e_b *Y e_c)."""
-    r = range(pairs[0][0].dim)
-    zero = pairs[0][0].field.zero()
-    W = [[[[zero] * len(r) for c in r] for b in r] for a in r]
-    for X, Y in pairs:
-        for a, b, c in iproduct(r, repeat=3):
-            if outer:
-                _right(X, Y.sc[a][b], c, W[a][b][c])
-            else:
-                _left(X, a, Y.sc[b][c], W[a][b][c])
-    return W
 
 
 def transported(A: Algebra, vecs):
@@ -333,50 +315,98 @@ def _mixed_pairs(P: AlgebraPair):
     return [(members[s], members[t]) for s, t in dict(_PENCIL)["k1k2"]]
 
 
-def _nonzero(residuals):
-    return [w for w in residuals if not _vec_is_zero(w[2])]
-
-
 def _symmetry_failures(A: Algebra, name: str):
     """Nonzero e_i*e_j - e_j*e_i ("commutative") or e_i*e_j + e_j*e_i
     ("antisymmetric") on every ordered basis pair."""
     combine = _vsub if name == "commutative" else _vadd
-    return _nonzero((name, (i, j), combine(A.sc[i][j], A.sc[j][i]))
-                    for i, j in iproduct(range(A.dim), repeat=2))
+    return [(name, (i, j), v) for i, j in iproduct(range(A.dim), repeat=2)
+            if not _vec_is_zero(v := combine(A.sc[i][j], A.sc[j][i]))]
 
 
-def _residuals(kind: str, pairs, name: str):
-    """Residual vectors of a quadratic identity on every basis triple,
-    zero or not, in lexicographic order (the two anti-pre-Lie equations
-    of a triple together, as name_1 and name_2).  The word tables
-    x*(y*z), (x*y)*z and [x,y]*z are summed over the ordered product
-    pairs (X, Y), [(A, A)] for A itself or the k1*k2 pairs of a pencil.
+# Where the words of every product go.  The inner word at t = (a, b, c)
+# is e_a *X (e_b *Y e_c) and the outer word (e_a *Y e_b) *X e_c; per
+# identity kind, (inner, outer) lists the (equation, permutation p, sign)
+# that add the word, with that sign, into the residual of that equation
+# at (t[p[0]], t[p[1]], t[p[2]]): at t itself, at sw(t) = (b, a, c), at
+# the rotations of t or at those of sw(t).
+_ID, _SW = (0, 1, 2), (1, 0, 2)
+_ROT, _SW_ROT = (_ID, (1, 2, 0), (2, 0, 1)), (_SW, (0, 2, 1), (2, 1, 0))
+_INCIDENCE = {
+    # x*(y*z) - y*(x*z) - [y,x]*z  and  [x,y]*z + [y,z]*x + [z,x]*y
+    "anti_pre_lie": (((0, _ID, 1), (0, _SW, -1)),
+                     ((0, _ID, 1), (0, _SW, -1))
+                     + tuple((1, p, 1) for p in _ROT)
+                     + tuple((1, p, -1) for p in _SW_ROT)),
+    # [[x,y],z] + [[y,z],x] + [[z,x],y]
+    "jacobi": ((), tuple((0, p, 1) for p in _ROT)),
+    # the associator (x*y)*z - x*(y*z), antisymmetrized in x, y for pre_lie
+    "associative": (((0, _ID, -1),), ((0, _ID, 1),)),
+    "pre_lie": (((0, _ID, -1), (0, _SW, 1)), ((0, _ID, 1), (0, _SW, -1))),
+}
+
+
+def _residuals(kind: str, pairs, name: str, failing: bool = False):
+    """Residual vectors of a quadratic identity on the basis triples in
+    lexicographic order, every triple or with `failing` only the nonzero
+    ones (the two anti-pre-Lie equations of a triple together, as name_1
+    and name_2).  The words are summed over the ordered product pairs
+    (X, Y), [(A, A)] for A itself or the k1*k2 pairs of a pencil.
+
+    The tables are converted once to plain values (see `linalg`).  Word
+    component l is one dot product: of the row e_b *Y e_c with X's column
+    (e_a *X e_j)_l over j for the inner word, of e_a *Y e_b with
+    (e_j *X e_c)_l for the outer one, each joined over the pairs.  Zero
+    rows and columns are skipped, and each nonzero word component is
+    added into the residual components that `_INCIDENCE` lists.  Only
+    nonzero components are wrapped back into Scalars.
     """
-    if kind == "anti_pre_lie":
-        # x*(y*z) - y*(x*z) - [y,x]*z  and  [x,y]*z + [y,z]*x + [z,x]*y
-        I = _words(pairs, outer=False)
-        B = _words([(X, commutator(Y)) for X, Y in pairs], outer=True)
-        equations = (
-            lambda i, j, k: _vsub(_vsub(I[i][j][k], I[j][i][k]), B[j][i][k]),
-            lambda i, j, k: _vadd(B[i][j][k], B[j][k][i], B[k][i][j]))
-    elif kind == "jacobi":
-        # [[x,y],z] + [[y,z],x] + [[z,x],y]
-        O = _words(pairs, outer=True)
-        equations = (
-            lambda i, j, k: _vadd(O[i][j][k], O[j][k][i], O[k][i][j]),)
+    f, n = pairs[0][0].field, pairs[0][0].dim
+    r = range(n)
+    tables = {id(T): T for pair in pairs for T in pair}
+    den, value = _plain(f, [x for T in tables.values() for p in T.sc
+                            for row in p for x in row])
+    plain = {key: [[list(map(value, row)) for row in p] for p in T.sc]
+             for key, T in tables.items()}
+    Xs, Ys = ([plain[id(pair[s])] for pair in pairs] for s in (0, 1))
+    rows = [(b, c, y) for b, c in iproduct(r, repeat=2)
+            if any(y := [v for Y in Ys for v in Y[b][c]])]
+    # per free index a (inner) or c (outer), the nonzero columns (l, x)
+    # with x listing (e_a *X e_j)_l, or (e_j *X e_c)_l, over j
+    words = ((True, [[(l, x) for l in r if any(
+        x := [X[a][j][l] for X in Xs for j in r])] for a in r]),
+             (False, [[(l, x) for l in r if any(
+                 x := [X[j][c][l] for X in Xs for j in r])] for c in r]))
+    if f.kind == "poly":
+        dot, acc = _poly_dot, [{} for _ in range(2 * n ** 4)]
+        ops = {1: _poly_add, -1: lambda a, b: _poly_add(a, b, -1)}
     else:
-        # the associator (x*y)*z - x*(y*z), antisymmetrized in x, y for
-        # pre_lie
-        O, I = _words(pairs, outer=True), _words(pairs, outer=False)
-
-        def assoc(i, j, k):
-            return _vsub(O[i][j][k], I[i][j][k])
-        equations = (assoc if kind == "associative" else
-                     lambda i, j, k: _vsub(assoc(i, j, k), assoc(j, i, k)),)
-    names = (name,) if len(equations) == 1 else (name + "_1", name + "_2")
-    return [(label, idx, eq(*idx))
-            for idx in iproduct(range(pairs[0][0].dim), repeat=3)
-            for label, eq in zip(names, equations)]
+        dot, acc, ops = _int_dot, [0] * (2 * n ** 4), {1: add, -1: sub}
+    neq = 2 if kind == "anti_pre_lie" else 1
+    for targets, (inner, cols) in zip(_INCIDENCE[kind], words):
+        targets = [(eq, p, ops[sign]) for eq, p, sign in targets]
+        for i, j, y in rows if targets else ():
+            for free, col in enumerate(cols):
+                t = (free, i, j) if inner else (i, j, free)
+                slots = [(((t[p0] * n + t[p1]) * n + t[p2]) * neq + eq, op)
+                         for eq, (p0, p1, p2), op in targets] if col else ()
+                for l, x in col:
+                    if v := dot(y, x):
+                        for slot, op in slots:
+                            k = slot * n + l
+                            acc[k] = op(acc[k], v)
+    names = (name,) if neq == 1 else (name + "_1", name + "_2")
+    zero, den = f.zero(), den * den
+    out = []
+    for slot in range(n ** 3 * neq):
+        comps = acc[slot * n:slot * n + n]
+        if f.p:
+            comps = [x % f.p for x in comps]
+        if failing and not any(comps):
+            continue
+        t, eq = divmod(slot, neq)
+        out.append((names[eq], (t // (n * n), t // n % n, t % n),
+                    [_scalar(f, x, den) if x else zero for x in comps]))
+    return out
 
 
 def anti_pre_lie_residuals(A: Algebra):
@@ -399,7 +429,7 @@ def check_identity(A: Algebra, kind: str) -> CheckReport:
         raise ValueError(f"unknown identity kind {kind!r}")
     if kind == "commutative":
         return make_report(_symmetry_failures(A, "commutative"))
-    failures = _nonzero(_residuals(kind, [(A, A)], kind))
+    failures = _residuals(kind, [(A, A)], kind, failing=True)
     if kind == "jacobi":
         failures += _symmetry_failures(A, "antisymmetric")
     return make_report(failures)
@@ -433,8 +463,8 @@ def _check_compatible(P: AlgebraPair, kind, prefixes, mixed_name):
     does.  Reports are merged in the order circ, star, mixed."""
     members = [_relabel(check_identity(A, kind), prefix)
                for A, prefix in zip((P.circ, P.star), prefixes)]
-    mixed = _residuals(kind, _mixed_pairs(P), mixed_name)
-    return merge_reports(*members, make_report(_nonzero(mixed)))
+    mixed = _residuals(kind, _mixed_pairs(P), mixed_name, failing=True)
+    return merge_reports(*members, make_report(mixed))
 
 
 def check_compatible_pair(P: AlgebraPair) -> CheckReport:

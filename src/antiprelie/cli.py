@@ -22,11 +22,11 @@ from .errors import ParseError, PreconditionError, ToolkitError
 from .forms import (construct_from_vectors, induce_from_cocycle,
                     load_form_file)
 from .linalg import Matrix
-from .operators import (check_anti_o, check_anti_rota_baxter,
-                        check_rb_converse, check_strong, induce_from_rb,
-                        induce_from_invertible, induce_on_domain)
-from .representations import (check_representation_pair, dual_pair,
-                              load_representation_file,
+from .operators import (_anti_rb_report, _converse_report, check_anti_o,
+                        check_strong, induce_from_invertible, induce_from_rb,
+                        induce_on_domain)
+from .representations import (adjoint_pair, check_representation_pair,
+                              dual_pair, load_representation_file,
                               representation_to_json, semidirect_product)
 from .scalars import QQ, _read_json
 
@@ -307,8 +307,9 @@ def cmd_ops(args) -> int:
         return 0 if res.passed else 1
     pair = load_pair(args.brackets)  # the choices leave only "rb"
     rop = _load_map(args.map, pair.field)
-    res = check_anti_rota_baxter(rop, pair, strong=args.strong)
-    conv = check_rb_converse(rop, pair)
+    ad = adjoint_pair(pair)  # one pair, its constants converted once
+    res = _anti_rb_report(rop, pair, ad, args.strong)
+    conv = _converse_report(rop, ad)
     emit({"command": "ops-rb", "passed": res.passed,
           "anti_rota_baxter": res.to_json(),
           "converse_condition": conv.to_json()}, args,

@@ -6,14 +6,23 @@ fallbacks for polynomial entries where division is unavailable.
 
 The exact vector kernel lives here too: coefficient vectors are lists
 of Scalars, and their dot products, axpys and sums go through `_dot`,
-`_axpy`, `_vadd`, `_vsub` and `_vec_is_zero`.  The operator checks
-take their dot products on plain values instead (see `operators`).
+`_axpy`, `_vadd`, `_vsub` and `_vec_is_zero`.
+
+The identity checks of `algebra` and the operator checks of `operators`
+work on plain values instead of Scalars: `_plain` converts Scalars once
+to residues, integers on one common denominator or integer-coefficient
+Laurent dicts; `_int_dot`, `_poly_dot` and `_poly_mul` multiply and sum
+them; `_scalar` wraps a result back into a Scalar.
 """
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
+from operator import add, attrgetter, mul
+
 from .errors import (BudgetExceededError, FieldMismatchError,
                      NotInvertibleError, ParseError, ShapeMismatchError)
-from .scalars import Field, Scalar, _json_int, parse_json_scalar
+from .scalars import Field, Scalar, _json_int, _make, parse_json_scalar
 
 MAX_COFACTOR_DIM = 8  # polynomial det costs n!, the adjugate n^2 (n-1)!
 
@@ -46,6 +55,52 @@ def _vsub(a, b):
 
 def _vadd(*vs):
     return [sum(xs[1:], xs[0]) for xs in zip(*vs)]
+
+
+def _plain(field, scalars):
+    """(den, value): value maps each of the Scalars to a plain value on
+    the common denominator den of all their coefficients: a residue over
+    GF(p) (den 1), an integer over Q, and over a Laurent ring a dict
+    {exponents: integer}."""
+    if field.kind == "GF":
+        return 1, attrgetter("value")
+    if field.kind == "Q":
+        den = lcm(*(x.value.denominator for x in scalars))
+        return den, lambda x: x.value.numerator * (den // x.value.denominator)
+    den = lcm(*(c.denominator for x in scalars for c in x.value.values()))
+    return den, lambda x: {mono: c.numerator * (den // c.denominator)
+                           for mono, c in x.value.items()}
+
+
+def _poly_dot(xs, ys):
+    """sum_a x_a y_a of Laurent polynomials as {exponents: integer}."""
+    acc = {}
+    get = acc.get
+    for x, y in zip(xs, ys):
+        if x and y:
+            for m1, c1 in x.items():
+                for m2, c2 in y.items():
+                    mono = tuple(map(add, m1, m2))
+                    acc[mono] = get(mono, 0) + c1 * c2
+    return {mono: c for mono, c in acc.items() if c}
+
+
+def _poly_mul(x, y):
+    return _poly_dot((x,), (y,))
+
+
+def _int_dot(xs, ys):
+    return sum(map(mul, xs, ys))
+
+
+def _scalar(f, s, den):
+    """The Scalar of a plain value s on the denominator den.  s comes from
+    checked Scalars through ring operations, so it is canonical."""
+    if f.kind == "GF":
+        return _make(f, s)
+    if f.kind == "Q":
+        return _make(f, Fraction(s, den))
+    return _make(f, {mono: Fraction(c, den) for mono, c in s.items()})
 
 
 class Matrix:

@@ -2,13 +2,13 @@
 
 For a fixed representation pair R, the anti-O and strong residuals of a
 map T: V -> g are quadratic in the n*m entries of T and are evaluated on
-plain values: residues over GF(p), reduced mod p once per component;
-integers on one common denominator over Q; integer-coefficient dicts
-over a Laurent ring, as Fraction arithmetic would cost more than the
-check itself.  R's structure constants and action matrices are converted
-once, on first use, and kept on R outside the dataclass fields, so R's
-==, hash and repr ignore them; they hold O(n^3 + n*m^2) values, the size
-of R itself.
+the plain values of `linalg`, shared with the identity checks: residues
+over GF(p), reduced mod p once per component; integers on one common
+denominator over Q; integer-coefficient dicts over a Laurent ring, as
+Fraction arithmetic would cost more than the check itself.  R's
+structure constants and action matrices are converted once, on first
+use, and kept on R outside the dataclass fields, so R's ==, hash and
+repr ignore them; they hold O(n^3 + n*m^2) values, the size of R itself.
 
 Each anti-O residual component is one dot product of products of
 entries of T with R's constants, O(n^3 m^2 + n^2 m^3) per check.  The
@@ -37,70 +37,22 @@ converse takes any bracket pair.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product as iproduct
-from math import lcm
-from operator import add, attrgetter, mul
+from operator import mul
 
 from .algebra import (_PENCIL, Algebra, AlgebraPair, CheckReport,
                       _symmetry_failures, make_report, transported)
 from .errors import (FieldMismatchError, NotInvertibleError,
                      PreconditionError, ShapeMismatchError)
-from .linalg import Matrix
+from .linalg import (Matrix, _int_dot, _plain, _poly_dot, _poly_mul,
+                     _scalar)
 from .representations import RepresentationPair, adjoint_pair
-from .scalars import _make
 
 __all__ = [
     "check_anti_o", "check_strong", "check_anti_rota_baxter",
     "induce_on_domain", "induce_on_image", "induce_from_rb",
     "check_rb_converse", "induce_from_invertible",
 ]
-
-
-def _plain(field, scalars):
-    """(den, value): value maps each of the Scalars to a plain value on
-    the common denominator den of all their coefficients: a residue over
-    GF(p) (den 1), an integer over Q, and over a Laurent ring a dict
-    {exponents: integer}."""
-    if field.kind == "GF":
-        return 1, attrgetter("value")
-    if field.kind == "Q":
-        den = lcm(*(x.value.denominator for x in scalars))
-        return den, lambda x: x.value.numerator * (den // x.value.denominator)
-    den = lcm(*(c.denominator for x in scalars for c in x.value.values()))
-    return den, lambda x: {mono: c.numerator * (den // c.denominator)
-                           for mono, c in x.value.items()}
-
-
-def _poly_dot(xs, ys):
-    """sum_a x_a y_a of Laurent polynomials as {exponents: integer}."""
-    acc = {}
-    get = acc.get
-    for x, y in zip(xs, ys):
-        if x and y:
-            for m1, c1 in x.items():
-                for m2, c2 in y.items():
-                    mono = tuple(map(add, m1, m2))
-                    acc[mono] = get(mono, 0) + c1 * c2
-    return {mono: c for mono, c in acc.items() if c}
-
-
-def _poly_mul(x, y):
-    return _poly_dot((x,), (y,))
-
-
-def _int_dot(xs, ys):
-    return sum(map(mul, xs, ys))
-
-
-def _scalar(f, s, den):
-    """The Scalar of a plain value s on the denominator den.  s comes from
-    checked Scalars through ring operations, so it is canonical."""
-    if f.kind == "GF":
-        return _make(f, s)
-    if f.kind == "Q":
-        return _make(f, Fraction(s, den))
-    return _make(f, {mono: Fraction(c, den) for mono, c in s.items()})
 
 
 def _negated(x):
@@ -350,7 +302,12 @@ def induce_from_rb(Rop: Matrix, G: AlgebraPair) -> AlgebraPair:
 def check_rb_converse(Rop: Matrix, G: AlgebraPair) -> CheckReport:
     """[[R(x),R(y)] + R([x,R(y)] + [R(x),y]), z] = 0, coefficient-wise in
     the pencil (k1^2, k1*k2, k2^2 components); any bracket pair."""
-    return make_report(_failures(Rop, adjoint_pair(G), _converse_residuals,
+    return _converse_report(Rop, adjoint_pair(G))
+
+
+def _converse_report(Rop, ad) -> CheckReport:
+    """`check_rb_converse` on G's adjoint pair ad."""
+    return make_report(_failures(Rop, ad, _converse_residuals,
                                  "rb_converse_"))
 
 

@@ -430,10 +430,13 @@ def old_check_compatible_associative(P):
 
 
 LAURENT = poly_ring(["s", "u"], units=["u"])
+# several denominators per field, so that the plain values of a table sit
+# on a common denominator
 KERNEL_FIELDS = {
-    "Q": (QQ, ["1", "-1", "2", "1/2", "-3"]),
+    "Q": (QQ, ["1", "-1", "2", "1/2", "-3", "-2/3", "5/7"]),
     "GF5": (GF(5), ["1", "-1", "2", "3", "4"]),
-    "laurent": (LAURENT, ["1", "-1", "s", "u^-1", "s*u-2", "2*u", "s^2"]),
+    "laurent": (LAURENT, ["1", "-1", "s", "u^-1", "s*u-2", "2*u", "s^2",
+                          "1/2*s*u", "-3/4*u^2"]),
 }
 
 
@@ -442,7 +445,7 @@ def kernel_pairs(draw):
     """Random pairs of tables with 0-4 nonzero entries in 4 (zero tables
     pass every check; denser ones mostly fail)."""
     field, coeffs = KERNEL_FIELDS[draw(st.sampled_from(sorted(KERNEL_FIELDS)))]
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
     density = draw(st.integers(0, 4))
 
     def table():
@@ -469,6 +472,17 @@ def _kernel_agrees(P):
 @given(kernel_pairs())
 def test_basis_aware_kernel_matches_multiply_oracle(P):
     _kernel_agrees(P)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+def test_basis_aware_kernel_matches_oracle_on_dense_dim5(name):
+    """Every entry of both tables nonzero, cycling through the field's
+    coefficients."""
+    field, coeffs = KERNEL_FIELDS[name]
+    tables = [Algebra.from_entries(field, 5, [
+        (i, j, k, coeffs[(25 * i + 5 * j + k + shift) % len(coeffs)])
+        for i, j, k in iproduct(range(1, 6), repeat=3)]) for shift in (0, 3)]
+    _kernel_agrees(AlgebraPair(*tables))
 
 
 @pytest.mark.parametrize("name", ["A6", "A8", "CA10", "CA26", "CA38"])

@@ -22,7 +22,12 @@ files:
 - the brackets [e1,e2]_1 = e1 and [e1,e2]_2 = 1/2 e2 over Q and over
   Q[x, x^-1] with x a unit, each with a map that fails the anti-RB
   identity and the converse condition, so that converse residuals with
-  denominators and Laurent terms are pinned.
+  denominators and Laurent terms are pinned;
+- a dense dim-3 pair over Q whose entries have denominators 2, 3 and 7,
+  checked as a compatible anti-pre-Lie, Lie and associative pair, and a
+  dense dim-3 table over GF(5) checked for the pre-Lie and the Jacobi
+  identity: every report fails past the witness cap, so the witness
+  order of each identity kind is pinned.
 A deliberate change of a report updates its digest in the same commit.
 A run that fails a precondition writes nothing on stdout; its stderr
 line names the failure count.
@@ -43,6 +48,8 @@ T_RANK1 = str(GOLDEN / "anti-o-rank1.map.json")
 BRACKETS = str(GOLDEN / "ca35-gf5-brackets.alg.json")
 NOT_REP = str(GOLDEN / "strong-fails.rep.json")
 T_PROJ = str(GOLDEN / "projection.map.json")
+DENSE_Q = str(GOLDEN / "dense3-q.alg.json")
+DENSE_GF5 = str(GOLDEN / "dense3-gf5.alg.json")
 
 CASES = [
     (("catalog", "verify", "--scope", "all"), 0,
@@ -94,6 +101,13 @@ CASES = [
       str(GOLDEN / "solvable-laurent.alg.json"),
       "--map", str(GOLDEN / "rb-fails-laurent.map.json")), 1,
      "a523b1e47a6f5256db14e95d0222f58933ee29d62548defa48dc922ff23e8955"),
+    (("check", "--pair", DENSE_Q, "--compatible", "--compatible-lie",
+      "--compatible-associative"), 1,
+     "aeeabdd4e130412c027f2df2fa649dc6947f1b2d9c4c56248b461e68b29697dc"),
+    (("check", "--file", DENSE_GF5, "--identity", "pre-lie"), 1,
+     "84c50b11a43ea6c3c9d97e7876e697012f7f17200feced2557c1b7ade12eb1f3"),
+    (("check", "--file", DENSE_GF5, "--identity", "jacobi"), 1,
+     "0978d125c3d269b7ba33d01b899f6966a613a12b13c6eddf536f2b03601a88b4"),
 ]
 
 
