@@ -36,6 +36,15 @@ IDENTITY_FLAGS = {"anti-pre-lie": "anti_pre_lie", "pre-lie": "pre_lie",
                   "jacobi": "jacobi", "associative": "associative",
                   "commutative": "commutative"}
 
+# the options each derive construction and ops action reads
+_REQUIRED = {("derive", "from-cocycle"): "form brackets",
+             ("derive", "from-vectors"): "form s1 s2",
+             ("derive", "from-rb"): "brackets map",
+             ("derive", "from-anti-o"): "rep map",
+             ("derive", "from-invertible"): "rep map",
+             ("derive", "semidirect"): "rep", ("ops", "anti-o"): "rep",
+             ("ops", "strong"): "rep", ("ops", "rb"): "brackets"}
+
 
 def parse_params(text: str | None) -> dict:
     """--params "alpha=1,beta=-2/3" -> {"alpha": Fraction(1), ...}"""
@@ -168,9 +177,11 @@ def cmd_z2(args) -> int:
     fam = cat.get_family(name)
     if name not in cat.A_NAMES:
         raise ParseError("z2 runs on the single-product families A1..A9")
-    needs_lambda = "lambda" in fam.params
+    stray = sorted(set(params) - set(fam.params))
+    if stray:
+        raise ParseError(f"{name} takes no parameter {', '.join(stray)}")
     lam = params.get("lambda")
-    if needs_lambda and lam is None and args.mode != "verify":
+    if "lambda" in fam.params and lam is None and args.mode != "verify":
         raise ParseError(f"{name} needs --params \"lambda=...\"")
     report = {"command": "z2", "family": name, "mode": args.mode,
               "prime": args.prime}
@@ -188,11 +199,10 @@ def cmd_z2(args) -> int:
         emit(report, args, f"z2 verify {name}: {'PASS' if ok else 'FAIL'}")
         return 0 if ok else 1
 
-    assignment = {"lambda": lam} if needs_lambda else {}
-    base_p = cat.instantiate(fam, assignment, prime=args.prime).circ
+    base_p = cat.instantiate(fam, params, prime=args.prime).circ
 
     if args.mode == "linear":
-        basis_q = linear_space(cat.instantiate(fam, assignment).circ)
+        basis_q = linear_space(cat.instantiate(fam, params).circ)
         basis_p = linear_space(base_p)
         report["linear_dimension_Q"] = len(basis_q)
         report["linear_dimension_GF"] = len(basis_p)
@@ -207,7 +217,7 @@ def cmd_z2(args) -> int:
     # brute force + containment tallies; a base without tabulated
     # families is rejected before the scan
     families = cat.cocycle_families_of(name, cat.case_for(name, lam))
-    sols = brute_force_Z2(base_p, budget=args.budget, workers=args.workers)
+    sols = brute_force_Z2(base_p, budget=args.budget)
     flat_sols = {tuple(x.value for x in d.flat()) for d in sols}
     union = set()
     tallies = []
@@ -351,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help=f"candidate limit of --mode brute, 1 to {MAX_BUDGET}")
-    p.add_argument("--workers", type=int)
     p.add_argument("--out")
 
     p = sub.add_parser("derive", help="run a construction and verify it")
@@ -388,6 +397,14 @@ def main(argv=None) -> int:
     # looked up at call time, so a replaced cmd_* function is the one run
     command = globals()[f"cmd_{args.command}"]
     try:
+        # missing options are input errors, named before any file is read
+        action = getattr(args, "construction", getattr(args, "action", None))
+        missing = [f"--{o}" for o in
+                   _REQUIRED.get((args.command, action), "").split()
+                   if getattr(args, o) is None]
+        if missing:
+            raise ParseError(f"{args.command} {action} needs "
+                             f"{', '.join(missing)}")
         return command(args)
     except PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)

@@ -13,7 +13,6 @@ joining the two halves of each candidate on equal partial residuals.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
@@ -107,24 +106,25 @@ def linear_space(A: Algebra):
 
 
 def _quadratic_coefficients(A: Algebra, p: int):
-    """Integer tables (L, Q, nq) describing the Step-1 residuals mod p.
+    """Integer tables (L, pairs, Qmat) describing the Step-1 residuals
+    mod p.
 
     Linear part: residual_c(phi) = sum_a L[a][c] phi_a for iii-iv.
     Quadratic part (i-ii, no linear terms): residual_c(phi) =
-    sum_{a<=b} Q[(a,b)][c] phi_a phi_b.  Both are read off the residuals
-    of the indeterminate table; only nonzero Q rows are kept.  Q depends
-    only on (dim, p) and its rows are shared read-only arrays.
+    sum_r Qmat[r][c] phi_a phi_b with (a, b) = pairs[r], a <= b.  Both are
+    read off the residuals of the indeterminate table; only nonzero Qmat
+    rows are kept.  pairs and Qmat depend only on (dim, p) and are shared
+    read-only arrays.
     """
     L = np.array([[x.value for x in row] for row in _linear_rows(A).entries],
                  dtype=np.int64).T
-    Q, nq = _quadratic_table(A.dim, p)
-    return L, dict(Q), nq
+    return (L, *_quadratic_table(A.dim, p))
 
 
 @lru_cache(maxsize=16)
 def _quadratic_table(n: int, p: int):
-    """(Q, nq) of _quadratic_coefficients, from the anti-pre-Lie residuals
-    of the generic table, which do not involve the base."""
+    """(pairs, Qmat) of _quadratic_coefficients, from the anti-pre-Lie
+    residuals of the generic table, which do not involve the base."""
     quad = _components(anti_pre_lie_residuals(_generic_table(n)))
     nq = len(quad)
     Q = {}
@@ -133,9 +133,11 @@ def _quadratic_table(n: int, p: int):
             a, b = [i for i, e in enumerate(mono) for _ in range(e)]
             row = Q.setdefault((a, b), np.zeros(nq, dtype=np.int64))
             row[c] = int(coef) % p
-    for row in Q.values():
-        row.flags.writeable = False
-    return {ab: Q[ab] for ab in sorted(Q) if Q[ab].any()}, nq
+    keep = [ab for ab in sorted(Q) if Q[ab].any()]
+    pairs = np.array(keep, dtype=np.intp).reshape(-1, 2)
+    Qmat = np.array([Q[ab] for ab in keep], dtype=np.int64).reshape(-1, nq)
+    pairs.flags.writeable = Qmat.flags.writeable = False
+    return pairs, Qmat
 
 
 def _digit_rows(width, p):
@@ -161,12 +163,11 @@ def _join_index(N_hi, R_lo):
     return group, lo_order, np.cumsum(size) - size, size
 
 
-def _scan_chunk(args):
+def _scan_chunk(h0, h1, p, D_hi, D_lo, join, pairs, Qmat):
     """Step-1 survivors, in lexicographic order, among the candidates
     whose high block is one of rows h0..h1-1 of D_hi.  The join lists the
     (h, l) pairs with a zero linear residual; the quadratic residuals of
-    those are one product of their monomials phi_a phi_b with Q."""
-    h0, h1, p, D_hi, D_lo, join, pairs, Qmat = args
+    those are one product of their monomials phi_a phi_b with Qmat."""
     group, lo_order, start, size = join
     g = group[h0:h1]
     counts = size[g]
@@ -176,21 +177,6 @@ def _scan_chunk(args):
     S = np.concatenate([D_hi[hi], D_lo[lo]], axis=1)
     mono = S[:, pairs[:, 0]] * S[:, pairs[:, 1]] % p
     return S[~(mono @ Qmat % p).any(axis=1)]
-
-
-def worker_count(requested=None) -> int:
-    """Effective worker count: the request, or 1 when none is given.  A
-    count that is not an integer >= 1 raises ParseError."""
-    if requested is None:
-        return 1
-    try:
-        count = int(requested)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ParseError(f"worker count must be an integer >= 1, "
-                         f"got {requested!r}")
-    return count
 
 
 def check_budget(budget) -> int:
@@ -204,7 +190,7 @@ def check_budget(budget) -> int:
 
 
 def brute_force_Z2(A: Algebra, budget: int = DEFAULT_BUDGET,
-                   workers=None, chunk: int = 1 << 19):
+                   chunk: int = 1 << 19):
     """Exhaustively enumerate all phi over GF(p) passing the four Step-1
     conditions, in lexicographic order of the flattened table.
 
@@ -220,8 +206,9 @@ def brute_force_Z2(A: Algebra, budget: int = DEFAULT_BUDGET,
     meets precisely the low blocks with an equal row: every one of the
     p^(n^3) candidates is decided by its full residual, and the work is
     the two tables plus the survivors, not every (h, l) pair.
-    Each chunk is a range of high blocks covering about `chunk`
-    candidates, and at least one block.  `budget` must be an int from 1
+    The chunks, scanned one after another, are ranges of high blocks
+    covering about `chunk` candidates each, and at least one block, so
+    `chunk` bounds the rows held at once.  `budget` must be an int from 1
     to MAX_BUDGET (ParseError otherwise); a base with more than `budget`
     candidates raises BudgetExceededError before any scan.
     """
@@ -235,23 +222,16 @@ def brute_force_Z2(A: Algebra, budget: int = DEFAULT_BUDGET,
     if total > budget:
         raise BudgetExceededError(
             f"{p}^{n3} = {total} exceeds the budget of {budget}")
-    nw = worker_count(workers)
-    L, Q, nq = _quadratic_coefficients(A, p)
-    pairs = np.array(list(Q), dtype=np.intp).reshape(-1, 2)
-    Qmat = np.array(list(Q.values()), dtype=np.int64).reshape(-1, nq)
+    L, pairs, Qmat = _quadratic_coefficients(A, p)
     D_hi, D_lo = _digit_rows(n3 // 2, p), _digit_rows(n3 - n3 // 2, p)
     small = np.min_scalar_type(p - 1)
     N_hi = (-(D_hi @ L[:n3 // 2]) % p).astype(small)
     R_lo = (D_lo @ L[n3 // 2:] % p).astype(small)
     join = _join_index(N_hi, R_lo)
     step = max(1, chunk // len(D_lo))
-    jobs = [(h, min(h + step, len(D_hi)), p, D_hi, D_lo, join, pairs, Qmat)
-            for h in range(0, len(D_hi), step)]
-    if nw > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=nw) as pool:
-            parts = list(pool.map(_scan_chunk, jobs))
-    else:
-        parts = [_scan_chunk(j) for j in jobs]
+    parts = [_scan_chunk(h, min(h + step, len(D_hi)), p, D_hi, D_lo, join,
+                         pairs, Qmat)
+             for h in range(0, len(D_hi), step)]
     S = np.concatenate(parts)
     field = A.field
     elems = {v: field.scalar(v) for v in np.unique(S).tolist()}

@@ -1,4 +1,8 @@
+import argparse
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +15,7 @@ from antiprelie import (QQ, Algebra, AlgebraPair, BilinearForm, Field,
 from antiprelie.forms import load_form_file
 from antiprelie.representations import load_representation_file
 import antiprelie.cocycles as cocycles
-from antiprelie.cli import main
+from antiprelie.cli import build_parser, main
 from antiprelie.cocycles import MAX_BUDGET
 
 
@@ -316,10 +320,85 @@ def test_budget_at_max_runs(capsys):
     assert code == 0 and report["solution_count"] == 125
 
 
-def test_workers_flag_below_one_exits_2(capsys):
-    code, _, err = run(capsys, "z2", "--family", "A7", "--mode", "brute",
-                       "--workers", "0")
-    assert code == 2 and "worker count" in err
+def test_workers_flag_is_not_an_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["z2", "--family", "A7", "--mode", "brute", "--workers", "2"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == "" and "--workers" in out.err
+
+
+@pytest.mark.parametrize("mode", ["brute", "linear", "verify"])
+@pytest.mark.parametrize("family, params, stray", [
+    ("A3", "lambda=2", "lambda"), ("A8", "lambda=1,beta=2", "beta")])
+def test_z2_stray_parameter_exits_2(capsys, monkeypatch, mode, family,
+                                    params, stray):
+    def no_scan(*args):
+        raise AssertionError("scan started")
+    monkeypatch.setattr(cocycles, "_quadratic_coefficients", no_scan)
+    code, report, err = run(capsys, "z2", "--family", family, "--mode", mode,
+                            "--params", params)
+    assert code == 2 and report is None
+    assert err == f"error: {family} takes no parameter {stray}\n"
+
+
+# the options each construction and operator check reads (ops also
+# always takes --map)
+NEEDED = {
+    ("derive", "from-vectors"): ("form", "s1", "s2"),
+    ("derive", "from-cocycle"): ("form", "brackets"),
+    ("derive", "from-rb"): ("brackets", "map"),
+    ("derive", "from-anti-o"): ("rep", "map"),
+    ("derive", "from-invertible"): ("rep", "map"),
+    ("derive", "semidirect"): ("rep",),
+    ("ops", "anti-o"): ("rep", "map"),
+    ("ops", "strong"): ("rep", "map"),
+    ("ops", "rb"): ("brackets", "map"),
+}
+
+
+@pytest.mark.parametrize("command, action, omitted", [
+    (command, action, name) for (command, action), names in NEEDED.items()
+    for name in names if not (command == "ops" and name == "map")])
+def test_missing_option_exits_2_before_any_file_is_read(
+        capsys, tmp_path, command, action, omitted):
+    # every file named is absent, so only a check made before reading
+    # can name the missing option
+    argv = [command, action]
+    for name in NEEDED[(command, action)]:
+        if name != omitted:
+            value = "e1" if name in ("s1", "s2") else str(tmp_path / "no")
+            argv += [f"--{name}", value]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {command} {action} needs --{omitted}\n"
+
+
+def _readme_command_section():
+    """README's "Command line" section and the argv of every apl line in
+    its code block, # comments dropped."""
+    text = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    return section, [words for words in lines if words]
+
+
+def test_readme_command_lines_match_the_parser():
+    section, lines = _readme_command_section()
+    parser = build_parser()
+    assert lines and all(words[0] == "apl" for words in lines)
+    for words in lines:
+        try:
+            parser.parse_args(words[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {shlex.join(words)}")
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {o for p in sub.choices.values()
+               for o in p._option_string_actions}
+    named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", section))
+    assert named - options == set()
 
 
 @pytest.mark.parametrize("blob, part", [

@@ -14,8 +14,7 @@ from antiprelie import (GF, QQ, Algebra, AlgebraPair, BudgetExceededError,
                         transform_deformation, verify_family_membership,
                         poly_ring)
 from antiprelie.algebra import anti_pre_lie_residuals, mixed_pair_residuals
-from antiprelie.cocycles import (_quadratic_coefficients,
-                                 instantiate_family_gf, worker_count)
+from antiprelie.cocycles import _quadratic_coefficients, instantiate_family_gf
 from antiprelie.catalog import cocycle_cases_of, cocycle_families_of
 
 LINEAR_DIMS = {
@@ -181,11 +180,12 @@ def test_quadratic_coefficients_match_polarization(p, dim):
     if dim == 2:
         bases.append(base_algebra("A3", prime=p))
     for base in bases:
-        L, Q, nq = _quadratic_coefficients(base, p)
+        L, pairs, Qmat = _quadratic_coefficients(base, p)
         L0, Q0, nq0 = _polarized_coefficients(base, p)
-        assert nq == nq0 and np.array_equal(L, L0)
-        assert sorted(Q) == sorted(Q0)
-        assert all(np.array_equal(Q[ab], Q0[ab]) for ab in Q0)
+        assert Qmat.shape == (len(pairs), nq0) and np.array_equal(L, L0)
+        assert [tuple(ab) for ab in pairs.tolist()] == sorted(Q0)
+        assert all(np.array_equal(row, Q0[ab])
+                   for ab, row in zip(sorted(Q0), Qmat))
 
 
 def _direct_step1(base):
@@ -204,17 +204,18 @@ def _flats(sols):
     return [tuple(int(x.value) for x in d.flat()) for d in sols]
 
 
-def test_brute_force_chunking_and_workers_keep_order():
+def test_brute_force_chunking_keeps_order():
     # chunks of one high block (1, 7, p^4 + 1), three blocks with a short
-    # last chunk (3 p^4 + 1), and the default single chunk
+    # last chunk (3 p^4 + 1), 26 blocks (2^14), and the default single
+    # chunk, on A2 and A3
     p = 5
-    base = base_algebra("A2", prime=p)
-    ref = _flats(brute_force_Z2(base, workers=1))
-    assert len(ref) == Z2_COUNTS[("A2", None)] and ref == sorted(ref)
-    for chunk in (1, 7, p ** 4 + 1, 3 * p ** 4 + 1, 1 << 19):
-        for workers in (1, 3):
-            sols = brute_force_Z2(base, workers=workers, chunk=chunk)
-            assert _flats(sols) == ref, (chunk, workers)
+    for name in ("A2", "A3"):
+        base = base_algebra(name, prime=p)
+        ref = _flats(brute_force_Z2(base))
+        assert len(ref) == Z2_COUNTS[(name, None)] and ref == sorted(ref)
+        for chunk in (1, 7, p ** 4 + 1, 3 * p ** 4 + 1, 1 << 14, 1 << 19):
+            sols = brute_force_Z2(base, chunk=chunk)
+            assert _flats(sols) == ref, (name, chunk)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -224,7 +225,7 @@ def test_brute_force_dim1_empty_high_block(p):
         base = Algebra.from_entries(f, 1, [(1, 1, 1, c)])
         direct = _direct_step1(base)
         for chunk in (1, 1 << 19):
-            sols = brute_force_Z2(base, workers=3, chunk=chunk)
+            sols = brute_force_Z2(base, chunk=chunk)
             assert _flats(sols) == direct, (c, chunk)
 
 
@@ -236,14 +237,6 @@ def test_brute_force_equals_step1_filter_gf2(flat):
                             for k in range(2)] for j in range(2)]
                           for i in range(2)])
     assert _flats(brute_force_Z2(base)) == _direct_step1(base)
-
-
-def test_worker_count_precedence():
-    assert worker_count() == 1 and worker_count(3) == 3
-    assert worker_count(1) == 1 and worker_count("2") == 2
-    for bad in (0, -1, "x"):
-        with pytest.raises(ParseError):
-            worker_count(bad)
 
 
 def test_brute_force_budget():
@@ -272,19 +265,12 @@ def test_brute_force_budget_bounds(monkeypatch):
             brute_force_Z2(base, budget=ok)
 
 
-def test_brute_force_worker_partition_deterministic():
-    base = base_algebra("A3", prime=5)
-    solo = brute_force_Z2(base, workers=1)
-    multi = brute_force_Z2(base, workers=4, chunk=1 << 14)
-    assert [d.flat() for d in solo] == [d.flat() for d in multi]
-
-
 def _nested_scan(base):
     """Reference survivors by the full (h, l) comparison: every high
     block against every low block on all linear components, then the
     quadratic residuals pair by pair."""
     p, n3 = base.field.p, base.dim ** 3
-    L, Q, nq = _quadratic_coefficients(base, p)
+    L, pairs, Qmat = _quadratic_coefficients(base, p)
 
     def digits(width):
         return np.array(list(iproduct(range(p), repeat=width)),
@@ -295,8 +281,8 @@ def _nested_scan(base):
     R_lo = D_lo @ L[n3 // 2:] % p
     hi, lo = np.nonzero((R_lo[None, :, :] == N_hi[:, None, :]).all(axis=2))
     S = np.concatenate([D_hi[hi], D_lo[lo]], axis=1)
-    acc = np.zeros((len(S), nq), dtype=np.int64)
-    for (a, b), coef in Q.items():
+    acc = np.zeros((len(S), Qmat.shape[1]), dtype=np.int64)
+    for (a, b), coef in zip(pairs.tolist(), Qmat):
         acc += (S[:, a] * S[:, b])[:, None] * coef[None, :]
     return [tuple(row) for row in S[~(acc % p).any(axis=1)].tolist()]
 
@@ -314,20 +300,17 @@ def test_scan_join_equals_nested_comparison(data):
                           for i in range(n)])
     want = _nested_scan(base)
     for chunk in (1, 7, 1 << 19):
-        for workers in (1, 3):
-            got = _flats(brute_force_Z2(base, workers=workers, chunk=chunk))
-            assert got == want, (chunk, workers)
+        assert _flats(brute_force_Z2(base, chunk=chunk)) == want, chunk
 
 
 def test_quadratic_table_shared_and_read_only():
-    Q3 = _quadratic_coefficients(base_algebra("A3", prime=5), 5)[1]
-    Q7 = _quadratic_coefficients(base_algebra("A7", prime=5), 5)[1]
-    assert Q3 is not Q7 and list(Q3) == list(Q7)
-    assert all(Q3[ab] is Q7[ab] and not Q3[ab].flags.writeable for ab in Q3)
-    with pytest.raises(ValueError):
-        Q3[next(iter(Q3))][0] = 1
-    Q7.clear()
-    assert _quadratic_coefficients(base_algebra("A7", prime=5), 5)[1]
+    L3, *tables3 = _quadratic_coefficients(base_algebra("A3", prime=5), 5)
+    L7, *tables7 = _quadratic_coefficients(base_algebra("A7", prime=5), 5)
+    assert not np.array_equal(L3, L7)
+    for shared, again in zip(tables3, tables7):
+        assert shared is again and not shared.flags.writeable
+        with pytest.raises(ValueError):
+            shared[0, 0] = 1
 
 
 def _members_by_eval_at(fam, p):

@@ -27,7 +27,11 @@ files:
   checked as a compatible anti-pre-Lie, Lie and associative pair, and a
   dense dim-3 table over GF(5) checked for the pre-Lie and the Jacobi
   identity: every report fails past the witness cap, so the witness
-  order of each identity kind is pinned.
+  order of each identity kind is pinned;
+- the exhaustive GF(5) scan of A4 (145 solutions, surplus 20, one chunk)
+  and the GF(7) scan of A6 at lambda = -1 (385 solutions, surplus 336,
+  12 chunks), so the surplus lists and the order of a multi-chunk scan
+  are pinned.
 A deliberate change of a report updates its digest in the same commit.
 A run that fails a precondition writes nothing on stdout; its stderr
 line names the failure count.
@@ -108,6 +112,11 @@ CASES = [
      "84c50b11a43ea6c3c9d97e7876e697012f7f17200feced2557c1b7ade12eb1f3"),
     (("check", "--file", DENSE_GF5, "--identity", "jacobi"), 1,
      "0978d125c3d269b7ba33d01b899f6966a613a12b13c6eddf536f2b03601a88b4"),
+    (("z2", "--family", "A4", "--mode", "brute", "--prime", "5"), 0,
+     "c5d14912188d36cb7a95e4e2297292a9023bb8a2fb1e429dec3faea3fa4baf47"),
+    (("z2", "--family", "A6", "--mode", "brute", "--params", "lambda=-1",
+      "--prime", "7"), 0,
+     "78d329799988ee3063c14694d8289bca234253e17c496c1900981085601c37e6"),
 ]
 
 
