@@ -204,10 +204,10 @@ def _flats(sols):
     return [tuple(int(x.value) for x in d.flat()) for d in sols]
 
 
-def test_brute_force_chunking_keeps_order():
-    # chunks of one high block (1, 7, p^4 + 1), three blocks with a short
-    # last chunk (3 p^4 + 1), 26 blocks (2^14), and the default single
-    # chunk, on A2 and A3
+def test_brute_force_chunking_and_workers_keep_order():
+    # the scan is serial; chunks of one high block (1, 7, p^4 + 1), three
+    # blocks with a short last chunk (3 p^4 + 1), 26 blocks (2^14), and the
+    # default single chunk all give the same sorted survivors, on A2 and A3
     p = 5
     for name in ("A2", "A3"):
         base = base_algebra(name, prime=p)
@@ -263,6 +263,15 @@ def test_brute_force_budget_bounds(monkeypatch):
     for ok in (5 ** 8, cocycles.MAX_BUDGET):
         with pytest.raises(AssertionError, match="scan started"):
             brute_force_Z2(base, budget=ok)
+
+
+def test_brute_force_worker_partition_deterministic():
+    # partitioning A3's scan into 26 chunks (2^14) keeps the default order
+    base = base_algebra("A3", prime=5)
+    solo = brute_force_Z2(base)
+    parts = brute_force_Z2(base, chunk=1 << 14)
+    assert len(solo) == Z2_COUNTS[("A3", None)]
+    assert [d.flat() for d in solo] == [d.flat() for d in parts]
 
 
 def _nested_scan(base):
