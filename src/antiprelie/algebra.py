@@ -290,14 +290,6 @@ def cast_pair(P: AlgebraPair, field: Field) -> AlgebraPair:
     return AlgebraPair(cast_algebra(P.circ, field), cast_algebra(P.star, field))
 
 
-def _lift(A: Algebra, ring: Field) -> Algebra:
-    """A's Q or GF(p) table as constants of a polynomial ring over Q,
-    residues taken as the integers 0..p-1."""
-    return Algebra(ring, A.dim, [[[ring.scalar(x.value) for x in row]
-                                  for row in plane] for plane in A.sc],
-                   A.basis)
-
-
 # ---------------------------------------------------------------------------
 # identity checkers
 # ---------------------------------------------------------------------------

@@ -58,8 +58,11 @@ def parse_params(text: str | None) -> dict:
         if "=" not in piece:
             raise ParseError(f"bad parameter assignment {piece!r}")
         name, value = piece.split("=", 1)
+        name = name.strip()
+        if name in out:
+            raise ParseError(f"parameter {name} given twice")
         try:
-            out[name.strip()] = Fraction(value.strip())
+            out[name] = Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational {value!r}") from exc
     return out
@@ -150,6 +153,8 @@ def cmd_catalog(args) -> int:
              f"{len(names)} families")
         return 0
     if args.action == "show":
+        if args.name is None:
+            raise ParseError("catalog show needs a family name")
         fam = cat.get_family(args.name)
         emit({"command": "catalog-show", "name": fam.name,
               "dim": fam.dim, "params": list(fam.params),
@@ -180,6 +185,9 @@ def cmd_z2(args) -> int:
     stray = sorted(set(params) - set(fam.params))
     if stray:
         raise ParseError(f"{name} takes no parameter {', '.join(stray)}")
+    if args.mode == "verify" and args.params is not None:
+        raise ParseError("z2 --mode verify checks every case symbolically, "
+                         "so --params selects nothing")
     lam = params.get("lambda")
     if "lambda" in fam.params and lam is None and args.mode != "verify":
         raise ParseError(f"{name} needs --params \"lambda=...\"")

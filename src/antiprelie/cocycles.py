@@ -7,9 +7,10 @@ product are: (i)-(ii) phi is itself anti-pre-Lie, (iii)-(iv) the mixed
 compatibility conditions with the base.  (i)-(ii) are quadratic in phi,
 (iii)-(iv) are linear, so the solver pairs an exact nullspace stage with
 exhaustive enumeration instead of general polynomial solving.
-Both read their coefficients off the residuals of the generic table of
-indeterminates t_a; the scan tests the linear part in split-digit form,
-joining the two halves of each candidate on equal partial residuals.
+Both read their coefficients off the checkers' residuals at the unit
+tables E_a (1 at flat index a, 0 elsewhere) over the base field; the
+scan tests the linear part in split-digit form, joining the two halves
+of each candidate on equal partial residuals.
 """
 from __future__ import annotations
 
@@ -19,15 +20,14 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .algebra import (Algebra, AlgebraPair, CheckReport, _lift,
+from .algebra import (Algebra, AlgebraPair, CheckReport,
                       anti_pre_lie_residuals, cast_algebra, make_report,
                       mixed_pair_residuals, transported)
 from .errors import (BudgetExceededError, FieldMismatchError,
                      NotInvertibleError, ParseError, PreconditionError,
                      ShapeMismatchError)
-from .linalg import (Matrix, _coefficient_rows, _indeterminates, _vec_is_zero,
-                     _vsub)
-from .scalars import Field, _residue
+from .linalg import Matrix, _vec_is_zero, _vsub
+from .scalars import GF, Field, _residue
 
 DEFAULT_BUDGET = 10 ** 8
 # Largest accepted candidate budget: counts up to it fit int64 (2^63 - 1).
@@ -65,27 +65,24 @@ def check_step1_conditions(d: Deformation) -> CheckReport:
                         if not _vec_is_zero(vec)])
 
 
-def _generic_table(n: int, basis=None) -> Algebra:
-    """The table over Q[t_0, ..., t_{n^3-1}] with entry t_a at flat
-    index a."""
-    ring, t = _indeterminates(n ** 3)
-    return Algebra(ring, n, [[[t[(i * n + j) * n + k] for k in range(n)]
-                              for j in range(n)] for i in range(n)], basis)
+def _unit_tables(field: Field, n: int, basis=None):
+    """The n^3 tables E_a over `field`, 1 at flat index a and 0
+    elsewhere, in flat order."""
+    return [Algebra.from_entries(field, n, [(i + 1, j + 1, k + 1, 1)], basis)
+            for i, j, k in iproduct(range(n), repeat=3)]
 
 
 def _components(residuals):
-    """Residual polynomials in component order."""
+    """Residual values in component order."""
     return [x for _, _, vec in residuals for x in vec]
 
 
 def _linear_rows(A: Algebra):
-    """Coefficient matrix of conditions iii-iv in the n^3 phi unknowns,
-    read off one evaluation on the generic table over the base lifted to
-    constants."""
-    phi = _generic_table(A.dim, A.basis)
-    comps = _components(mixed_pair_residuals(
-        AlgebraPair(_lift(A, phi.field), phi)))
-    return _coefficient_rows(A.field, comps, A.dim ** 3)
+    """Coefficient matrix of conditions iii-iv in the n^3 phi unknowns:
+    they are linear in phi, so column a is their residual at E_a."""
+    cols = [_components(mixed_pair_residuals(AlgebraPair(A, E)))
+            for E in _unit_tables(A.field, A.dim, A.basis)]
+    return Matrix._trusted(A.field, zip(*cols))
 
 
 def linear_space(A: Algebra):
@@ -112,8 +109,8 @@ def _quadratic_coefficients(A: Algebra, p: int):
     Linear part: residual_c(phi) = sum_a L[a][c] phi_a for iii-iv.
     Quadratic part (i-ii, no linear terms): residual_c(phi) =
     sum_r Qmat[r][c] phi_a phi_b with (a, b) = pairs[r], a <= b.  Both are
-    read off the residuals of the indeterminate table; only nonzero Qmat
-    rows are kept.  pairs and Qmat depend only on (dim, p) and are shared
+    read off the residuals at unit tables; only nonzero Qmat rows are
+    kept.  pairs and Qmat depend only on (dim, p) and are shared
     read-only arrays.
     """
     L = np.array([[x.value for x in row] for row in _linear_rows(A).entries],
@@ -123,19 +120,19 @@ def _quadratic_coefficients(A: Algebra, p: int):
 
 @lru_cache(maxsize=16)
 def _quadratic_table(n: int, p: int):
-    """(pairs, Qmat) of _quadratic_coefficients, from the anti-pre-Lie
-    residuals of the generic table, which do not involve the base."""
-    quad = _components(anti_pre_lie_residuals(_generic_table(n)))
-    nq = len(quad)
-    Q = {}
-    for c, poly in enumerate(quad):
-        for mono, coef in poly.value.items():
-            a, b = [i for i, e in enumerate(mono) for _ in range(e)]
-            row = Q.setdefault((a, b), np.zeros(nq, dtype=np.int64))
-            row[c] = int(coef) % p
-    keep = [ab for ab in sorted(Q) if Q[ab].any()]
+    """(pairs, Qmat) of _quadratic_coefficients.  Conditions i-ii are
+    quadratic in phi with no linear terms and do not involve the base, so
+    the row of phi_a^2 is their residual at E_a and the row of
+    phi_a phi_b (a < b) the mixed residual of the pair (E_a, E_b)."""
+    E = _unit_tables(GF(p), n)
+    rows = {(a, b): [x.value for x in _components(
+                anti_pre_lie_residuals(E[a]) if a == b
+                else mixed_pair_residuals(AlgebraPair(E[a], E[b])))]
+            for a in range(len(E)) for b in range(a, len(E))}
+    keep = [ab for ab, row in rows.items() if any(row)]
     pairs = np.array(keep, dtype=np.intp).reshape(-1, 2)
-    Qmat = np.array([Q[ab] for ab in keep], dtype=np.int64).reshape(-1, nq)
+    Qmat = np.array([rows[ab] for ab in keep],
+                    dtype=np.int64).reshape(-1, len(rows[0, 0]))
     pairs.flags.writeable = Qmat.flags.writeable = False
     return pairs, Qmat
 

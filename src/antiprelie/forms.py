@@ -3,20 +3,20 @@ compatible products.
 
 The Gram array convention is gram[i][j] = B(e_i, e_j).  The pairing form
 on A + A* uses the (primal basis, then dual basis) order fixed by the
-semidirect product construction.  The space of invariant forms is read
-off the residuals of `check_invariant` on a Gram array of indeterminates,
-like the linear Z^2 conditions in `cocycles`.
+semidirect product construction.  The residuals of `check_invariant`
+are linear in the Gram array, so the space of invariant forms is the
+nullspace of their values at the unit symmetric Gram arrays, as the
+linear Z^2 conditions in `cocycles` are read off unit tables.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .algebra import (Algebra, AlgebraPair, CheckReport, _lift,
+from .algebra import (Algebra, AlgebraPair, CheckReport,
                       commutator_pair, make_report, merge_reports)
 from .errors import NotInvertibleError, ParseError, ShapeMismatchError
-from .linalg import (Matrix, _coefficient_rows, _dot, _indeterminates,
-                     parse_rows)
+from .linalg import Matrix, _dot, parse_rows
 from .scalars import Field, Scalar, _json_int, _read_json, format_scalar
 
 
@@ -103,10 +103,9 @@ def check_comm_2cocycle(B: BilinearForm, G: AlgebraPair) -> CheckReport:
     return merge_reports(sym, make_report(failures))
 
 
-def _invariant_residuals(B: BilinearForm, P: AlgebraPair):
+def _invariant_residuals(B: BilinearForm, P: AlgebraPair, G: AlgebraPair):
     """B(e_i.e_j, e_k) - B(e_j, [e_i,e_k]_1) and the same for star on every
-    basis triple, zero or not, with the brackets from P's commutators."""
-    G = commutator_pair(P)
+    basis triple, zero or not, with the brackets G, P's commutators."""
     rows, cols, zero = B.gram.entries, B.gram.columns(), B.field.zero()
     return [(name, (i, j, k), [_dot(prod[i][j], cols[k], zero)
                                - _dot(rows[j], brk[i][k], zero)])
@@ -120,7 +119,8 @@ def check_invariant(B: BilinearForm, P: AlgebraPair) -> CheckReport:
     basis triples, with the brackets taken from P's commutators."""
     if B.dim != P.dim:
         raise ShapeMismatchError("form and pair of different dimension")
-    return make_report([w for w in _invariant_residuals(B, P)
+    return make_report([w for w in _invariant_residuals(B, P,
+                                                        commutator_pair(P))
                         if not w[2][0].is_zero()])
 
 
@@ -196,23 +196,24 @@ def construct_from_vectors(B: BilinearForm, s1, s2) -> AlgebraPair:
 
 def invariant_form_space(P: AlgebraPair):
     """Basis of the space of symmetric invariant bilinear forms on P, the
-    exact nullspace of `check_invariant`'s residuals on a symmetric Gram
-    array of n(n+1)/2 indeterminates."""
+    exact nullspace of `check_invariant`'s residuals: they are linear in
+    the Gram array, so column s is their value at the unit symmetric Gram
+    array of slot s, one of the n(n+1)/2 slots i <= j."""
     n, f = P.dim, P.field
     if f.kind == "poly":
         raise NotInvertibleError("row reduction needs a division field")
     slots = [(i, j) for i in range(n) for j in range(i, n)]
-    ring, g = _indeterminates(len(slots))
 
-    def gram_of(field, vec):
+    def gram_of(vec):
         rows = [[None] * n for _ in range(n)]
         for (i, j), c in zip(slots, vec):
             rows[i][j] = rows[j][i] = c
-        return Matrix(field, rows)
+        return Matrix(f, rows)
 
-    generic = BilinearForm(gram_of(ring, g))
-    lifted = AlgebraPair(_lift(P.circ, ring), _lift(P.star, ring))
-    system = _coefficient_rows(
-        f, [r for _, _, (r,) in _invariant_residuals(generic, lifted)],
-        len(slots))
-    return [gram_of(f, vec) for vec in system.nullspace()]
+    zero, one, G = f.zero(), f.one(), commutator_pair(P)
+    units = [gram_of([one if t == s else zero for t in range(len(slots))])
+             for s in range(len(slots))]
+    cols = [[r for _, _, (r,) in _invariant_residuals(BilinearForm(g), P, G)]
+            for g in units]
+    return [gram_of(vec)
+            for vec in Matrix._trusted(f, zip(*cols)).nullspace()]

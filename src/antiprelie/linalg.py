@@ -407,18 +407,3 @@ def parse_rows(rows, field: Field):
         raise ParseError(f"matrix rows must be a list of lists, got {rows!r}")
     return [[parse_json_scalar(x, field) for x in row] for row in rows]
 
-
-def _indeterminates(count: int):
-    """The ring Q[t0, ..., t{count-1}] and its variables."""
-    ring = Field("poly", variables=[f"t{a}" for a in range(count)])
-    return ring, [ring.variable(v) for v in ring.variables]
-
-
-def _coefficient_rows(field: Field, polys, count: int) -> Matrix:
-    """Entry [r][a]: the coefficient over `field` of the unit monomial t_a
-    in polys[r], polynomials linear in `_indeterminates(count)`.  Exact
-    over Q, and over GF(p) for constants lifted as residues, since the
-    polynomials commute with Z -> GF(p)."""
-    units = [tuple(int(b == a) for b in range(count)) for a in range(count)]
-    return Matrix.from_rows(field, [[x.value.get(u, 0) for u in units]
-                                    for x in polys])

@@ -341,6 +341,35 @@ def test_z2_stray_parameter_exits_2(capsys, monkeypatch, mode, family,
     assert err == f"error: {family} takes no parameter {stray}\n"
 
 
+@pytest.mark.parametrize("mode", ["brute", "linear", "verify"])
+@pytest.mark.parametrize("params", ["lambda=1,lambda=2",
+                                    "lambda=-1, lambda=-1"])
+def test_z2_repeated_parameter_exits_2(capsys, monkeypatch, mode, params):
+    def no_scan(*args):
+        raise AssertionError("scan started")
+    monkeypatch.setattr(cocycles, "_quadratic_coefficients", no_scan)
+    code, report, err = run(capsys, "z2", "--family", "A6", "--mode", mode,
+                            "--params", params)
+    assert code == 2 and report is None
+    assert err == "error: parameter lambda given twice\n"
+
+
+@pytest.mark.parametrize("family, params", [
+    ("A6", "lambda=5"), ("A6", "lambda=-1"), ("A3", ""), ("A8", "")])
+def test_z2_verify_with_params_exits_2(capsys, family, params):
+    code, report, err = run(capsys, "z2", "--family", family, "--mode",
+                            "verify", "--params", params)
+    assert code == 2 and report is None
+    assert err == ("error: z2 --mode verify checks every case "
+                   "symbolically, so --params selects nothing\n")
+
+
+def test_catalog_show_without_name_exits_2(capsys):
+    code, report, err = run(capsys, "catalog", "show")
+    assert code == 2 and report is None
+    assert err == "error: catalog show needs a family name\n"
+
+
 # the options each construction and operator check reads (ops also
 # always takes --map)
 NEEDED = {

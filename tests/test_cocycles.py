@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product as iproduct
 
 import numpy as np
@@ -7,14 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antiprelie import (GF, QQ, Algebra, AlgebraPair, BudgetExceededError,
-                        Deformation, Matrix, NotInvertibleError, ParseError,
+                        Deformation, Field, Matrix, NotInvertibleError,
+                        ParseError,
                         PreconditionError, ShapeMismatchError, brute_force_Z2,
                         check_identity, check_step1_conditions, get_family,
                         instantiate, is_automorphism, linear_space,
                         transform_deformation, verify_family_membership,
                         poly_ring)
 from antiprelie.algebra import anti_pre_lie_residuals, mixed_pair_residuals
-from antiprelie.cocycles import _quadratic_coefficients, instantiate_family_gf
+from antiprelie.cocycles import (_linear_rows, _quadratic_coefficients,
+                                 instantiate_family_gf)
 from antiprelie.catalog import cocycle_cases_of, cocycle_families_of
 
 LINEAR_DIMS = {
@@ -137,8 +140,70 @@ def test_brute_force_gf3_cross_check():
     assert sols == direct
 
 
+def indeterminate_rows(A):
+    """Oracle for the linear stage: the coefficient matrix of conditions
+    iii-iv read off their polynomial residuals at the table with entry t_a
+    at flat index a, over the base lifted to constants of
+    Q[t_0, ..., t_{n^3-1}] (residues as the integers 0..p-1).  Every
+    residual must be linear in the t_a with no constant term."""
+    n = A.dim
+    n3 = n ** 3
+    ring = Field("poly", variables=[f"t{a}" for a in range(n3)])
+    t = [ring.variable(v) for v in ring.variables]
+    phi = Algebra(ring, n, [[[t[(i * n + j) * n + k] for k in range(n)]
+                             for j in range(n)] for i in range(n)])
+    base = Algebra(ring, n, [[[ring.scalar(x.value) for x in row]
+                              for row in plane] for plane in A.sc])
+    units = [tuple(int(b == a) for b in range(n3)) for a in range(n3)]
+    polys = [x for _, _, vec in mixed_pair_residuals(AlgebraPair(base, phi))
+             for x in vec]
+    assert all(set(x.value) <= set(units) for x in polys)
+    return Matrix.from_rows(A.field, [[x.value.get(u, 0) for u in units]
+                                      for x in polys])
+
+
+def old_linear_space(A):
+    n = A.dim
+    return [Algebra(A.field, n, [[[vec[(i * n + j) * n + k]
+                                   for k in range(n)] for j in range(n)]
+                                 for i in range(n)])
+            for vec in indeterminate_rows(A).nullspace()]
+
+
+LINEAR_FIELDS = {"Q": (QQ, (-2, -1, 1, 3, Fraction(1, 2), Fraction(-2, 3))),
+                 "GF2": (GF(2), (1,)), "GF5": (GF(5), (1, 2, 3, 4)),
+                 "GF7": (GF(7), (1, 3, 6))}
+
+
+@st.composite
+def linear_bases(draw):
+    """Bases of dim 1-3 over Q and GF(p), from empty to dense tables."""
+    field, coeffs = LINEAR_FIELDS[draw(st.sampled_from(sorted(LINEAR_FIELDS)))]
+    n = draw(st.integers(1, 3))
+    density = draw(st.integers(0, 4))
+    return Algebra.from_entries(field, n, [
+        (i, j, k, draw(st.sampled_from(coeffs)))
+        for i, j, k in iproduct(range(1, n + 1), repeat=3)
+        if draw(st.integers(1, 4)) <= density])
+
+
+@settings(max_examples=40, deadline=None)
+@given(linear_bases())
+def test_linear_space_matches_indeterminate_oracle(A):
+    assert _linear_rows(A) == indeterminate_rows(A)
+    assert linear_space(A) == old_linear_space(A)
+
+
+@pytest.mark.parametrize("name,lam", sorted(LINEAR_DIMS, key=str))
+@pytest.mark.parametrize("prime", [None, 5])
+def test_linear_space_matches_indeterminate_oracle_on_catalog(name, lam,
+                                                               prime):
+    A = base_algebra(name, lam, prime=prime)
+    assert linear_space(A) == old_linear_space(A)
+
+
 def _polarized_coefficients(A, p):
-    """Reference (L, Q, nq) by polarization: the residuals of the n^3
+    """Reference (Q, nq) by polarization: the residuals of the n^3
     elementary tables E_a and of every pairwise sum E_a + E_b."""
     field, n = A.field, A.dim
     n3 = n ** 3
@@ -149,8 +214,6 @@ def _polarized_coefficients(A, p):
         return np.array([int(x.value) for _, _, vec in residuals
                          for x in vec], dtype=np.int64)
 
-    L = np.stack([comps(mixed_pair_residuals(AlgebraPair(A, E)))
-                  for E in elems]) % p
     singles = [comps(anti_pre_lie_residuals(E)) for E in elems]
     Q = {(a, a): singles[a] % p for a in range(n3) if singles[a].any()}
     for a in range(n3):
@@ -162,7 +225,7 @@ def _polarized_coefficients(A, p):
                      - singles[a] - singles[b]) % p
             if cross.any():
                 Q[(a, b)] = cross
-    return L, Q, singles[0].shape[0]
+    return Q, singles[0].shape[0]
 
 
 def _random_table(rng, field, n):
@@ -181,7 +244,9 @@ def test_quadratic_coefficients_match_polarization(p, dim):
         bases.append(base_algebra("A3", prime=p))
     for base in bases:
         L, pairs, Qmat = _quadratic_coefficients(base, p)
-        L0, Q0, nq0 = _polarized_coefficients(base, p)
+        L0 = np.array([[x.value for x in row]
+                       for row in indeterminate_rows(base).entries]).T
+        Q0, nq0 = _polarized_coefficients(base, p)
         assert Qmat.shape == (len(pairs), nq0) and np.array_equal(L, L0)
         assert [tuple(ab) for ab in pairs.tolist()] == sorted(Q0)
         assert all(np.array_equal(row, Q0[ab])

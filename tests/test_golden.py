@@ -28,6 +28,8 @@ files:
   dense dim-3 table over GF(5) checked for the pre-Lie and the Jacobi
   identity: every report fails past the witness cap, so the witness
   order of each identity kind is pinned;
+- the linear Z^2 stage of A3 over GF(5) and of A6 at lambda = -1 over
+  GF(7), so the nullspace bases of two bases are pinned;
 - the exhaustive GF(5) scan of A4 (145 solutions, surplus 20, one chunk)
   and the GF(7) scan of A6 at lambda = -1 (385 solutions, surplus 336,
   12 chunks), so the surplus lists and the order of a multi-chunk scan
@@ -117,6 +119,9 @@ CASES = [
     (("z2", "--family", "A6", "--mode", "brute", "--params", "lambda=-1",
       "--prime", "7"), 0,
      "78d329799988ee3063c14694d8289bca234253e17c496c1900981085601c37e6"),
+    (("z2", "--family", "A6", "--mode", "linear", "--params", "lambda=-1",
+      "--prime", "7"), 0,
+     "e52e0575ce63e753fbe4d7f2c8ca19571cf38d39454e2bc53e4084a780f019e5"),
 ]
 
 
