@@ -32,10 +32,11 @@ from operator import add, sub
 
 from .errors import (FieldMismatchError, ParseError, PreconditionError,
                      ShapeMismatchError)
-from .linalg import (_axpy, _int_dot, _plain, _poly_dot, _scalar, _vadd,
-                     _vec_is_zero, _vsub)
-from .scalars import (Field, Scalar, _json_int, _poly_add, _read_json,
-                      cast_scalar, format_scalar, parse_json_scalar)
+from .linalg import (_axpy, _int_dot, _plain, _scalar, _vadd, _vec_is_zero,
+                     _vsub)
+from .scalars import (Field, Scalar, _json_int, _poly_add, _poly_dot,
+                      _read_json, cast_scalar, format_scalar,
+                      parse_json_scalar)
 
 MAX_WITNESSES = 16
 MAX_DIM = 64  # .alg.json input; the toolkit's own tables stay far below

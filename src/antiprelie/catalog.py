@@ -21,7 +21,7 @@ from .cocycles import (Deformation, is_automorphism, transform_deformation,
                        verify_family_membership)
 from .errors import ConstraintError, UnknownEntryError
 from .linalg import Matrix
-from .scalars import GF, QQ, Field, substitute
+from .scalars import GF, QQ, Field, _residue, substitute
 
 A_NAMES = tuple(f"A{i}" for i in range(1, 10))
 CA_NAMES = tuple(f"CA{i}" for i in range(1, 46))
@@ -220,15 +220,16 @@ def automorphism_of(name: str, assignment: dict | None = None,
 # deformation families
 # ---------------------------------------------------------------------------
 
-def case_for(name: str, lam):
-    """The deformation case of base `name` at lambda = lam: a base whose
-    cocycle families split by cases (A6, A8) takes the case named by lam
-    when there is one and "generic" otherwise; other bases have none."""
+def case_for(name: str, lam, prime: int | None = None):
+    """The deformation case of base `name` at lambda = lam, compared mod
+    `prime` if given (where A8's -2 and 0 meet, 0 wins): the case named by
+    lam or "generic" for a base split by cases (A6, A8), else None."""
     cases = load_catalog()["cocycle_families"].get(name, {})
     if "generic" not in cases:
         return None
-    special = {Fraction(c): c for c in cases if c != "generic"}
-    return special.get(lam, "generic")
+    key = Fraction if prime is None else lambda c: _residue(Fraction(c), prime)
+    special = {key(c): c for c in cases if c != "generic"}
+    return special.get(key(lam), "generic")
 
 
 def cocycle_cases_of(name: str):

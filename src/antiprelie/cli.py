@@ -12,9 +12,10 @@ import sys
 from fractions import Fraction
 
 from . import catalog as cat
-from .algebra import (AlgebraPair, check_compatible_associative,
-                      check_compatible_lie, check_compatible_pair,
-                      check_identity, load_algebra_file, pair_to_json)
+from .algebra import (IDENTITY_KINDS, AlgebraPair,
+                      check_compatible_associative, check_compatible_lie,
+                      check_compatible_pair, check_identity,
+                      load_algebra_file, pair_to_json)
 from .cocycles import (DEFAULT_BUDGET, MAX_BUDGET, brute_force_Z2,
                        check_budget, instantiate_family_gf,
                        linear_space, verify_family_membership)
@@ -22,19 +23,15 @@ from .errors import ParseError, PreconditionError, ToolkitError
 from .forms import (construct_from_vectors, induce_from_cocycle,
                     load_form_file)
 from .linalg import Matrix
-from .operators import (_anti_rb_report, _converse_report, check_anti_o,
-                        check_strong, induce_from_invertible, induce_from_rb,
-                        induce_on_domain)
-from .representations import (adjoint_pair, check_representation_pair,
-                              dual_pair, load_representation_file,
+from .operators import (check_anti_o, check_anti_rota_baxter,
+                        check_rb_converse, check_strong, induce_from_invertible,
+                        induce_from_rb, induce_on_domain)
+from .representations import (check_representation_pair, dual_pair,
+                              load_representation_file,
                               representation_to_json, semidirect_product)
 from .scalars import QQ, _read_json
 
 SCHEMA_VERSION = 1
-
-IDENTITY_FLAGS = {"anti-pre-lie": "anti_pre_lie", "pre-lie": "pre_lie",
-                  "jacobi": "jacobi", "associative": "associative",
-                  "commutative": "commutative"}
 
 # the options each derive construction and ops action reads
 _REQUIRED = {("derive", "from-cocycle"): "form brackets",
@@ -121,7 +118,7 @@ def cmd_check(args) -> int:
             raise ParseError("--identity needs --file")
         circ, _ = load_algebra_file(args.file)
         checks.append((args.identity,
-                       check_identity(circ, IDENTITY_FLAGS[args.identity])))
+                       check_identity(circ, args.identity.replace("-", "_"))))
     if wants_pair:
         path = args.pair or args.file
         if not path:
@@ -147,6 +144,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    if args.action != "show" and args.name is not None:
+        raise ParseError(f"catalog {args.action} takes no family name")
+    if args.action != "verify" and args.scope is not None:
+        raise ParseError("--scope applies only to catalog verify")
     if args.action == "list":
         names = list(cat.family_names())
         emit({"command": "catalog-list", "families": names}, args,
@@ -166,11 +167,11 @@ def cmd_catalog(args) -> int:
               "notes": list(fam.notes)}, args,
              f"{fam.name}: params={list(fam.params)}")
         return 0
-    # verify
-    report = cat.verify_catalog(args.scope)
-    emit({"command": "catalog-verify", "scope": args.scope,
+    scope = args.scope or "all"  # the choices leave only "verify"
+    report = cat.verify_catalog(scope)
+    emit({"command": "catalog-verify", "scope": scope,
           **report.to_json()}, args,
-         f"catalog verify [{args.scope}]: "
+         f"catalog verify [{scope}]: "
          f"{'PASS' if report.passed else 'FAIL'} ({len(report.items)} items)")
     return 0 if report.passed else 1
 
@@ -224,7 +225,8 @@ def cmd_z2(args) -> int:
 
     # brute force + containment tallies; a base without tabulated
     # families is rejected before the scan
-    families = cat.cocycle_families_of(name, cat.case_for(name, lam))
+    families = cat.cocycle_families_of(
+        name, cat.case_for(name, lam, args.prime))
     sols = brute_force_Z2(base_p, budget=args.budget)
     flat_sols = {tuple(x.value for x in d.flat()) for d in sols}
     union = set()
@@ -325,9 +327,8 @@ def cmd_ops(args) -> int:
         return 0 if res.passed else 1
     pair = load_pair(args.brackets)  # the choices leave only "rb"
     rop = _load_map(args.map, pair.field)
-    ad = adjoint_pair(pair)  # one pair, its constants converted once
-    res = _anti_rb_report(rop, pair, ad, args.strong)
-    conv = _converse_report(rop, ad)
+    res = check_anti_rota_baxter(rop, pair, args.strong)
+    conv = check_rb_converse(rop, pair)
     emit({"command": "ops-rb", "passed": res.passed,
           "anti_rota_baxter": res.to_json(),
           "converse_condition": conv.to_json()}, args,
@@ -347,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run identity checks on algebra files")
     p.add_argument("--file", help="single-algebra .alg.json")
     p.add_argument("--pair", help="two-product .alg.json")
-    p.add_argument("--identity", choices=sorted(IDENTITY_FLAGS))
+    p.add_argument("--identity", choices=sorted(
+        k.replace("_", "-") for k in IDENTITY_KINDS))
     p.add_argument("--compatible", action="store_true")
     p.add_argument("--compatible-lie", action="store_true")
     p.add_argument("--compatible-associative", action="store_true")
@@ -356,8 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("catalog", help="inspect or verify the catalog")
     p.add_argument("action", choices=("list", "show", "verify"))
     p.add_argument("name", nargs="?")
-    p.add_argument("--scope", default="all",
-                   choices=("all",) + cat.SCOPES)
+    p.add_argument("--scope", choices=("all",) + cat.SCOPES)
     p.add_argument("--out")
 
     p = sub.add_parser("z2", help="deformation-space analysis of a base")

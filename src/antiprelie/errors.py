@@ -36,3 +36,4 @@ class BudgetExceededError(ToolkitError):
 
 class UnknownEntryError(ToolkitError, KeyError):
     """A catalog lookup names an entry the catalog does not have."""
+    __str__ = Exception.__str__  # KeyError's would quote the message

@@ -17,7 +17,7 @@ from .algebra import (Algebra, AlgebraPair, CheckReport,
                       commutator_pair, make_report, merge_reports)
 from .errors import NotInvertibleError, ParseError, ShapeMismatchError
 from .linalg import Matrix, _dot, parse_rows
-from .scalars import Field, Scalar, _json_int, _read_json, format_scalar
+from .scalars import Field, Scalar, _json_int, _read_json
 
 
 @dataclass(frozen=True)
@@ -35,19 +35,6 @@ class BilinearForm:
     @property
     def field(self):
         return self.gram.field
-
-    def value(self, x, y) -> Scalar:
-        """B(x, y) on coefficient vectors."""
-        return _dot(x, self.gram.apply(y), self.field.zero())
-
-    @staticmethod
-    def from_rows(field: Field, rows) -> BilinearForm:
-        return BilinearForm(Matrix.from_rows(field, rows))
-
-    def to_json(self):
-        return {"dim": self.dim,
-                "gram": [[format_scalar(x) for x in row]
-                         for row in self.gram.entries]}
 
     @staticmethod
     def from_json(obj, field: Field) -> BilinearForm:

@@ -11,14 +11,14 @@ of Scalars, and their dot products, axpys and sums go through `_dot`,
 The identity checks of `algebra` and the operator checks of `operators`
 work on plain values instead of Scalars: `_plain` converts Scalars once
 to residues, integers on one common denominator or integer-coefficient
-Laurent dicts; `_int_dot`, `_poly_dot` and `_poly_mul` multiply and sum
-them; `_scalar` wraps a result back into a Scalar.
+Laurent dicts; `_int_dot` and `scalars`' `_poly_dot` and `_poly_mul`
+multiply and sum them; `_scalar` wraps a result back into a Scalar.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import add, attrgetter, mul
+from operator import attrgetter, mul
 
 from .errors import (BudgetExceededError, FieldMismatchError,
                      NotInvertibleError, ParseError, ShapeMismatchError)
@@ -70,23 +70,6 @@ def _plain(field, scalars):
     den = lcm(*(c.denominator for x in scalars for c in x.value.values()))
     return den, lambda x: {mono: c.numerator * (den // c.denominator)
                            for mono, c in x.value.items()}
-
-
-def _poly_dot(xs, ys):
-    """sum_a x_a y_a of Laurent polynomials as {exponents: integer}."""
-    acc = {}
-    get = acc.get
-    for x, y in zip(xs, ys):
-        if x and y:
-            for m1, c1 in x.items():
-                for m2, c2 in y.items():
-                    mono = tuple(map(add, m1, m2))
-                    acc[mono] = get(mono, 0) + c1 * c2
-    return {mono: c for mono, c in acc.items() if c}
-
-
-def _poly_mul(x, y):
-    return _poly_dot((x,), (y,))
 
 
 def _int_dot(xs, ys):
@@ -158,10 +141,6 @@ class Matrix:
         return Matrix(field, [[z] * cols for _ in range(rows)])
 
     # -- basics --------------------------------------------------------------
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field

@@ -44,9 +44,9 @@ from .algebra import (_PENCIL, Algebra, AlgebraPair, CheckReport,
                       _symmetry_failures, make_report, transported)
 from .errors import (FieldMismatchError, NotInvertibleError,
                      PreconditionError, ShapeMismatchError)
-from .linalg import (Matrix, _int_dot, _plain, _poly_dot, _poly_mul,
-                     _scalar)
+from .linalg import Matrix, _int_dot, _plain, _scalar
 from .representations import RepresentationPair, adjoint_pair
+from .scalars import _poly_dot, _poly_mul
 
 __all__ = [
     "check_anti_o", "check_strong", "check_anti_rota_baxter",
@@ -210,11 +210,7 @@ def check_anti_rota_baxter(Rop: Matrix, G: AlgebraPair,
     strong flag, also the cyclic condition coefficient-wise in the pencil.
     Both are the anti-O conditions of R on the adjoint pair, relabelled
     anti_rb_* and strong_rb_*; the brackets must be antisymmetric."""
-    return _anti_rb_report(Rop, G, adjoint_pair(G), strong)
-
-
-def _anti_rb_report(Rop, G: AlgebraPair, ad, strong) -> CheckReport:
-    """`check_anti_rota_baxter` on G's adjoint pair ad."""
+    ad = adjoint_pair(G)
     if (Rop.rows, Rop.cols) != (G.dim, G.dim):
         raise ShapeMismatchError("anti-Rota-Baxter operator must be square")
     for name, A in (("bracket 1", G.circ), ("bracket 2", G.star)):
@@ -293,21 +289,15 @@ def induce_on_image(T: Matrix, R: RepresentationPair):
 def induce_from_rb(Rop: Matrix, G: AlgebraPair) -> AlgebraPair:
     """x.y = -[R(x),y]_1,  x*y = -[R(x),y]_2 for a strong anti-RB operator:
     the domain products of R on the adjoint pair, on G's basis."""
-    ad = adjoint_pair(G)
-    _anti_rb_report(Rop, G, ad, strong=True).require(
+    check_anti_rota_baxter(Rop, G, strong=True).require(
         "R is not a strong anti-Rota-Baxter operator")
-    return _domain_pair(Rop, ad, G.basis)
+    return _domain_pair(Rop, adjoint_pair(G), G.basis)
 
 
 def check_rb_converse(Rop: Matrix, G: AlgebraPair) -> CheckReport:
     """[[R(x),R(y)] + R([x,R(y)] + [R(x),y]), z] = 0, coefficient-wise in
     the pencil (k1^2, k1*k2, k2^2 components); any bracket pair."""
-    return _converse_report(Rop, adjoint_pair(G))
-
-
-def _converse_report(Rop, ad) -> CheckReport:
-    """`check_rb_converse` on G's adjoint pair ad."""
-    return make_report(_failures(Rop, ad, _converse_residuals,
+    return make_report(_failures(Rop, adjoint_pair(G), _converse_residuals,
                                  "rb_converse_"))
 
 

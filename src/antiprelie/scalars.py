@@ -12,7 +12,9 @@ The ring operations keep it by construction and skip those checks
 sums drop cancelled terms, and products only add exponents, so a
 negative one appears only where an operand had one, on a unit.  Values
 are never mutated, so results may share them, and ``Field.zero()`` and
-``Field.one()`` are built once per field.
+``Field.one()`` are built once per field.  `_poly_add`, `_poly_dot` and
+`_poly_mul` act on bare coefficient dicts: those of Scalars and the
+integer ones of the evaluators in `algebra` and `operators`.
 """
 from __future__ import annotations
 
@@ -254,13 +256,7 @@ class Scalar:
             return _make(f, self.value * other.value)
         if f.kind == "GF":
             return _make(f, self.value * other.value % f.p)
-        out = {}
-        for m1, c1 in self.value.items():
-            for m2, c2 in other.value.items():
-                m = tuple(map(add, m1, m2))
-                c = out.get(m)
-                out[m] = c1 * c2 if c is None else c + c1 * c2
-        return _make(f, {m: c for m, c in out.items() if c})
+        return _make(f, _poly_mul(self.value, other.value))
 
     __rmul__ = __mul__
 
@@ -356,6 +352,25 @@ def _poly_add(a: dict, b: dict, sign: int = 1) -> dict:
         if s:
             out[m] = s
     return out
+
+
+def _poly_dot(xs, ys) -> dict:
+    """sum_a x_a y_a of coefficient dicts, dropping cancelled terms."""
+    acc = {}
+    get = acc.get
+    for x, y in zip(xs, ys):
+        if x and y:
+            for m1, c1 in x.items():
+                for m2, c2 in y.items():
+                    mono = tuple(map(add, m1, m2))
+                    p, c = c1 * c2, get(mono)
+                    # not get(mono, 0) + p: 0 + Fraction is a slow add
+                    acc[mono] = p if c is None else c + p
+    return {mono: c for mono, c in acc.items() if c}
+
+
+def _poly_mul(x: dict, y: dict) -> dict:
+    return _poly_dot((x,), (y,))
 
 
 def cast_scalar(x: Scalar, field: Field) -> Scalar:

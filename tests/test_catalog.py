@@ -244,6 +244,31 @@ def test_verify_catalog_rejects_corrupted_laws(monkeypatch, scope):
     assert report.items and not any(it.passed for it in report.items)
 
 
+def _mutated_catalog():
+    """The catalog with one CA10 structure constant and one entry of A3's
+    automorphism matrix changed."""
+    data = copy.deepcopy(catalog.load_catalog())
+    data["families"]["CA10"]["star"][2][3] = "2"
+    data["automorphisms"]["A3"][0]["matrix"][1][1] = "a^3"
+    return data
+
+
+@pytest.mark.parametrize("scope, name, detail", [
+    ("CA-families", "CA10", "branch None: 6 residuals"),
+    ("automorphisms", "A3", "member 0 fails to intertwine")])
+def test_verify_catalog_reports_a_mutated_entry(monkeypatch, scope, name,
+                                                detail):
+    from antiprelie.cli import main
+
+    mutated = _mutated_catalog()
+    monkeypatch.setattr(catalog, "load_catalog", lambda: mutated)
+    report = verify_catalog(scope)
+    failed = [it for it in report.items if not it.passed]
+    assert [it.name for it in failed] == [name]
+    assert failed[0].detail == detail
+    assert main(["catalog", "verify", "--scope", scope]) == 1
+
+
 # ---------------------------------------------------------------------------
 # the A6/A8 case split and the special bases come from catalog.json only
 # ---------------------------------------------------------------------------
@@ -284,6 +309,16 @@ def test_case_for_follows_the_cocycle_family_keys():
         else:
             for lam in (0, -1, -2, generic):
                 assert catalog.case_for(name, Fraction(lam)) is None
+
+
+def test_case_for_compares_residues_under_a_prime():
+    assert catalog.case_for("A6", Fraction(4)) == "generic"
+    assert catalog.case_for("A6", Fraction(4), 5) == "-1"
+    assert catalog.case_for("A6", Fraction(5), 5) == "0"
+    assert catalog.case_for("A6", Fraction(1, 4), 5) == "-1"
+    assert catalog.case_for("A8", Fraction(3), 5) == "-2"
+    assert catalog.case_for("A8", Fraction(3), 7) == "generic"
+    assert catalog.case_for("A3", Fraction(4), 5) is None
 
 
 # ---------------------------------------------------------------------------

@@ -472,6 +472,8 @@ def test_oversized_input_exits_2_before_work(capsys, tmp_path, monkeypatch,
 def test_unknown_catalog_entry_exits_2(capsys, argv):
     code, report, err = run(capsys, *argv)
     assert code == 2 and report is None and "error" in err
+    assert err == (f"error: unknown family '{argv[2]}'; valid names are "
+                   "A1..A9 and CA1..CA45\n")
 
 
 def test_internal_key_error_is_not_bad_input(monkeypatch):
@@ -782,3 +784,94 @@ def test_command_replaced_after_first_call_is_run(monkeypatch, capsys):
                         or 7)
     assert main(["catalog", "show", "A1"]) == 7
     assert [args.name for args in calls] == ["A1"]
+
+
+# ---------------------------------------------------------------------------
+# catalog actions take only the inputs they read
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, message", [
+    (("catalog", "list", "CA10"), "catalog list takes no family name"),
+    (("catalog", "verify", "CA10", "--scope", "A-families"),
+     "catalog verify takes no family name"),
+    (("catalog", "list", "--scope", "all"),
+     "--scope applies only to catalog verify"),
+    (("catalog", "show", "CA10", "--scope", "cocycles"),
+     "--scope applies only to catalog verify")],
+    ids=["list-name", "verify-name", "list-scope", "show-scope"])
+def test_catalog_unread_input_exits_2(capsys, monkeypatch, argv, message):
+    import antiprelie.catalog as catalog
+
+    def no_verify(scope):
+        raise AssertionError("verify started")
+    monkeypatch.setattr(catalog, "verify_catalog", no_verify)
+    code, report, err = run(capsys, *argv)
+    assert code == 2 and report is None
+    assert err == f"error: {message}\n"
+
+
+def test_catalog_verify_scope_defaults_to_all(capsysbinary):
+    outs = []
+    for argv in (["catalog", "verify"],
+                 ["catalog", "verify", "--scope", "all"]):
+        assert main(argv) == 0
+        outs.append(capsysbinary.readouterr())
+    assert outs[0] == outs[1] and b'"scope": "all"' in outs[0].out
+
+
+# ---------------------------------------------------------------------------
+# the A6/A8 case follows the residue of lambda under --prime
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("family, lams", [("A6", ("4", "-1")),
+                                          ("A8", ("3", "-2"))])
+def test_z2_brute_case_follows_the_residue(capsysbinary, family, lams):
+    outs = []
+    for lam in lams:
+        assert main(["z2", "--family", family, "--mode", "brute",
+                     "--params", f"lambda={lam}", "--prime", "5"]) == 0
+        outs.append(capsysbinary.readouterr().out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["family_union_count"] == 25
+
+
+# ---------------------------------------------------------------------------
+# malformed command lines exit 2 with nothing on stdout
+# ---------------------------------------------------------------------------
+
+def _form2(tmp_path):
+    path = tmp_path / "id2.form.json"
+    path.write_text(json.dumps({"dim": 2, "gram": [["1", "0"], ["0", "1"]]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("z2", "--family", "A6", "--mode", "linear", "--params", "lambda"),
+     "bad parameter assignment 'lambda'"),
+    (("z2", "--family", "A6", "--mode", "linear", "--params", "lambda=x"),
+     "bad rational 'x'"),
+    (("derive", "from-vectors", "--form", "FORM2", "--s1", "e3",
+      "--s2", "e1"), "basis vector 'e3' out of range"),
+    (("derive", "from-vectors", "--form", "FORM2", "--s1", "1,2,3",
+      "--s2", "e1"), "vector '1,2,3' must have 2 coefficients"),
+    (("check",), "nothing to check; pass --identity or a pair flag"),
+    (("check", "--identity", "jacobi"), "--identity needs --file"),
+    (("check", "--compatible"), "pair checks need --pair FILE")],
+    ids=["params-no-equals", "params-bad-rational", "s1-out-of-range",
+         "s1-length", "check-nothing", "identity-no-file",
+         "compatible-no-pair"])
+def test_malformed_command_line_exits_2(capsys, tmp_path, argv, message):
+    argv = [_form2(tmp_path) if a == "FORM2" else a for a in argv]
+    code = main(argv)
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err == f"error: {message}\n"
+
+
+def test_params_trailing_comma_is_accepted(capsysbinary):
+    outs = []
+    for params in ("lambda=-1", "lambda=-1,"):
+        assert main(["z2", "--family", "A6", "--mode", "linear",
+                     "--params", params]) == 0
+        outs.append(capsysbinary.readouterr().out)
+    assert outs[0] == outs[1] and outs[0]

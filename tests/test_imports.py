@@ -1,7 +1,8 @@
 """Every module of the package (its `__init__` aside, which re-exports)
 uses each name it imports: a name that is imported and never read is
-left over from a refactor.  Only the stdlib `ast` module is used, so the
-check runs wherever the tests run."""
+left over from a refactor.  And the CLI imports no private name of the
+checking modules.  Only the stdlib `ast` module is used, so the checks
+run wherever the tests run."""
 import ast
 from pathlib import Path
 
@@ -42,3 +43,30 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+CHECK_MODULES = ("operators", "algebra", "cocycles", "forms",
+                 "representations")
+
+
+def private_check_imports(source: str):
+    """The `_`-prefixed names that `source` imports from the checking
+    modules: the CLI reaches the checks only through their public entry
+    points."""
+    return [a.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            and node.module in CHECK_MODULES
+            for a in node.names if a.name.startswith("_")]
+
+
+def test_the_check_sees_a_private_check_import():
+    source = ("from .operators import _anti_o_residuals, check_anti_o\n"
+              "from .scalars import _read_json\n"
+              "from .algebra import (AlgebraPair,\n    _residuals)\n")
+    assert private_check_imports(source) == ["_anti_o_residuals",
+                                             "_residuals"]
+
+
+def test_cli_imports_only_public_checks():
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    assert private_check_imports(source) == []
