@@ -228,7 +228,7 @@ def cmd_z2(args) -> int:
     families = cat.cocycle_families_of(
         name, cat.case_for(name, lam, args.prime))
     sols = brute_force_Z2(base_p, budget=args.budget)
-    flat_sols = {tuple(x.value for x in d.flat()) for d in sols}
+    flat_sols = set(map(tuple, sols.table.tolist()))
     union = set()
     tallies = []
     for idx, phi in enumerate(families):

@@ -10,15 +10,18 @@ exhaustive enumeration instead of general polynomial solving.
 Both read their coefficients off the checkers' residuals at the unit
 tables E_a (1 at flat index a, 0 elsewhere) over the base field; the
 scan tests the linear part in split-digit form, joining the two halves
-of each candidate on equal partial residuals.
+of each candidate on equal partial residuals.  Its survivors stay one
+read-only int table (`Z2Solutions`), which builds a `Deformation` only
+for the row asked for.  numpy is imported inside the functions that
+scan, so importing the package does not load it.
 """
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
-
-import numpy as np
 
 from .algebra import (Algebra, AlgebraPair, CheckReport,
                       anti_pre_lie_residuals, cast_algebra, make_report,
@@ -93,13 +96,16 @@ def linear_space(A: Algebra):
     if A.field.kind not in ("Q", "GF"):
         raise FieldMismatchError("linear_space needs Q or GF(p) coefficients")
     system = _linear_rows(A)
+    return [_from_flat(A, vec) for vec in system.nullspace()]
+
+
+def _from_flat(A: Algebra, flat):
+    """The table over A's field and basis whose entries, in row-major
+    (i, j, k) order, are the Scalars `flat`."""
     n = A.dim
-    basis = []
-    for vec in system.nullspace():
-        sc = [[[vec[(i * n + j) * n + k] for k in range(n)]
-               for j in range(n)] for i in range(n)]
-        basis.append(Algebra(A.field, n, sc, A.basis))
-    return basis
+    sc = [[flat[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)]
+          for i in range(n)]
+    return Algebra(A.field, n, sc, A.basis)
 
 
 def _quadratic_coefficients(A: Algebra, p: int):
@@ -113,6 +119,7 @@ def _quadratic_coefficients(A: Algebra, p: int):
     kept.  pairs and Qmat depend only on (dim, p) and are shared
     read-only arrays.
     """
+    import numpy as np
     L = np.array([[x.value for x in row] for row in _linear_rows(A).entries],
                  dtype=np.int64).T
     return (L, *_quadratic_table(A.dim, p))
@@ -124,6 +131,7 @@ def _quadratic_table(n: int, p: int):
     quadratic in phi with no linear terms and do not involve the base, so
     the row of phi_a^2 is their residual at E_a and the row of
     phi_a phi_b (a < b) the mixed residual of the pair (E_a, E_b)."""
+    import numpy as np
     E = _unit_tables(GF(p), n)
     rows = {(a, b): [x.value for x in _components(
                 anti_pre_lie_residuals(E[a]) if a == b
@@ -139,6 +147,7 @@ def _quadratic_table(n: int, p: int):
 
 def _digit_rows(width, p):
     """All p^width digit rows of the given width, in lexicographic order."""
+    import numpy as np
     grid = np.indices((p,) * width, dtype=np.int64)
     return grid.reshape(width, p ** width).T
 
@@ -150,6 +159,7 @@ def _join_index(N_hi, R_lo):
     the low blocks lo_order[start[g]:start[g] + size[g]] with g = group[h],
     in increasing order.
     """
+    import numpy as np
     rows = np.concatenate([R_lo, N_hi])
     # each row's bytes as one value, so equal keys are exactly equal rows
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
@@ -165,6 +175,7 @@ def _scan_chunk(h0, h1, p, D_hi, D_lo, join, pairs, Qmat):
     whose high block is one of rows h0..h1-1 of D_hi.  The join lists the
     (h, l) pairs with a zero linear residual; the quadratic residuals of
     those are one product of their monomials phi_a phi_b with Qmat."""
+    import numpy as np
     group, lo_order, start, size = join
     g = group[h0:h1]
     counts = size[g]
@@ -174,6 +185,34 @@ def _scan_chunk(h0, h1, p, D_hi, D_lo, join, pairs, Qmat):
     S = np.concatenate([D_hi[hi], D_lo[lo]], axis=1)
     mono = S[:, pairs[:, 0]] * S[:, pairs[:, 1]] % p
     return S[~(mono @ Qmat % p).any(axis=1)]
+
+
+class Z2Solutions(Sequence):
+    """The Step-1 solutions over `base` found by `brute_force_Z2`, kept as
+    `table`: a read-only int array of shape (count, n^3), one row of
+    residues per solution in row-major (i, j, k) order, the rows in
+    lexicographic order.  An index builds its row's Deformation only when
+    it is asked for; a slice gives a list of them."""
+
+    def __init__(self, base: Algebra, table):
+        self.base = base
+        self.table = table
+
+    def __len__(self):
+        return len(self.table)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._deformation(row)
+                    for row in self.table[index].tolist()]
+        return self._deformation(self.table[operator.index(index)].tolist())
+
+    def __iter__(self):
+        return map(self._deformation, self.table.tolist())
+
+    def _deformation(self, row):
+        A = self.base
+        return Deformation(A, _from_flat(A, [A.field.scalar(v) for v in row]))
 
 
 def check_budget(budget) -> int:
@@ -189,7 +228,8 @@ def check_budget(budget) -> int:
 def brute_force_Z2(A: Algebra, budget: int = DEFAULT_BUDGET,
                    chunk: int = 1 << 19):
     """Exhaustively enumerate all phi over GF(p) passing the four Step-1
-    conditions, in lexicographic order of the flattened table.
+    conditions, in lexicographic order of the flattened table, as a
+    `Z2Solutions` sequence over the survivors' int table.
 
     Every candidate is tested against all four conditions (the linear
     iii-iv residuals first, the quadratic i-ii residuals on survivors);
@@ -219,6 +259,7 @@ def brute_force_Z2(A: Algebra, budget: int = DEFAULT_BUDGET,
     if total > budget:
         raise BudgetExceededError(
             f"{p}^{n3} = {total} exceeds the budget of {budget}")
+    import numpy as np
     L, pairs, Qmat = _quadratic_coefficients(A, p)
     D_hi, D_lo = _digit_rows(n3 // 2, p), _digit_rows(n3 - n3 // 2, p)
     small = np.min_scalar_type(p - 1)
@@ -230,15 +271,8 @@ def brute_force_Z2(A: Algebra, budget: int = DEFAULT_BUDGET,
                          pairs, Qmat)
              for h in range(0, len(D_hi), step)]
     S = np.concatenate(parts)
-    field = A.field
-    elems = {v: field.scalar(v) for v in np.unique(S).tolist()}
-    out = []
-    for row in S.tolist():
-        x = [elems[v] for v in row]
-        sc = [[x[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)]
-              for i in range(n)]
-        out.append(Deformation(A, Algebra(field, n, sc, A.basis)))
-    return out
+    S.flags.writeable = False
+    return Z2Solutions(A, S)
 
 
 def instantiate_family_gf(fam: Algebra, p: int):
@@ -254,6 +288,7 @@ def instantiate_family_gf(fam: Algebra, p: int):
     """
     if fam.field.kind != "poly":
         raise FieldMismatchError("family must have polynomial entries")
+    import numpy as np
     f = fam.field
     grid = _digit_rows(len(f.variables), p)
     for c, v in enumerate(f.variables):

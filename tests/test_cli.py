@@ -129,6 +129,25 @@ def test_z2_brute_surplus_reported(capsys):
     assert len(report["surplus"]) == 120
 
 
+@pytest.mark.parametrize("prime,count", [(5, 425), (7, 1225)])
+def test_z2_brute_builds_no_algebra_per_solution(capsys, monkeypatch, prime,
+                                                 count):
+    # the report is read off the scan's int table: a warm run builds only
+    # the base and the unit tables, never one Algebra per solution
+    argv = ("z2", "--family", "A3", "--mode", "brute", "--prime", str(prime))
+    run(capsys, *argv)
+    calls = []
+    init = Algebra.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(Algebra, "__init__", counted)
+    code, report, _ = run(capsys, *argv)
+    assert code == 0 and report["solution_count"] == count
+    assert len(calls) < 64
+
+
 def test_z2_verify(capsys):
     code, report, _ = run(capsys, "z2", "--family", "A8",
                           "--mode", "verify")

@@ -276,11 +276,34 @@ def test_brute_force_chunking_and_workers_keep_order():
     p = 5
     for name in ("A2", "A3"):
         base = base_algebra(name, prime=p)
-        ref = _flats(brute_force_Z2(base))
+        whole = brute_force_Z2(base)
+        ref = _flats(whole)
         assert len(ref) == Z2_COUNTS[(name, None)] and ref == sorted(ref)
         for chunk in (1, 7, p ** 4 + 1, 3 * p ** 4 + 1, 1 << 14, 1 << 19):
             sols = brute_force_Z2(base, chunk=chunk)
             assert _flats(sols) == ref, (name, chunk)
+            assert np.array_equal(sols.table, whole.table), (name, chunk)
+
+
+def test_brute_force_solutions_are_one_read_only_int_table():
+    base = base_algebra("A3", prime=5)
+    sols = brute_force_Z2(base)
+    table = sols.table
+    assert len(sols) == 425 and table.shape == (425, 8)
+    assert np.issubdtype(table.dtype, np.integer)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+    every = list(sols)
+    assert all(d.base is base for d in every)
+    assert [[x.value for x in d.flat()] for d in every] == table.tolist()
+    assert sols[-1] == every[-1] == sols[424]
+    assert sols[-425] == every[0]
+    assert sols[::7] == every[::7] and len(sols[::7]) == 61
+    assert sols[:2] == every[:2] and isinstance(sols[:2], list)
+    for past in (425, -426):
+        with pytest.raises(IndexError):
+            sols[past]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

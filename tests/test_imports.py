@@ -2,8 +2,12 @@
 uses each name it imports: a name that is imported and never read is
 left over from a refactor.  And the CLI imports no private name of the
 checking modules.  Only the stdlib `ast` module is used, so the checks
-run wherever the tests run."""
+run wherever the tests run.  And importing the package, or running a
+command that scans nothing, does not load numpy."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -70,3 +74,21 @@ def test_the_check_sees_a_private_check_import():
 def test_cli_imports_only_public_checks():
     source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
     assert private_check_imports(source) == []
+
+
+def test_numpy_loads_only_for_a_scan(tmp_path):
+    # a fresh interpreter, since this one has numpy loaded already
+    script = (
+        "import sys\n"
+        "import antiprelie, antiprelie.cli\n"
+        "assert 'numpy' not in sys.modules, 'loaded on import'\n"
+        "code = antiprelie.cli.main(['catalog', 'verify', '--scope',\n"
+        "                            'A-families', '--out', sys.argv[1]])\n"
+        "assert code == 0, code\n"
+        "assert 'numpy' not in sys.modules, 'loaded by catalog verify'\n")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", script,
+                           str(tmp_path / "verify.json")],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
