@@ -177,7 +177,10 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_z2(args) -> int:
-    check_budget(args.budget)
+    if args.mode != "brute" and args.budget is not None:
+        raise ParseError("--budget applies only to z2 --mode brute")
+    budget = check_budget(DEFAULT_BUDGET if args.budget is None
+                          else args.budget)
     params = parse_params(args.params)
     name = args.family
     fam = cat.get_family(name)
@@ -227,7 +230,7 @@ def cmd_z2(args) -> int:
     # families is rejected before the scan
     families = cat.cocycle_families_of(
         name, cat.case_for(name, lam, args.prime))
-    sols = brute_force_Z2(base_p, budget=args.budget)
+    sols = brute_force_Z2(base_p, budget=budget)
     flat_sols = set(map(tuple, sols.table.tolist()))
     union = set()
     tallies = []
@@ -368,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prime", type=int, default=5,
                    choices=(2, 3, 5, 7, 11, 13))
     p.add_argument("--params")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    p.add_argument("--budget", type=int,
                    help=f"candidate limit of --mode brute, 1 to {MAX_BUDGET}")
     p.add_argument("--out")
 

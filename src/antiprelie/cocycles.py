@@ -9,8 +9,8 @@ compatibility conditions with the base.  (i)-(ii) are quadratic in phi,
 exhaustive enumeration instead of general polynomial solving.
 Both read their coefficients off the checkers' residuals at the unit
 tables E_a (1 at flat index a, 0 elsewhere) over the base field; the
-scan tests the linear part in split-digit form, joining the two halves
-of each candidate on equal partial residuals.  Its survivors stay one
+scan enumerates the GF(p) kernel of iii-iv, the same one `linear_space`
+computes, and tests i-ii on each of its tables.  Its survivors stay one
 read-only int table (`Z2Solutions`), which builds a `Deformation` only
 for the row asked for.  numpy is imported inside the functions that
 scan, so importing the package does not load it.
@@ -35,6 +35,9 @@ from .scalars import GF, Field, _residue
 DEFAULT_BUDGET = 10 ** 8
 # Largest accepted candidate budget: counts up to it fit int64 (2^63 - 1).
 MAX_BUDGET = 10 ** 18
+# Kernel rows per scan window.  Windows this small, reduced in place, reuse
+# freed memory; at 8,192 rows every window's arrays were page-faulted anew.
+SCAN_WINDOW = 1 << 9
 
 _STEP1_NAMES = {"anti_pre_lie_1": "step1_i", "anti_pre_lie_2": "step1_ii",
                 "compatible_mixed_1": "step1_iii",
@@ -109,20 +112,22 @@ def _from_flat(A: Algebra, flat):
 
 
 def _quadratic_coefficients(A: Algebra, p: int):
-    """Integer tables (L, pairs, Qmat) describing the Step-1 residuals
+    """Integer tables (K, pairs, Qmat) describing the Step-1 conditions
     mod p.
 
-    Linear part: residual_c(phi) = sum_a L[a][c] phi_a for iii-iv.
-    Quadratic part (i-ii, no linear terms): residual_c(phi) =
-    sum_r Qmat[r][c] phi_a phi_b with (a, b) = pairs[r], a <= b.  Both are
-    read off the residuals at unit tables; only nonzero Qmat rows are
-    kept.  pairs and Qmat depend only on (dim, p) and are shared
-    read-only arrays.
+    Linear part: the rows of K are `linear_space`'s basis of the kernel
+    of iii-iv, as residues, so the phi passing iii-iv are exactly the
+    combinations c K mod p.  Quadratic part (i-ii, no linear terms):
+    residual_c(phi) = sum_r Qmat[r][c] phi_a phi_b with (a, b) =
+    pairs[r], a <= b, read off the residuals at unit tables; only nonzero
+    Qmat rows are kept.  pairs and Qmat depend only on (dim, p) and are
+    shared read-only arrays.
     """
     import numpy as np
-    L = np.array([[x.value for x in row] for row in _linear_rows(A).entries],
-                 dtype=np.int64).T
-    return (L, *_quadratic_table(A.dim, p))
+    K = np.array([[x.value for x in vec]
+                  for vec in _linear_rows(A).nullspace()],
+                 dtype=np.int64).reshape(-1, A.dim ** 3)
+    return (K, *_quadratic_table(A.dim, p))
 
 
 @lru_cache(maxsize=16)
@@ -145,46 +150,25 @@ def _quadratic_table(n: int, p: int):
     return pairs, Qmat
 
 
-def _digit_rows(width, p):
-    """All p^width digit rows of the given width, in lexicographic order."""
+def _digit_rows(width, p, start=0, stop=None):
+    """Rows start..stop-1 (all p^width by default) of the lexicographic
+    list of digit rows of the given width: row r holds the base-p digits
+    of r, most significant first."""
     import numpy as np
-    grid = np.indices((p,) * width, dtype=np.int64)
-    return grid.reshape(width, p ** width).T
+    r = np.arange(start, p ** width if stop is None else stop, dtype=np.int64)
+    return r[:, None] // p ** np.arange(width - 1, -1, -1, dtype=np.int64) % p
 
 
-def _join_index(N_hi, R_lo):
-    """Exact equi-join of the high and low residual rows.
-
-    Returns (group, lo_order, start, size): high block h matches exactly
-    the low blocks lo_order[start[g]:start[g] + size[g]] with g = group[h],
-    in increasing order.
-    """
-    import numpy as np
-    rows = np.concatenate([R_lo, N_hi])
-    # each row's bytes as one value, so equal keys are exactly equal rows
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
-    ids = np.unique(keys.ravel(), return_inverse=True)[1].reshape(-1)
-    lo_ids, group = ids[:len(R_lo)], ids[len(R_lo):]
-    size = np.bincount(lo_ids, minlength=int(ids.max()) + 1)
-    lo_order = np.argsort(lo_ids, kind="stable")
-    return group, lo_order, np.cumsum(size) - size, size
-
-
-def _scan_chunk(h0, h1, p, D_hi, D_lo, join, pairs, Qmat):
-    """Step-1 survivors, in lexicographic order, among the candidates
-    whose high block is one of rows h0..h1-1 of D_hi.  The join lists the
-    (h, l) pairs with a zero linear residual; the quadratic residuals of
-    those are one product of their monomials phi_a phi_b with Qmat."""
-    import numpy as np
-    group, lo_order, start, size = join
-    g = group[h0:h1]
-    counts = size[g]
-    hi = np.repeat(np.arange(h0, h1), counts)
-    first = np.repeat(start[g] - (np.cumsum(counts) - counts), counts)
-    lo = lo_order[first + np.arange(len(hi))]
-    S = np.concatenate([D_hi[hi], D_lo[lo]], axis=1)
-    mono = S[:, pairs[:, 0]] * S[:, pairs[:, 1]] % p
-    return S[~(mono @ Qmat % p).any(axis=1)]
+def _scan_chunk(c0, c1, p, K, pairs, Qmat):
+    """Step-1 survivors among the tables phi = c K mod p, c the digit
+    rows c0..c1-1 of GF(p)^d: all of them pass iii-iv, and their i-ii
+    residuals are one product of their monomials phi_a phi_b with Qmat."""
+    S = _digit_rows(len(K), p, c0, c1) @ K % p
+    mono = S[:, pairs[:, 0]] * S[:, pairs[:, 1]]
+    mono %= p
+    res = mono @ Qmat
+    res %= p
+    return S[~res.any(axis=1)]
 
 
 class Z2Solutions(Sequence):
@@ -225,52 +209,38 @@ def check_budget(budget) -> int:
     return budget
 
 
-def brute_force_Z2(A: Algebra, budget: int = DEFAULT_BUDGET,
-                   chunk: int = 1 << 19):
+def brute_force_Z2(A: Algebra, budget: int = DEFAULT_BUDGET):
     """Exhaustively enumerate all phi over GF(p) passing the four Step-1
     conditions, in lexicographic order of the flattened table, as a
     `Z2Solutions` sequence over the survivors' int table.
 
-    Every candidate is tested against all four conditions (the linear
-    iii-iv residuals first, the quadratic i-ii residuals on survivors);
-    the output is therefore closed under the checks by construction.
-    Split-digit residual: a candidate's first n^3 // 2 digits are its
-    high block h, the rest its low block l.  By linearity its residual
-    E @ L is R_hi[h] + R_lo[l] mod p, from per-base tables of partial
-    residuals; it vanishes exactly when R_lo[l] == N_hi[h] = -R_hi[h]
-    on every component.  The low blocks are grouped by their whole
-    residual row (an exact join on the row's bytes), so each high block
-    meets precisely the low blocks with an equal row: every one of the
-    p^(n^3) candidates is decided by its full residual, and the work is
-    the two tables plus the survivors, not every (h, l) pair.
-    The chunks, scanned one after another, are ranges of high blocks
-    covering about `chunk` candidates each, and at least one block, so
-    `chunk` bounds the rows held at once.  `budget` must be an int from 1
+    Conditions iii-iv are linear, so the phi passing them are exactly the
+    combinations c K mod p of the rows of K, the reduced echelon kernel
+    basis that `linear_space` returns: each such phi is one c, and every
+    phi outside the span fails iii-iv.  All p^d combinations are
+    enumerated, SCAN_WINDOW rows of c at a time, and tested on the
+    quadratic conditions i-ii; the survivors are then sorted, since the
+    order of c is not the order of phi.  `budget` must be an int from 1
     to MAX_BUDGET (ParseError otherwise); a base with more than `budget`
-    candidates raises BudgetExceededError before any scan.
+    of the p^(n^3) candidate tables raises BudgetExceededError before any
+    scan.
     """
     check_budget(budget)
     if A.field.kind != "GF":
         raise FieldMismatchError("brute force runs over GF(p)")
     p = A.field.p
-    n = A.dim
-    n3 = n ** 3
+    n3 = A.dim ** 3
     total = p ** n3
     if total > budget:
         raise BudgetExceededError(
             f"{p}^{n3} = {total} exceeds the budget of {budget}")
     import numpy as np
-    L, pairs, Qmat = _quadratic_coefficients(A, p)
-    D_hi, D_lo = _digit_rows(n3 // 2, p), _digit_rows(n3 - n3 // 2, p)
-    small = np.min_scalar_type(p - 1)
-    N_hi = (-(D_hi @ L[:n3 // 2]) % p).astype(small)
-    R_lo = (D_lo @ L[n3 // 2:] % p).astype(small)
-    join = _join_index(N_hi, R_lo)
-    step = max(1, chunk // len(D_lo))
-    parts = [_scan_chunk(h, min(h + step, len(D_hi)), p, D_hi, D_lo, join,
-                         pairs, Qmat)
-             for h in range(0, len(D_hi), step)]
-    S = np.concatenate(parts)
+    K, pairs, Qmat = _quadratic_coefficients(A, p)
+    rows = p ** len(K)
+    S = np.concatenate([_scan_chunk(c, min(c + SCAN_WINDOW, rows), p, K,
+                                    pairs, Qmat)
+                        for c in range(0, rows, SCAN_WINDOW)])
+    S = S[np.lexsort(S.T[::-1])]
     S.flags.writeable = False
     return Z2Solutions(A, S)
 

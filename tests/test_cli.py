@@ -339,6 +339,31 @@ def test_budget_at_max_runs(capsys):
     assert code == 0 and report["solution_count"] == 125
 
 
+@pytest.mark.parametrize("mode", ["linear", "verify"])
+def test_budget_outside_brute_exits_2(capsys, monkeypatch, mode):
+    import antiprelie.cli as cli
+
+    def no_work(*args):
+        raise AssertionError("work started")
+    monkeypatch.setattr(cli, "linear_space", no_work)
+    monkeypatch.setattr(cli, "verify_family_membership", no_work)
+    code, report, err = run(capsys, "z2", "--family", "A3", "--mode", mode,
+                            "--budget", "5")
+    assert code == 2 and report is None
+    assert err == "error: --budget applies only to z2 --mode brute\n"
+
+
+def test_brute_keeps_the_default_budget(capsys, monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("scan started")
+    monkeypatch.setattr(cocycles, "_quadratic_coefficients", no_scan)
+    code, report, err = run(capsys, "z2", "--family", "A2", "--mode",
+                            "brute", "--prime", "11")
+    assert code == 2 and report is None
+    assert err == ("error: 11^8 = 214358881 exceeds the budget of "
+                   f"{cocycles.DEFAULT_BUDGET}\n")
+
+
 def test_workers_flag_is_not_an_option(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["z2", "--family", "A7", "--mode", "brute", "--workers", "2"])

@@ -4,12 +4,13 @@ from itertools import product as iproduct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import antiprelie.cocycles as cocycles
 from antiprelie import (GF, QQ, Algebra, AlgebraPair, BudgetExceededError,
-                        Deformation, Field, Matrix, NotInvertibleError,
-                        ParseError,
+                        ConstraintError, Deformation, Field, Matrix,
+                        NotInvertibleError, ParseError,
                         PreconditionError, ShapeMismatchError, brute_force_Z2,
                         check_identity, check_step1_conditions, get_family,
                         instantiate, is_automorphism, linear_space,
@@ -243,7 +244,8 @@ def test_quadratic_coefficients_match_polarization(p, dim):
     if dim == 2:
         bases.append(base_algebra("A3", prime=p))
     for base in bases:
-        L, pairs, Qmat = _quadratic_coefficients(base, p)
+        _, pairs, Qmat = _quadratic_coefficients(base, p)
+        L = _int_linear_rows(base)
         L0 = np.array([[x.value for x in row]
                        for row in indeterminate_rows(base).entries]).T
         Q0, nq0 = _polarized_coefficients(base, p)
@@ -251,6 +253,14 @@ def test_quadratic_coefficients_match_polarization(p, dim):
         assert [tuple(ab) for ab in pairs.tolist()] == sorted(Q0)
         assert all(np.array_equal(row, Q0[ab])
                    for ab, row in zip(sorted(Q0), Qmat))
+
+
+def _int_linear_rows(base):
+    """L[a][c]: the coefficient of phi_a in the iii-iv residual c, as
+    integers."""
+    return np.array([[x.value for x in row]
+                     for row in _linear_rows(base).entries],
+                    dtype=np.int64).T
 
 
 def _direct_step1(base):
@@ -269,10 +279,11 @@ def _flats(sols):
     return [tuple(int(x.value) for x in d.flat()) for d in sols]
 
 
-def test_brute_force_chunking_and_workers_keep_order():
-    # the scan is serial; chunks of one high block (1, 7, p^4 + 1), three
-    # blocks with a short last chunk (3 p^4 + 1), 26 blocks (2^14), and the
-    # default single chunk all give the same sorted survivors, on A2 and A3
+def test_brute_force_chunking_and_workers_keep_order(monkeypatch):
+    # the scan is serial; windows of 1 and 7 kernel rows, windows that
+    # leave a short last one (p^4 + 1 and 3 p^4 + 1 of A2's p^5 and A3's
+    # p^6 rows) and single windows (2^14, 2^19) all give the same sorted
+    # survivors, on A2 and A3
     p = 5
     for name in ("A2", "A3"):
         base = base_algebra(name, prime=p)
@@ -280,7 +291,8 @@ def test_brute_force_chunking_and_workers_keep_order():
         ref = _flats(whole)
         assert len(ref) == Z2_COUNTS[(name, None)] and ref == sorted(ref)
         for chunk in (1, 7, p ** 4 + 1, 3 * p ** 4 + 1, 1 << 14, 1 << 19):
-            sols = brute_force_Z2(base, chunk=chunk)
+            monkeypatch.setattr(cocycles, "SCAN_WINDOW", chunk)
+            sols = brute_force_Z2(base)
             assert _flats(sols) == ref, (name, chunk)
             assert np.array_equal(sols.table, whole.table), (name, chunk)
 
@@ -307,13 +319,15 @@ def test_brute_force_solutions_are_one_read_only_int_table():
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_brute_force_dim1_empty_high_block(p):
+def test_brute_force_dim1_empty_high_block(monkeypatch, p):
+    # dimension 1: a single table entry, whose kernel is 0 or 1 rows
     f = GF(p)
     for c in range(p):
         base = Algebra.from_entries(f, 1, [(1, 1, 1, c)])
         direct = _direct_step1(base)
         for chunk in (1, 1 << 19):
-            sols = brute_force_Z2(base, chunk=chunk)
+            monkeypatch.setattr(cocycles, "SCAN_WINDOW", chunk)
+            sols = brute_force_Z2(base)
             assert _flats(sols) == direct, (c, chunk)
 
 
@@ -334,7 +348,6 @@ def test_brute_force_budget():
 
 
 def test_brute_force_budget_bounds(monkeypatch):
-    import antiprelie.cocycles as cocycles
     assert cocycles.MAX_BUDGET < 2 ** 63
 
     def no_scan(*args):
@@ -353,11 +366,13 @@ def test_brute_force_budget_bounds(monkeypatch):
             brute_force_Z2(base, budget=ok)
 
 
-def test_brute_force_worker_partition_deterministic():
-    # partitioning A3's scan into 26 chunks (2^14) keeps the default order
+def test_brute_force_worker_partition_deterministic(monkeypatch):
+    # partitioning A3's 5^6 kernel rows into 26 windows of 601 keeps the
+    # default order
     base = base_algebra("A3", prime=5)
     solo = brute_force_Z2(base)
-    parts = brute_force_Z2(base, chunk=1 << 14)
+    monkeypatch.setattr(cocycles, "SCAN_WINDOW", 601)
+    parts = brute_force_Z2(base)
     assert len(solo) == Z2_COUNTS[("A3", None)]
     assert [d.flat() for d in solo] == [d.flat() for d in parts]
 
@@ -367,7 +382,8 @@ def _nested_scan(base):
     block against every low block on all linear components, then the
     quadratic residuals pair by pair."""
     p, n3 = base.field.p, base.dim ** 3
-    L, pairs, Qmat = _quadratic_coefficients(base, p)
+    L = _int_linear_rows(base)
+    _, pairs, Qmat = _quadratic_coefficients(base, p)
 
     def digits(width):
         return np.array(list(iproduct(range(p), repeat=width)),
@@ -384,26 +400,76 @@ def _nested_scan(base):
     return [tuple(row) for row in S[~(acc % p).any(axis=1)].tolist()]
 
 
+@st.composite
+def gf_tables(draw):
+    """(p, n, flat): a random table of dim 1 or 2 over GF(2), GF(3) or
+    GF(5)."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.sampled_from([1, 2]))
+    flat = draw(st.lists(st.integers(0, p - 1), min_size=n ** 3,
+                         max_size=n ** 3))
+    return p, n, tuple(flat)
+
+
+def _with_oracle_bases(test):
+    """The 13 oracle bases at p = 2, 3 and 5 as explicit examples,
+    skipping any point that instantiate refuses."""
+    for name, lam in sorted(Z2_COUNTS, key=str):
+        for p in (2, 3, 5):
+            try:
+                base = base_algebra(name, lam, prime=p)
+            except ConstraintError:
+                continue
+            test = example((p, 2, tuple(x.value for plane in base.sc
+                                        for row in plane for x in row)))(test)
+    return test
+
+
 @settings(max_examples=12, deadline=None)
-@given(st.data())
-def test_scan_join_equals_nested_comparison(data):
-    p = data.draw(st.sampled_from([2, 3, 5]))
-    n = data.draw(st.sampled_from([1, 2]))
-    flat = data.draw(st.lists(st.integers(0, p - 1), min_size=n ** 3,
-                              max_size=n ** 3))
+@_with_oracle_bases
+@given(gf_tables())
+def test_scan_join_equals_nested_comparison(table):
+    # the kernel scan against the (h, l) comparison of every candidate,
+    # and its kernel basis against linear_space's
+    p, n, flat = table
     f = GF(p)
     base = Algebra(f, n, [[[f.scalar(flat[(i * n + j) * n + k])
                             for k in range(n)] for j in range(n)]
                           for i in range(n)])
+    K = _quadratic_coefficients(base, p)[0]
+    assert K.tolist() == [[x.value for x in Deformation(base, phi).flat()]
+                          for phi in linear_space(base)]
     want = _nested_scan(base)
     for chunk in (1, 7, 1 << 19):
-        assert _flats(brute_force_Z2(base, chunk=chunk)) == want, chunk
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cocycles, "SCAN_WINDOW", chunk)
+            assert _flats(brute_force_Z2(base)) == want, chunk
+
+
+def test_scan_windows_bound_rows(monkeypatch):
+    # A1 is the zero base, so its kernel is all 3^8 tables: with windows of
+    # 100 rows every _scan_chunk call covers at most 100 of them, the calls
+    # tile the kernel in order, and the table is the nested comparison's
+    base = base_algebra("A1", prime=3)
+    calls = []
+    scan = cocycles._scan_chunk
+
+    def recorded(c0, c1, *args):
+        calls.append((c0, c1))
+        return scan(c0, c1, *args)
+    monkeypatch.setattr(cocycles, "SCAN_WINDOW", 100)
+    monkeypatch.setattr(cocycles, "_scan_chunk", recorded)
+    sols = brute_force_Z2(base)
+    assert all(0 < c1 - c0 <= 100 for c0, c1 in calls)
+    assert [c0 for c0, _ in calls] == [0] + [c1 for _, c1 in calls[:-1]]
+    assert calls[-1][1] == 3 ** 8 and len(calls) == 66
+    assert sols.table.tolist() == [list(row) for row in _nested_scan(base)]
 
 
 def test_quadratic_table_shared_and_read_only():
-    L3, *tables3 = _quadratic_coefficients(base_algebra("A3", prime=5), 5)
-    L7, *tables7 = _quadratic_coefficients(base_algebra("A7", prime=5), 5)
-    assert not np.array_equal(L3, L7)
+    K3, *tables3 = _quadratic_coefficients(base_algebra("A3", prime=5), 5)
+    K7, *tables7 = _quadratic_coefficients(base_algebra("A7", prime=5), 5)
+    assert not np.array_equal(K3, K7)
     for shared, again in zip(tables3, tables7):
         assert shared is again and not shared.flags.writeable
         with pytest.raises(ValueError):

@@ -30,10 +30,9 @@ files:
   order of each identity kind is pinned;
 - the linear Z^2 stage of A3 over GF(5) and of A6 at lambda = -1 over
   GF(7), so the nullspace bases of two bases are pinned;
-- the exhaustive GF(5) scan of A4 (145 solutions, surplus 20, one chunk)
-  and the GF(7) scan of A6 at lambda = -1 (385 solutions, surplus 336,
-  12 chunks), so the surplus lists and the order of a multi-chunk scan
-  are pinned.
+- the exhaustive GF(5) scan of A4 (145 solutions, surplus 20) and the
+  GF(7) scan of A6 at lambda = -1 (385 solutions, surplus 336), so the
+  surplus lists and the order of the sorted survivors are pinned.
 A deliberate change of a report updates its digest in the same commit.
 A run that fails a precondition writes nothing on stdout; its stderr
 line names the failure count.
