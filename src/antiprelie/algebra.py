@@ -282,6 +282,9 @@ def pencil(P: AlgebraPair, k1: Scalar, k2: Scalar) -> Algebra:
 
 
 def cast_algebra(A: Algebra, field: Field) -> Algebra:
+    """A over `field`: A itself when it is over `field` already."""
+    if A.field == field:
+        return A
     sc = [[[cast_scalar(A.sc[i][j][k], field) for k in range(A.dim)]
            for j in range(A.dim)] for i in range(A.dim)]
     return Algebra(field, A.dim, sc, A.basis)

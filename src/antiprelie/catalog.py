@@ -6,11 +6,15 @@ CA1-CA45, automorphism group descriptions, deformation (Z^2) family
 lists per base algebra, parameter-transformation laws, and the stated
 internal isomorphisms.  The verification suite locks the transcription:
 every table is re-checked symbolically on import of the test suite.
+
+Each entry is parsed, and each table built, once per process, on first
+use, from the object `load_catalog()` returns (see `_compiled`); the
+checks themselves run in full on every call.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
@@ -35,71 +39,120 @@ def _ring(names, units=()) -> Field:
     return Field("poly", variables=names, units=units) if names else QQ
 
 
-def _check_constraints(label: str, ring: Field, constraints, point: dict):
-    for cons in constraints:
-        val = ring.parse(cons["expr"]).eval_at(point)
-        if val.value == Fraction(cons["ne"]):
-            raise ConstraintError(
-                f"{label}constraint {cons['expr']} != {cons['ne']} "
-                f"violated by {point}")
+def _memoized(memo: dict, key, build):
+    """memo[key], built by build() on first use."""
+    try:
+        return memo[key]
+    except KeyError:
+        value = memo[key] = build()
+        return value
+
+
+def _parse_constraints(ring: Field, constraints) -> tuple:
+    """(expr, ne, expr parsed over ring, Fraction(ne)) per (expr, ne)."""
+    return tuple((e, ne, ring.parse(e), Fraction(ne)) for e, ne in constraints)
+
+
+def _check_constraints(label: str, constraints, point: dict):
+    for expr, ne, value, excluded in constraints:
+        if value.eval_at(point).value == excluded:
+            raise ConstraintError(f"{label}constraint {expr} != {ne} "
+                                  f"violated by {point}")
+
+
+def _constraint_dicts(constraints) -> tuple:
+    return tuple({"expr": e, "ne": ne} for e, ne in constraints)
 
 
 @dataclass(frozen=True)
 class Family:
-    """One catalog entry: polynomial structure tables plus parameter data."""
+    """One catalog entry: polynomial structure tables plus parameter data.
+
+    Immutable: `branch` and `constraints` are fresh dicts on every read.
+    The entries are parsed, and each symbolic pair is built, on first use
+    and then kept on the object, which `get_family` shares.
+    """
 
     name: str
     dim: int
     params: tuple
-    branch: dict | None          # {"name": ..., "values": [...]} or None
-    constraints: tuple           # ({"expr": ..., "ne": ...}, ...)
+    _branch: tuple | None        # (name, values) or None
+    _constraints: tuple          # ((expr, ne), ...)
     circ_entries: tuple
     star_entries: tuple | None   # None: single product; (): zero product
     notes: tuple
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
+
+    @property
+    def branch(self) -> dict | None:
+        """{"name": ..., "values": [...]} or None."""
+        if self._branch is None:
+            return None
+        name, values = self._branch
+        return {"name": name, "values": list(values)}
+
+    @property
+    def constraints(self) -> tuple:
+        """({"expr": ..., "ne": ...}, ...)"""
+        return _constraint_dicts(self._constraints)
 
     @property
     def branch_values(self):
-        return tuple(self.branch["values"]) if self.branch else (None,)
+        return self._branch[1] if self._branch else (None,)
 
     def ring(self) -> Field:
         names = list(self.params)
-        if self.branch and self.branch["name"] not in names:
-            names.append(self.branch["name"])
+        if self._branch and self._branch[0] not in names:
+            names.append(self._branch[0])
         return _ring(names)
 
     def _branch_point(self, value) -> dict:
         """{branch variable: value}, or {} for a family without a branch."""
-        if self.branch is None:
+        if self._branch is None:
             return {}
-        if value not in self.branch["values"]:
+        name, values = self._branch
+        if value not in values:
             raise ConstraintError(f"{self.name} needs a branch value from "
-                                  f"{self.branch['values']}, got {value!r}")
-        return {self.branch["name"]: Fraction(value)}
+                                  f"{list(values)}, got {value!r}")
+        return {name: Fraction(value)}
+
+    def _parsed(self):
+        """(circ, star entries, constraints), all parsed over ring()."""
+        def parse():
+            ring = self.ring()
+            circ, star = ([(i, j, k, ring.parse(str(c)))
+                           for i, j, k, c in entries]
+                          for entries in (self.circ_entries,
+                                          self.star_entries or ()))
+            return circ, star, _parse_constraints(ring, self._constraints)
+        return _memoized(self._memo, "parsed", parse)
 
     def _tables(self, point: dict, target: Field) -> AlgebraPair:
         """Both tables with the variables named in point replaced by its
         rational values; the other variables must be variables of target.
         Families without a star table get the zero second product."""
-        ring = self.ring()
         point = {v: target.scalar(q) for v, q in point.items()}
 
         def table(entries):
             return Algebra.from_entries(target, self.dim, [
-                (i, j, k, substitute(ring.parse(str(c)), point, target))
+                (i, j, k, substitute(c, point, target))
                 for i, j, k, c in entries])
 
-        return AlgebraPair(table(self.circ_entries),
-                           table(self.star_entries or ()))
+        circ, star, _ = self._parsed()
+        return AlgebraPair(table(circ), table(star))
 
     def symbolic_pair(self, branch_value=None, ring=None) -> AlgebraPair:
         """The pair over a polynomial ring in the parameters, with the
-        discrete branch variable substituted when the family has one."""
-        return self._tables(self._branch_point(branch_value),
-                            ring if ring is not None else _ring(self.params))
+        discrete branch variable substituted when the family has one;
+        built once per branch value and ring."""
+        ring = ring if ring is not None else _ring(self.params)
+        point = self._branch_point(branch_value)
+        return _memoized(self._memo, (branch_value, ring),
+                         lambda: self._tables(point, ring))
 
     def check_constraints(self, assignment: dict):
-        _check_constraints(f"{self.name}: ", self.ring(), self.constraints,
-                           assignment)
+        _check_constraints(f"{self.name}: ", self._parsed()[2], assignment)
 
 
 @lru_cache(maxsize=1)
@@ -109,23 +162,41 @@ def load_catalog() -> dict:
         return json.load(fh)
 
 
+_store = (None, {})
+
+
+def _compiled():
+    """(load_catalog(), the memo of what has been compiled from it).  The
+    memo holds only objects built from that catalog object, each on first
+    use, and starts empty again whenever load_catalog() returns another
+    object, so it never outlives the data it was built from."""
+    global _store
+    data = load_catalog()
+    if _store[0] is not data:
+        _store = (data, {})
+    return _store
+
+
 def family_names():
     return A_NAMES + CA_NAMES
 
 
 def get_family(name: str) -> Family:
-    data = load_catalog()["families"]
-    if name not in data:
+    """The catalog's Family of that name, one shared object per catalog."""
+    data, memo = _compiled()
+    if name not in data["families"]:
         raise UnknownEntryError(f"unknown family {name!r}; valid names "
                                 f"are A1..A9 and CA1..CA45")
-    raw = data[name]
-    return Family(
+    raw = data["families"][name]
+    branch = raw["branch"]
+    return _memoized(memo, ("family", name), lambda: Family(
         name=name, dim=raw["dim"], params=tuple(raw["params"]),
-        branch=raw["branch"], constraints=tuple(raw["constraints"]),
+        _branch=(branch["name"], tuple(branch["values"])) if branch else None,
+        _constraints=tuple((c["expr"], c["ne"]) for c in raw["constraints"]),
         circ_entries=tuple(tuple(e) for e in raw["circ"]),
         star_entries=(tuple(tuple(e) for e in raw["star"])
                       if raw["star"] is not None else None),
-        notes=tuple(raw["notes"]))
+        notes=tuple(raw["notes"])))
 
 
 def instantiate(f: Family, assignment: dict | None = None, branch=None,
@@ -134,6 +205,7 @@ def instantiate(f: Family, assignment: dict | None = None, branch=None,
 
     Constraints are checked on the rational values before any reduction
     mod p; a value whose denominator p divides raises ConstraintError.
+    The point is substituted on every call, into entries parsed once.
     """
     assignment = {k: Fraction(v) for k, v in (assignment or {}).items()}
     missing = [p for p in f.params if p not in assignment]
@@ -155,12 +227,23 @@ def instantiate(f: Family, assignment: dict | None = None, branch=None,
 
 @dataclass(frozen=True)
 class AutomorphismFamily:
+    """One automorphism family of a catalog entry.  Immutable:
+    `constraints` are fresh dicts on every read, and the symbolic matrix
+    is built once per ring and kept on the object."""
+
     parent: str
     index: int
     params: tuple
     units: tuple
     matrix_entries: tuple
-    constraints: tuple
+    _constraints: tuple          # ((expr, ne), ...)
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
+
+    @property
+    def constraints(self) -> tuple:
+        """({"expr": ..., "ne": ...}, ...)"""
+        return _constraint_dicts(self._constraints)
 
     def ring(self, extra=()) -> Field:
         names = list(self.params) + [v for v in extra if v not in self.params]
@@ -168,8 +251,9 @@ class AutomorphismFamily:
 
     def symbolic_matrix(self, ring=None) -> Matrix:
         ring = ring if ring is not None else self.ring()
-        return Matrix(ring, [[ring.parse(x) for x in row]
-                             for row in self.matrix_entries])
+        return _memoized(self._memo, ring, lambda: Matrix(
+            ring, [[ring.parse(x) for x in row]
+                   for row in self.matrix_entries]))
 
     def concrete_matrix(self, assignment: dict) -> Matrix:
         assignment = {k: Fraction(v) for k, v in (assignment or {}).items()}
@@ -178,24 +262,28 @@ class AutomorphismFamily:
                 raise ConstraintError(f"missing automorphism parameter {p!r}")
             if p in self.units and assignment[p] == 0:
                 raise ConstraintError(f"parameter {p!r} must be nonzero")
-        _check_constraints("automorphism ", self.ring(), self.constraints,
-                           assignment)
+        constraints = _memoized(self._memo, "constraints", lambda:
+                                _parse_constraints(self.ring(),
+                                                   self._constraints))
+        _check_constraints("automorphism ", constraints, assignment)
         return Matrix(QQ, [[substitute(x, assignment, QQ) for x in row]
                            for row in self.symbolic_matrix().entries])
 
 
 def automorphism_families_of(name: str):
-    data = load_catalog()["automorphisms"]
-    if name not in data:
+    """The automorphism families of the named entry, as a new list of the
+    catalog's shared objects."""
+    data, memo = _compiled()
+    if name not in data["automorphisms"]:
         raise UnknownEntryError(f"no automorphism data for {name!r}")
-    out = []
-    for idx, raw in enumerate(data[name]):
-        out.append(AutomorphismFamily(
+    return list(_memoized(memo, ("automorphisms", name), lambda: tuple(
+        AutomorphismFamily(
             parent=name, index=idx, params=tuple(raw["params"]),
             units=tuple(raw["units"]),
             matrix_entries=tuple(tuple(r) for r in raw["matrix"]),
-            constraints=tuple(raw["constraints"])))
-    return out
+            _constraints=tuple((c["expr"], c["ne"])
+                               for c in raw["constraints"]))
+        for idx, raw in enumerate(data["automorphisms"][name]))))
 
 
 def automorphism_of(name: str, assignment: dict | None = None,
@@ -241,30 +329,37 @@ def cocycle_cases_of(name: str):
 
 def cocycle_families_of(name: str, case: str | None = None):
     """Parameterized phi families for a base algebra, as Algebras over a
-    polynomial ring.  A base with a case split (A6, A8) needs one of its
-    case keys in catalog.json."""
-    data = load_catalog()["cocycle_families"]
-    if name not in data:
+    polynomial ring, in a new list of the catalog's shared tables.  A base
+    with a case split (A6, A8) needs one of its case keys in
+    catalog.json."""
+    data, memo = _compiled()
+    if name not in data["cocycle_families"]:
         raise UnknownEntryError(f"no deformation family data for {name!r} "
                                 "(only A2..A9 are tabulated)")
-    cases = data[name]
+    cases = data["cocycle_families"][name]
     if "" in cases:
         if case not in (None, ""):
             raise ConstraintError(f"{name} has no case split")
         case = ""
     elif case is None or case not in cases:
         raise ConstraintError(f"{name} needs a case from {sorted(cases)}")
-    return [Algebra.from_entries(_ring(raw["params"]), 2, raw["phi"])
-            for raw in cases[case]]
+    return list(_memoized(memo, ("cocycles", name, case), lambda: tuple(
+        Algebra.from_entries(_ring(raw["params"]), 2, raw["phi"])
+        for raw in cases[case])))
 
 
 def base_for(name: str, case: str | None):
     """Base product for a deformation case: lambda at the case's value,
-    kept symbolic for the generic case and bases without a split."""
+    kept symbolic for the generic case and bases without a split.  A
+    special case must be one of the base's case keys in catalog.json."""
     fam = get_family(name)
     if case in (None, "", "generic"):
         return fam.symbolic_pair().circ
-    return instantiate(fam, {"lambda": case}).circ
+    data, memo = _compiled()
+    if case not in data["cocycle_families"].get(name, ()):
+        raise ConstraintError(f"{name} has no deformation case {case!r}")
+    return _memoized(memo, ("base", name, case),
+                     lambda: instantiate(fam, {"lambda": case}).circ)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +471,10 @@ def _moves_to(base: Algebra, phi: Algebra, theta: Matrix, law: dict,
     """transform_deformation(phi, theta) equals phi at the mapped
     parameters, as an exact polynomial identity over ring."""
     moved = transform_deformation(Deformation(base, phi), theta)
-    mapping = {pname: ring.parse(expr) for pname, expr in law.items()}
+    memo = _compiled()[1]
+    mapping = {pname: _memoized(memo, ("expr", expr, ring),
+                                lambda: ring.parse(expr))
+               for pname, expr in law.items()}
     r = range(base.dim)
     expect_sc = [[[substitute(phi.sc[i][j][k], mapping, ring) for k in r]
                   for j in r] for i in r]

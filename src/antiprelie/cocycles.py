@@ -71,11 +71,13 @@ def check_step1_conditions(d: Deformation) -> CheckReport:
                         if not _vec_is_zero(vec)])
 
 
+@lru_cache(maxsize=16)
 def _unit_tables(field: Field, n: int, basis=None):
     """The n^3 tables E_a over `field`, 1 at flat index a and 0
-    elsewhere, in flat order."""
-    return [Algebra.from_entries(field, n, [(i + 1, j + 1, k + 1, 1)], basis)
-            for i, j, k in iproduct(range(n), repeat=3)]
+    elsewhere, in flat order; built once per (field, n, basis)."""
+    return tuple(Algebra.from_entries(field, n, [(i + 1, j + 1, k + 1, 1)],
+                                      basis)
+                 for i, j, k in iproduct(range(n), repeat=3))
 
 
 def _components(residuals):

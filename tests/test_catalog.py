@@ -1,5 +1,7 @@
 import copy
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +12,7 @@ from antiprelie import (GF, QQ, Algebra, AlgebraPair, ConstraintError, Field,
                         check_identity, cocycle_families_of, commutator_pair,
                         family_names, get_family, instantiate, pencil,
                         verify_catalog)
-from antiprelie import catalog
+from antiprelie import algebra, catalog
 from antiprelie.catalog import cocycle_cases_of
 from antiprelie.scalars import substitute
 from conftest import random_instance
@@ -463,3 +465,138 @@ def test_concrete_matrix_matches_reference_builder(rng):
                 point = _point(af.params, rng)
                 assert _outcome(af.concrete_matrix, point) == \
                     _outcome(_oracle_concrete_matrix, af, point), point
+
+
+# ---------------------------------------------------------------------------
+# the compiled catalog: every table it shares equals a fresh parse of
+# catalog.json, it follows the load_catalog() object, and it caches no
+# verdict
+# ---------------------------------------------------------------------------
+
+def _raw_catalog():
+    """catalog.json read again from the package data, apart from
+    load_catalog()."""
+    path = Path(catalog.__file__).parent / "data" / "catalog.json"
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def _poly(names, units=()):
+    return Field("poly", variables=names, units=units) if names else QQ
+
+
+def _fresh_pair(raw, branch_value, ring):
+    """The family's pair over ring, parsed from its raw entries with the
+    branch variable, if any, substituted by branch_value."""
+    branch = raw["branch"]
+    names = list(ring.variables)
+    if branch and branch["name"] not in names:
+        names.append(branch["name"])
+    parse_ring = _poly(names)
+    point = {branch["name"]: ring.scalar(branch_value)} if branch else {}
+
+    def table(entries):
+        A = Algebra.from_entries(parse_ring, raw["dim"], entries)
+        return Algebra(ring, A.dim, [[[substitute(x, point, ring)
+                                       for x in row] for row in plane]
+                                     for plane in A.sc])
+
+    return AlgebraPair(table(raw["circ"]), table(raw["star"] or ()))
+
+
+def test_compiled_families_match_a_fresh_parse():
+    raw = _raw_catalog()["families"]
+    for name in family_names():
+        fam, entry = get_family(name), raw[name]
+        assert get_family(name) is fam
+        wide = list(entry["params"])
+        if entry["branch"] and entry["branch"]["name"] not in wide:
+            wide.append(entry["branch"]["name"])
+        for bv in fam.branch_values:
+            default = _fresh_pair(entry, bv, _poly(entry["params"]))
+            at_ring = _fresh_pair(entry, bv, _poly(wide))
+            for _ in range(2):
+                assert fam.symbolic_pair(bv) == default, (name, bv)
+                assert fam.symbolic_pair(bv, fam.ring()) == at_ring
+
+
+def test_compiled_cocycle_families_and_bases_match_a_fresh_parse():
+    data = _raw_catalog()
+    for name, cases in data["cocycle_families"].items():
+        fam = data["families"][name]
+        for case, block in cases.items():
+            fresh = [Algebra.from_entries(_poly(raw["params"]), 2, raw["phi"])
+                     for raw in block]
+            got = cocycle_families_of(name, case)
+            assert got == fresh, (name, case)
+            got.append(got[0])
+            assert cocycle_families_of(name, case) == fresh
+            if case in ("", "generic"):
+                base = _fresh_pair(fam, None, _poly(fam["params"])).circ
+            else:
+                ring = _poly(["lambda"])
+                base = Algebra.from_entries(QQ, 2, [
+                    (i, j, k, ring.parse(str(c)).eval_at({"lambda": case}))
+                    for i, j, k, c in fam["circ"]])
+            assert catalog.base_for(name, case) == base, (name, case)
+            assert catalog.base_for(name, case) == base
+
+
+def test_compiled_automorphism_matrices_match_a_fresh_parse():
+    data = _raw_catalog()["automorphisms"]
+    for name, block in data.items():
+        families = catalog.automorphism_families_of(name)
+        assert len(families) == len(block)
+        for af, raw in zip(families, block):
+            ring = _poly(raw["params"], raw["units"])
+            fresh = Matrix(ring, [[ring.parse(x) for x in row]
+                                  for row in raw["matrix"]])
+            assert af.symbolic_matrix() == fresh, name
+            assert af.symbolic_matrix(ring) == fresh
+            assert list(af.constraints) == raw["constraints"]
+
+
+def test_shared_families_hand_out_copies():
+    fam = get_family("CA35")
+    fam.branch["values"].append(7)
+    fam.constraints[0]["ne"] = "5"
+    assert get_family("CA35").branch == {"name": "delta", "values": [0, 1]}
+    assert get_family("CA35").constraints[0] == {"expr": "lambda",
+                                                  "ne": "0"}
+    with pytest.raises(ConstraintError):
+        instantiate(fam, {"lambda": 0, "alpha": 1, "beta": 1}, branch=0)
+    families = catalog.automorphism_families_of("A1")
+    families.clear()
+    assert len(catalog.automorphism_families_of("A1")) == 1
+
+
+def test_base_for_refuses_a_case_the_catalog_lacks():
+    with pytest.raises(ConstraintError):
+        catalog.base_for("A6", "5")
+    with pytest.raises(ConstraintError):
+        catalog.base_for("A3", "0")
+
+
+def test_compiled_catalog_follows_load_catalog(monkeypatch):
+    assert verify_catalog("CA-families").passed  # fills the compiled store
+    mutated = _mutated_catalog()
+    monkeypatch.setattr(catalog, "load_catalog", lambda: mutated)
+    report = verify_catalog("CA-families")
+    assert [it.name for it in report.failures()] == ["CA10"]
+    monkeypatch.undo()
+    assert verify_catalog("CA-families").passed
+
+
+def test_compiled_catalog_caches_no_verdict(monkeypatch):
+    calls = []
+    residuals = algebra._residuals
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return residuals(*args, **kwargs)
+    monkeypatch.setattr(algebra, "_residuals", counted)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        assert verify_catalog("CA-families").passed
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0

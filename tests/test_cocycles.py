@@ -16,7 +16,8 @@ from antiprelie import (GF, QQ, Algebra, AlgebraPair, BudgetExceededError,
                         instantiate, is_automorphism, linear_space,
                         transform_deformation, verify_family_membership,
                         poly_ring)
-from antiprelie.algebra import anti_pre_lie_residuals, mixed_pair_residuals
+from antiprelie.algebra import (anti_pre_lie_residuals, cast_algebra,
+                               mixed_pair_residuals)
 from antiprelie.cocycles import (_linear_rows, _quadratic_coefficients,
                                  instantiate_family_gf)
 from antiprelie.catalog import cocycle_cases_of, cocycle_families_of
@@ -475,6 +476,18 @@ def test_quadratic_table_shared_and_read_only():
         with pytest.raises(ValueError):
             shared[0, 0] = 1
 
+
+
+def test_unit_tables_and_casts_are_shared():
+    base = base_algebra("A3", prime=5)
+    tables = cocycles._unit_tables(base.field, base.dim, base.basis)
+    _linear_rows(base)
+    assert cocycles._unit_tables(GF(5), 2, ("e1", "e2")) is tables
+    assert isinstance(tables, tuple) and len(tables) == 8
+    assert cast_algebra(base, GF(5)) is base
+    over_q = base_algebra("A3")
+    assert cast_algebra(over_q, Field("Q")) is over_q
+    assert cast_algebra(over_q, poly_ring(["x"])).field == poly_ring(["x"])
 
 def _members_by_eval_at(fam, p):
     """Reference GF(p) members: every parameter point evaluated exactly
