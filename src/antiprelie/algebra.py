@@ -163,10 +163,6 @@ class Algebra:
     def is_zero(self) -> bool:
         return all(x.is_zero() for p in self.sc for r in p for x in r)
 
-    def basis_vector(self, i: int):
-        return [self.field.one() if t == i else self.field.zero()
-                for t in range(self.dim)]
-
     def entries(self):
         """Nonzero entries as (i, j, k, Scalar) with 1-based indices."""
         out = []

@@ -1,8 +1,11 @@
 """Dense exact linear algebra over the toolkit's scalar fields.
 
-Matrices are immutable and small (algebra dimensions here are tiny), so
-everything is one Gauss-Jordan pass with exact division, plus cofactor
-fallbacks for polynomial entries where division is unavailable.
+Matrices are immutable and small (algebra dimensions here are tiny).
+rref, nullspace, solve, det and inverse are one Gauss-Jordan pass that
+runs on plain values, residues over GF(p) (`_rref_mod`) and
+fraction-free integer rows over Q (`_rref_int`), and wraps its results
+into Scalars once.  Polynomial entries have no division: their det and
+inverse are cofactor expansions.
 
 The exact vector kernel lives here too: coefficient vectors are lists
 of Scalars, and their dot products, axpys and sums go through `_dot`,
@@ -17,7 +20,7 @@ multiply and sum them; `_scalar` wraps a result back into a Scalar.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, prod
 from operator import attrgetter, mul
 
 from .errors import (BudgetExceededError, FieldMismatchError,
@@ -84,6 +87,114 @@ def _scalar(f, s, den):
     if f.kind == "Q":
         return _make(f, Fraction(s, den))
     return _make(f, {mono: Fraction(c, den) for mono, c in s.items()})
+
+
+def _rref_mod(m, cols, p):
+    """Gauss-Jordan on rows of residues mod p, in place: the pivot
+    columns and the determinant residue, as in `Matrix._eliminate`.
+
+    Each pivot row is scaled to pivot 1, and each row operation runs
+    only over the pivot row's nonzero entries.
+    """
+    pivots, det = [], 1
+    for c in range(cols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        for i in range(r, len(m)):
+            if m[i][c]:
+                break
+        else:
+            continue
+        if i != r:
+            m[r], m[i] = m[i], m[r]
+            det = -det
+        pv = m[r][c]
+        det = det * pv % p
+        if pv != 1:
+            inv = pow(pv, p - 2, p)
+            m[r] = [x * inv % p for x in m[r]]
+        nonzero = [(k, x) for k, x in enumerate(m[r]) if x]
+        for i, row in enumerate(m):
+            a = row[c]
+            if a and i != r:
+                for k, x in nonzero:
+                    row[k] = (row[k] - a * x) % p
+        pivots.append(c)
+    return pivots, det if len(pivots) == len(m) else 0
+
+
+def _integer_rows(rows, zero):
+    """Rows of Q Scalars as integer rows, each on the lcm of its
+    denominators, and the product of those lcms.  Entries that are the
+    shared `zero` are skipped without reading their value."""
+    out, den = [], 1
+    for row in rows:
+        d = lcm(*[x.value.denominator for x in row if x is not zero])
+        out.append([0 if x is zero else x.value.numerator
+                    * (d // x.value.denominator) for x in row])
+        den *= d
+    return out, den
+
+
+def _rref_int(m, cols):
+    """Fraction-free Gauss-Jordan on integer rows, in place, after
+    Bareiss (Math. Comp. 22, 1968) but dividing each changed row by its
+    content instead of by the previous pivot.  A row operation replaces
+    row i by a row_i - b row_r, with a = pv/g, b = c/g, g = gcd(pv, c).
+    Row r of m ends as a positive multiple of reduced row r.
+
+    Returns the pivot columns and the determinant as a Fraction, as in
+    `Matrix._eliminate`: the product of the final pivots, corrected for
+    the swaps and negations, the multipliers `scaled` and the contents
+    `divided`.
+    """
+    sign, scaled, divided = 1, [], []
+    for r, row in enumerate(m):
+        g = gcd(*row)
+        if g > 1:
+            m[r] = [x // g for x in row]
+            divided.append(g)
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        for i in range(r, len(m)):
+            if m[i][c]:
+                break
+        else:
+            continue
+        if i != r:
+            m[r], m[i] = m[i], m[r]
+            sign = -sign
+        pv = m[r][c]
+        if pv < 0:
+            pv = -pv
+            m[r] = [-x for x in m[r]]
+            sign = -sign
+        nonzero = [(k, x) for k, x in enumerate(m[r]) if x]
+        for i, row in enumerate(m):
+            x = row[c]
+            if not x or i == r:
+                continue
+            g = gcd(pv, x)
+            a, b = pv // g, x // g
+            if a != 1:
+                row = [a * y for y in row]
+                scaled.append(a)
+            for k, y in nonzero:
+                row[k] -= b * y
+            g = gcd(*row)
+            if g > 1:
+                row = [y // g for y in row]
+                divided.append(g)
+            m[i] = row
+        pivots.append(c)
+    if len(pivots) < len(m):
+        return pivots, Fraction(0)
+    num = prod(row[c] for row, c in zip(m, pivots)) * prod(divided)
+    return pivots, Fraction(sign * num, prod(scaled))
 
 
 class Matrix:
@@ -212,35 +323,27 @@ class Matrix:
         list, determinant).  The determinant is the product of the pivots
         with a sign per row swap, zero unless every row holds a pivot.
 
-        Requires a field with division (Q or GF); polynomial entries are
-        rejected.
+        The pass runs on plain values (`_rref_mod`, `_rref_int`), and its
+        results are wrapped into Scalars once.  Requires a field with
+        division (Q or GF); polynomial entries are rejected.
         """
-        if self.field.kind == "poly":
+        f = self.field
+        if f.kind == "poly":
             raise NotInvertibleError("row reduction needs a division field")
-        m = [list(row) for row in self.entries]
-        pivots = []
-        det = self.field.one()
-        for c in range(self.cols):
-            r = len(pivots)
-            if r == self.rows:
-                break
-            pivot_row = next((i for i in range(r, self.rows)
-                              if not m[i][c].is_zero()), None)
-            if pivot_row is None:
-                continue
-            if pivot_row != r:
-                m[r], m[pivot_row] = m[pivot_row], m[r]
-                det = -det
-            det = det * m[r][c]
-            inv = m[r][c].invert()
-            m[r] = [inv * x for x in m[r]]
-            for i in range(self.rows):
-                if i != r and not m[i][c].is_zero():
-                    _axpy(m[i], -m[i][c], m[r])
-            pivots.append(c)
-        if len(pivots) < self.rows:
-            det = self.field.zero()
-        return m, pivots, det
+        zero = f.zero()
+        if f.kind == "GF":
+            m = [[x.value for x in row] for row in self.entries]
+            pivots, det = _rref_mod(m, self.cols, f.p)
+            rows = [[_make(f, x) if x else zero for x in row]
+                    for row in m[:len(pivots)]]
+        else:
+            m, den = _integer_rows(self.entries, zero)
+            pivots, det = _rref_int(m, self.cols)
+            det /= den
+            rows = [[_make(f, Fraction(x, row[c])) if x else zero
+                     for x in row] for row, c in zip(m, pivots)]
+        rows += [[zero] * self.cols for _ in range(self.rows - len(pivots))]
+        return rows, pivots, _make(f, det) if det else zero
 
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot column list).
@@ -249,10 +352,7 @@ class Matrix:
         rejected.
         """
         rows, pivots, _ = self._eliminate()
-        return Matrix(self.field, rows), pivots
-
-    def rank(self) -> int:
-        return len(self.rref()[1])
+        return Matrix._trusted(self.field, rows), pivots
 
     def nullspace(self):
         """Ordered basis of the right kernel, one vector per free column."""
@@ -269,9 +369,11 @@ class Matrix:
         return basis
 
     def _rref_beside(self, right):
-        """rref of the augmented matrix [self | right], right given by rows."""
-        rr, pivots = Matrix(self.field, [row + tuple(extra) for row, extra
-                                         in zip(self.entries, right)]).rref()
+        """rref of the augmented matrix [self | right], right given by rows
+        of Scalars on the field."""
+        rr, pivots = Matrix._trusted(self.field, [
+            row + tuple(extra) for row, extra in zip(self.entries, right)
+        ]).rref()
         return rr.entries, pivots
 
     def solve(self, rhs):
@@ -281,7 +383,8 @@ class Matrix:
         """
         if len(rhs) != self.rows:
             raise ShapeMismatchError("rhs length mismatch")
-        rows, pivots = self._rref_beside([[x] for x in rhs])
+        rows, pivots = self._rref_beside(
+            Matrix(self.field, [[x] for x in rhs]).entries)
         if self.cols in pivots:
             return None
         x = [self.field.zero()] * self.cols
@@ -341,7 +444,7 @@ class Matrix:
                 Matrix.identity(self.field, n).entries)
             if pivots != list(range(n)):
                 raise NotInvertibleError("singular matrix")
-            return Matrix(self.field, [row[n:] for row in rows])
+            return Matrix._trusted(self.field, [row[n:] for row in rows])
         self._require_adjugate_rows()
         d = self.det()
         dinv = d.invert()  # raises NotInvertibleError unless d is a unit

@@ -306,7 +306,8 @@ def test_json_dim_limit():
 # ---------------------------------------------------------------------------
 
 def _basis(A):
-    return [A.basis_vector(i) for i in range(A.dim)]
+    return [[A.field.one() if t == i else A.field.zero()
+             for t in range(A.dim)] for i in range(A.dim)]
 
 
 def old_anti_pre_lie_residuals(A):

@@ -191,7 +191,7 @@ def test_induce_on_image_rank_one():
     pair = gf5_pair("CA30", {"beta": 1, "gamma": 2})
     R = left_multiplication_pair(pair)
     T = Matrix.from_rows(GF(5), [[0, 1], [0, 4]])
-    assert T.rank() == 1
+    assert len(T.rref()[1]) == 1
     assert check_anti_o(T, R).passed
     out, basis = induce_on_image(T, R)
     assert out.dim == 1 and len(basis) == 1
@@ -207,7 +207,7 @@ def test_induce_on_image_homomorphism_property():
     f = GF(5)
     checked = 0
     for T in all_maps(f):
-        if T.rank() != 2 or not check_anti_o(T, R).passed:
+        if len(T.rref()[1]) != 2 or not check_anti_o(T, R).passed:
             continue
         domain = induce_on_domain(T, R)
         image, basis = induce_on_image(T, R)
