@@ -40,6 +40,6 @@ from .representations import (RepresentationPair, adjoint_pair,
                               representation_from_json, representation_to_json,
                               semidirect_product)
 from .scalars import (GF, QQ, Field, Scalar, cast_scalar, format_scalar,
-                      parse_scalar, poly_ring, scalar_to_gf, substitute)
+                      parse_scalar, poly_ring, substitute)
 
 __version__ = "0.1.0"

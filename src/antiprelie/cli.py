@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import catalog as cat
 from .algebra import (IDENTITY_KINDS, AlgebraPair,
@@ -44,7 +43,8 @@ _REQUIRED = {("derive", "from-cocycle"): "form brackets",
 
 
 def parse_params(text: str | None) -> dict:
-    """--params "alpha=1,beta=-2/3" -> {"alpha": Fraction(1), ...}"""
+    """--params "alpha=1,beta=-2/3" -> {"alpha": Fraction(1), ...}; each
+    value is read with the coefficient grammar, over Q."""
     out = {}
     if not text:
         return out
@@ -59,8 +59,8 @@ def parse_params(text: str | None) -> dict:
         if name in out:
             raise ParseError(f"parameter {name} given twice")
         try:
-            out[name] = Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
+            out[name] = QQ.parse(value.strip()).value
+        except (ParseError, ValueError) as exc:
             raise ParseError(f"bad rational {value!r}") from exc
     return out
 

@@ -30,7 +30,7 @@ from .errors import (BudgetExceededError, FieldMismatchError,
                      NotInvertibleError, ParseError, PreconditionError,
                      ShapeMismatchError)
 from .linalg import Matrix, _vec_is_zero, _vsub
-from .scalars import GF, Field, _residue
+from .scalars import GF, Field
 
 DEFAULT_BUDGET = 10 ** 8
 # Largest accepted candidate budget: counts up to it fit int64 (2^63 - 1).
@@ -248,44 +248,27 @@ def brute_force_Z2(A: Algebra, budget: int = DEFAULT_BUDGET):
 
 
 def instantiate_family_gf(fam: Algebra, p: int):
-    """All GF(p) members of a polynomially parameterized phi family.
+    """All GF(p) members of an integer-linear phi family.
 
-    Returns a set of flattened entry tuples (ints mod p).  Parameters run
-    over all of GF(p), unit variables over its nonzero elements.  A member
-    whose entries have a denominator vanishing mod p is dropped.  Entries
-    whose coefficients all have denominators prime to p are reduced to
-    GF(p) once and evaluated on the whole parameter grid; an entry with a
-    coefficient whose denominator p divides is evaluated exactly in Q at
-    each point, since its value may still be p-integral there.
+    Every entry must be an integer combination of the family's parameters
+    c_1..c_m, with no constant term and no unit variable, so the family is
+    the row space of an m x n^3 integer matrix F.  Returns the set of its
+    members c F mod p, c over GF(p)^m, as flattened entry tuples (ints mod
+    p); any other table raises FieldMismatchError.
     """
-    if fam.field.kind != "poly":
-        raise FieldMismatchError("family must have polynomial entries")
-    import numpy as np
     f = fam.field
-    grid = _digit_rows(len(f.variables), p)
-    for c, v in enumerate(f.variables):
-        if v in f.units:
-            grid = grid[grid[:, c] != 0]
-    keep = np.ones(len(grid), dtype=bool)
+    if f.kind != "poly" or f.units:
+        raise FieldMismatchError("family must be linear in plain parameters")
+    import numpy as np
     entries = [x for plane in fam.sc for row in plane for x in row]
-    table = np.zeros((len(grid), len(entries)), dtype=np.int64)
+    F = np.zeros((len(f.variables), len(entries)), dtype=np.int64)
     for a, x in enumerate(entries):
-        if any(q.denominator % p == 0 for q in x.value.values()):
-            for r, values in enumerate(grid.tolist()):
-                val = x.eval_at(dict(zip(f.variables, values))).value
-                if val.denominator % p == 0:
-                    keep[r] = False
-                else:
-                    table[r, a] = _residue(val, p)
-            continue
         for mono, q in x.value.items():
-            term = np.full(len(grid), _residue(q, p), dtype=np.int64)
-            for c, e in enumerate(mono):
-                if e:  # e < 0 only on units, whose column skips 0
-                    powers = [pow(g, e, p) if g else 0 for g in range(p)]
-                    term = term * np.array(powers)[grid[:, c]] % p
-            table[:, a] = (table[:, a] + term) % p
-    return set(map(tuple, table[keep].tolist()))
+            if sum(mono) != 1 or q.denominator != 1:
+                raise FieldMismatchError(
+                    f"family entry {x} is not an integer-linear form")
+            F[mono.index(1), a] = q.numerator % p
+    return set(map(tuple, (_digit_rows(len(F), p) @ F % p).tolist()))
 
 
 def verify_family_membership(A: Algebra, fam: Algebra) -> CheckReport:

@@ -420,17 +420,6 @@ def substitute(x: Scalar, mapping: dict, field: Field) -> Scalar:
     return out
 
 
-def scalar_to_gf(x: Scalar, p: int) -> Scalar:
-    """Reduce a rational scalar mod p (denominator must be coprime to p)."""
-    if x.field.kind == "GF":
-        if x.field.p != p:
-            raise FieldMismatchError("different prime fields")
-        return x
-    if x.field.kind != "Q":
-        raise FieldMismatchError("only rationals reduce to GF(p)")
-    return GF(p).scalar(x.value)
-
-
 # ---------------------------------------------------------------------------
 # coefficient grammar
 #

@@ -2,6 +2,8 @@ import argparse
 import json
 import re
 import shlex
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -911,6 +913,29 @@ def test_malformed_command_line_exits_2(capsys, tmp_path, argv, message):
     out = capsys.readouterr()
     assert code == 2 and out.out == ""
     assert out.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("value", ["1e30000000", "1e10000000", "2E3",
+                                   "1.5", "-.5"])
+def test_params_outside_the_coefficient_grammar_exit_2(capsys, monkeypatch,
+                                                       value):
+    # Fraction would read e-notation by building 10**exp in full, so it
+    # must never see the value: the guard fails at once if it does
+    new = Fraction.__new__
+
+    def guard(cls, numerator=0, *args, **kwargs):
+        if isinstance(numerator, str) and numerator.strip() == value:
+            raise AssertionError(f"Fraction parses {value!r}")
+        return new(cls, numerator, *args, **kwargs)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(guard))
+    t0 = time.perf_counter()
+    code = main(["z2", "--family", "A6", "--mode", "linear",
+                 "--params", f"lambda={value}"])
+    elapsed = time.perf_counter() - t0
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err == f"error: bad rational {value!r}\n"
+    assert elapsed < 0.5
 
 
 def test_params_trailing_comma_is_accepted(capsysbinary):

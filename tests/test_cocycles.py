@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import antiprelie.cocycles as cocycles
 from antiprelie import (GF, QQ, Algebra, AlgebraPair, BudgetExceededError,
-                        ConstraintError, Deformation, Field, Matrix,
+                        ConstraintError, Deformation, Field,
+                        FieldMismatchError, Matrix,
                         NotInvertibleError, ParseError,
                         PreconditionError, ShapeMismatchError, brute_force_Z2,
                         check_identity, check_step1_conditions, get_family,
@@ -514,45 +515,57 @@ PRIMES = [2, 3, 5, 7]
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_instantiate_family_gf_laurent_family(p):
-    # units x and z skip 0 and carry negative exponents; the 1/2, 2/3 and
-    # 5/7 entries take the exact path at p = 2, 3 and 7 and are p-integral
-    # at some points only
+    # units x and z would skip 0 and carry negative exponents: refused at
+    # every p, not evaluated on a grid of their nonzero values
     ring = poly_ring(["x", "y", "z"], units=["x", "z"])
     fam = Algebra.from_entries(
-        ring, 2, [(1, 1, 1, "x^-1"), (1, 1, 2, "3*x^-2*y + y^2"),
-                  (1, 2, 1, "2/3*x - 2/3*x^-1"),
-                  (2, 1, 2, "1/2*z^-3 - 1/2*z + x*z"),
-                  (2, 2, 1, "5/7*y^2 - 5/7*y"), (2, 2, 2, "x^2 - 4")])
-    got = instantiate_family_gf(fam, p)
-    assert got == _members_by_eval_at(fam, p)
-    assert got
+        ring, 2, [(1, 1, 1, "x^-1"), (1, 2, 1, "2*x - y"),
+                  (2, 1, 2, "z^-3 + x*z")])
+    with pytest.raises(FieldMismatchError):
+        instantiate_family_gf(fam, p)
+    plain = Algebra.from_entries(ring, 2, [(1, 2, 1, "2*x - y")])
+    with pytest.raises(FieldMismatchError):
+        instantiate_family_gf(plain, p)
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_instantiate_family_gf_vanishing_denominator(p):
-    # (x - 1)/5 is 5-integral only at x = 1, where it is 0
+    # a coefficient 1/5 is refused at every p, also where 5 is invertible
     ring = poly_ring(["x"])
-    fam = Algebra.from_entries(ring, 2, [(1, 1, 1, "1/5*x - 1/5"),
-                                         (2, 2, 2, "x")])
-    got = instantiate_family_gf(fam, p)
-    assert got == _members_by_eval_at(fam, p)
-    if p == 5:
-        assert got == {(0, 0, 0, 0, 0, 0, 0, 1)}
-    else:
-        assert len(got) == p
+    for entry in ("1/5*x - 1/5", "1/5*x"):
+        fam = Algebra.from_entries(ring, 2, [(1, 1, 1, entry),
+                                             (2, 2, 2, "x")])
+        with pytest.raises(FieldMismatchError):
+            instantiate_family_gf(fam, p)
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_instantiate_family_gf_without_parameters(p):
-    fam = Algebra.from_entries(poly_ring([]), 2, [(1, 1, 1, "1/2"),
-                                                  (2, 1, 2, "3")])
-    got = instantiate_family_gf(fam, p)
-    assert got == _members_by_eval_at(fam, p)
-    assert got == (set() if p == 2 else
-                   {((p + 1) // 2, 0, 0, 0, 0, 3 % p, 0, 0)})
+    # no parameters: the zero table is the one member, a constant entry
+    # is refused
+    ring = poly_ring([])
+    zero = Algebra.from_entries(ring, 2, [])
+    assert instantiate_family_gf(zero, p) == {(0,) * 8} == \
+        _members_by_eval_at(zero, p)
+    fam = Algebra.from_entries(ring, 2, [(1, 1, 1, "1/2"), (2, 1, 2, "3")])
+    with pytest.raises(FieldMismatchError):
+        instantiate_family_gf(fam, p)
 
 
-@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("fam", [
+    Algebra.from_entries(poly_ring(["x", "y"]), 2,
+                         [(1, 1, 1, "x^2"), (2, 2, 2, "y")]),
+    Algebra.from_entries(poly_ring(["x", "y"]), 2, [(1, 2, 2, "x*y")]),
+    Algebra.from_entries(poly_ring(["x"]), 2, [(2, 1, 1, "3*x + 1")]),
+    Algebra.from_entries(QQ, 2, [(1, 1, 1, 1)]),
+    Algebra.from_entries(GF(5), 2, [(1, 1, 1, 1)])],
+    ids=["square", "product", "constant-term", "Q-table", "GF-table"])
+def test_instantiate_family_gf_refuses_non_linear_tables(fam):
+    with pytest.raises(FieldMismatchError):
+        instantiate_family_gf(fam, 5)
+
+
+@pytest.mark.parametrize("p", PRIMES + [13])
 def test_instantiate_family_gf_catalog_families(p):
     checked = 0
     for name in ("A2", "A3", "A4", "A5", "A6", "A7", "A8", "A9"):

@@ -32,7 +32,11 @@ files:
   GF(7), so the nullspace bases of two bases are pinned;
 - the exhaustive GF(5) scan of A4 (145 solutions, surplus 20) and the
   GF(7) scan of A6 at lambda = -1 (385 solutions, surplus 336), so the
-  surplus lists and the order of the sorted survivors are pinned.
+  surplus lists and the order of the sorted survivors are pinned;
+- the GF(2) scan of A9 (24 solutions, union 4, surplus 20) and the GF(3)
+  scan of A8 at lambda = -2 (33 solutions, union 9, surplus 24), where
+  some family coefficients vanish mod p, so members that coincide mod p
+  are counted once.
 A deliberate change of a report updates its digest in the same commit.
 A run that fails a precondition writes nothing on stdout; its stderr
 line names the failure count.
@@ -121,6 +125,11 @@ CASES = [
     (("z2", "--family", "A6", "--mode", "linear", "--params", "lambda=-1",
       "--prime", "7"), 0,
      "e52e0575ce63e753fbe4d7f2c8ca19571cf38d39454e2bc53e4084a780f019e5"),
+    (("z2", "--family", "A9", "--mode", "brute", "--prime", "2"), 0,
+     "12f634510996fe67926ce9f73315ba805d8a77399e9bae86a7ce72caf90d751a"),
+    (("z2", "--family", "A8", "--mode", "brute", "--params", "lambda=-2",
+      "--prime", "3"), 0,
+     "f007fb29ad6e70b7c6813fab3217cefa94bddb6c9fbe9e964dee5559e52bf7ae"),
 ]
 
 

@@ -1,9 +1,10 @@
 """Every module of the package (its `__init__` aside, which re-exports)
 uses each name it imports: a name that is imported and never read is
-left over from a refactor.  And the CLI imports no private name of the
-checking modules.  Only the stdlib `ast` module is used, so the checks
-run wherever the tests run.  And importing the package, or running a
-command that scans nothing, does not load numpy."""
+left over from a refactor.  So is a private module-level function or
+class that no module of the package reads.  And the CLI imports no
+private name of the checking modules.  Only the stdlib `ast` module is
+used, so the checks run wherever the tests run.  And importing the
+package, or running a command that scans nothing, does not load numpy."""
 import ast
 import os
 import subprocess
@@ -47,6 +48,41 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_private_defs(sources: dict):
+    """The `_`-prefixed functions and classes defined at module level in
+    `sources` (module name -> source) that no module reads, as a name or
+    as an attribute, as "module.name" in definition order."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return [f"{name}.{node.name}" for name, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and node.name not in used]
+
+
+def test_the_check_sees_a_private_def_left_behind():
+    sources = {"a": "def _read(): pass\ndef _left(): pass\n"
+                    "class _Gone: pass\ndef __getattr__(n): pass\n"
+                    "def public(): return _read()\n",
+               "b": "from . import a\n"
+                    "def _used_elsewhere(): pass\n",
+               "c": "from . import b\nb._used_elsewhere()\n"}
+    assert unreferenced_private_defs(sources) == ["a._left", "a._Gone"]
+
+
+def test_every_private_def_is_referenced():
+    sources = {p.stem: p.read_text(encoding="utf-8")
+               for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_private_defs(sources) == []
 
 
 CHECK_MODULES = ("operators", "algebra", "cocycles", "forms",

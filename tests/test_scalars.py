@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from antiprelie import (GF, QQ, FieldMismatchError, NotInvertibleError,
                         ParseError, Scalar, cast_scalar, format_scalar,
-                        poly_ring, scalar_to_gf, substitute)
+                        poly_ring, substitute)
 from antiprelie.scalars import (MAX_EXPONENT, MAX_MODULUS, Field,
                                 parse_json_scalar)
 
@@ -121,9 +121,9 @@ def test_canonicalization_idempotent():
 
 def test_cast_and_reduce():
     x = QQ.scalar(Fraction(7, 3))
-    assert scalar_to_gf(x, 5) == GF(5).scalar(Fraction(7, 3))
+    assert cast_scalar(x, GF(5)) == GF(5).scalar(Fraction(7, 3))
     with pytest.raises(ZeroDivisionError):
-        scalar_to_gf(QQ.scalar(Fraction(1, 5)), 5)
+        cast_scalar(QQ.scalar(Fraction(1, 5)), GF(5))
     lifted = cast_scalar(QQ.scalar(2), LAM)
     assert lifted == LAM.scalar(2)
 
