@@ -9,13 +9,16 @@ The checkers never multiply basis vectors.  Each quadratic identity
 (anti-pre-Lie, pre-Lie, Jacobi, associative) is a signed sum of two
 degree-3 words, the inner e_a * (e_b * e_c) and the outer
 (e_a * e_b) * e_c, at permutations of the triple, and is written once,
-as a row of the incidence table `_INCIDENCE`.  `_residuals` converts
-the structure constants once to plain values (see `linalg`), takes each
-word component as one dot product of a nonzero table row with a
-nonzero column, and adds it into the residual components the incidence
-table lists; components are reduced mod p once, and only nonzero ones
-are wrapped back into Scalars.  Exact arithmetic makes the residuals
-equal to `multiply`'s.
+as a row of the incidence table `_INCIDENCE`.  `_residuals` works on
+structure constants converted once to plain values (`_plain_tables`,
+see `linalg`), takes each word component as one dot product of a
+nonzero table row with a nonzero column, and adds it into the residual
+components the incidence table lists.  Their accumulator slots are read
+from `_slot_table`, built once per (identity, dimension) and cached.
+Components are reduced mod p once, and only nonzero ones are wrapped
+back into Scalars.  Exact arithmetic makes the residuals equal to
+`multiply`'s.  A pair check converts its two tables once, for both
+member checks and the mixed condition.
 
 Words are summed over ordered product pairs (X, Y): [(A, A)] checks A,
 and [(circ, star), (star, circ)] is the k1*k2 coefficient of the
@@ -26,7 +29,8 @@ and is shared with the operator and representation checks.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache, partial
 from itertools import product as iproduct
 from operator import add, sub
 
@@ -116,6 +120,9 @@ class Algebra:
                     if not isinstance(x, Scalar) or (
                             x.field is not field and x.field != field):
                         raise FieldMismatchError("table entry field mismatch")
+        self._set(field, dim, basis, sc)
+
+    def _set(self, field, dim, basis, sc):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "basis", basis)
@@ -123,6 +130,16 @@ class Algebra:
 
     def __setattr__(self, *a):
         raise AttributeError("Algebra is immutable")
+
+    @classmethod
+    def _trusted(cls, field: Field, dim: int, sc, basis=None) -> Algebra:
+        """An Algebra of a dim^3 table computed from checked inputs over
+        `field`, on a basis of length dim: nothing is checked again."""
+        A = object.__new__(cls)
+        A._set(field, dim, tuple(basis) if basis else
+               tuple(f"e{i+1}" for i in range(dim)),
+               tuple(tuple(map(tuple, plane)) for plane in sc))
+        return A
 
     def __eq__(self, other):
         return (isinstance(other, Algebra) and self.field == other.field
@@ -301,10 +318,9 @@ _PENCIL = (("k1k1", ((0, 0),)), ("k1k2", ((0, 1), (1, 0))),
            ("k2k2", ((1, 1),)))
 
 
-def _mixed_pairs(P: AlgebraPair):
-    """The ordered product pairs (X, Y) of the k1*k2 pencil coefficient."""
-    members = (P.circ, P.star)
-    return [(members[s], members[t]) for s, t in dict(_PENCIL)["k1k2"]]
+# the table index pairs of the k1*k2 coefficient, (circ, star) and
+# (star, circ) for the tables (circ, star) of a pair
+_MIXED = dict(_PENCIL)["k1k2"]
 
 
 def _symmetry_failures(A: Algebra, name: str):
@@ -337,62 +353,88 @@ _INCIDENCE = {
 }
 
 
-def _residuals(kind: str, pairs, name: str, failing: bool = False):
+def _plain_tables(*algebras):
+    """(field, dim, den, tables): the structure constants of algebras on
+    one field and dimension, converted once to plain values on their
+    common denominator den (see `linalg`), one n^3 nested list each."""
+    f, n = algebras[0].field, algebras[0].dim
+    den, value = _plain(f, [x for A in algebras for p in A.sc
+                            for row in p for x in row])
+    return f, n, den, [[[list(map(value, row)) for row in p] for p in A.sc]
+                       for A in algebras]
+
+
+@lru_cache(maxsize=32)
+def _slot_table(kind: str, n: int, poly: bool):
+    """Per word (inner, outer), the incidence of `_INCIDENCE[kind]` as
+    table[b][c][free]: the (offset, op) pairs that add word component l
+    into the accumulator slot offset + l, with op `add` or `sub` (their
+    Laurent-dict forms when poly).  The row (b, c) and free index stand
+    for the triple (free, b, c) of the inner word and (b, c, free) of the
+    outer one.  A word that no equation of `kind` uses gets no table."""
+    neq = 2 if kind == "anti_pre_lie" else 1
+    ops = {1: _poly_add, -1: partial(_poly_add, sign=-1)} if poly else \
+        {1: add, -1: sub}
+    r = range(n)
+
+    def slots(t, targets):
+        return tuple(((((t[p0] * n + t[p1]) * n + t[p2]) * neq + eq) * n,
+                      ops[sign]) for eq, (p0, p1, p2), sign in targets)
+    out = []
+    for inner, targets in zip((True, False), _INCIDENCE[kind]):
+        out.append(tuple(tuple(tuple(
+            slots((free, b, c) if inner else (b, c, free), targets)
+            for free in r) for c in r) for b in r) if targets else None)
+    return tuple(out)
+
+
+def _residuals(kind: str, tables, pairs, name: str, failing: bool = False):
     """Residual vectors of a quadratic identity on the basis triples in
     lexicographic order, every triple or with `failing` only the nonzero
     ones (the two anti-pre-Lie equations of a triple together, as name_1
-    and name_2).  The words are summed over the ordered product pairs
-    (X, Y), [(A, A)] for A itself or the k1*k2 pairs of a pencil.
+    and name_2).  The words are summed over the ordered pairs (s, t) of
+    product tables (X, Y) = (tables[s], tables[t]) from `_plain_tables`:
+    [(0, 0)] for one table, or `_MIXED` for the k1*k2 part of a pencil.
 
-    The tables are converted once to plain values (see `linalg`).  Word
-    component l is one dot product: of the row e_b *Y e_c with X's column
-    (e_a *X e_j)_l over j for the inner word, of e_a *Y e_b with
+    Word component l is one dot product: of the row e_b *Y e_c with X's
+    column (e_a *X e_j)_l over j for the inner word, of e_a *Y e_b with
     (e_j *X e_c)_l for the outer one, each joined over the pairs.  Zero
     rows and columns are skipped, and each nonzero word component is
-    added into the residual components that `_INCIDENCE` lists.  Only
+    added into the residual components that `_slot_table` lists.  Only
     nonzero components are wrapped back into Scalars.
     """
-    f, n = pairs[0][0].field, pairs[0][0].dim
+    f, n, den, plain = tables
     r = range(n)
-    tables = {id(T): T for pair in pairs for T in pair}
-    den, value = _plain(f, [x for T in tables.values() for p in T.sc
-                            for row in p for x in row])
-    plain = {key: [[list(map(value, row)) for row in p] for p in T.sc]
-             for key, T in tables.items()}
-    Xs, Ys = ([plain[id(pair[s])] for pair in pairs] for s in (0, 1))
+    Xs, Ys = ([plain[pair[s]] for pair in pairs] for s in (0, 1))
     rows = [(b, c, y) for b, c in iproduct(r, repeat=2)
             if any(y := [v for Y in Ys for v in Y[b][c]])]
     # per free index a (inner) or c (outer), the nonzero columns (l, x)
     # with x listing (e_a *X e_j)_l, or (e_j *X e_c)_l, over j
-    words = ((True, [[(l, x) for l in r if any(
-        x := [X[a][j][l] for X in Xs for j in r])] for a in r]),
-             (False, [[(l, x) for l in r if any(
-                 x := [X[j][c][l] for X in Xs for j in r])] for c in r]))
-    if f.kind == "poly":
-        dot, acc = _poly_dot, [{} for _ in range(2 * n ** 4)]
-        ops = {1: _poly_add, -1: lambda a, b: _poly_add(a, b, -1)}
-    else:
-        dot, acc, ops = _int_dot, [0] * (2 * n ** 4), {1: add, -1: sub}
-    neq = 2 if kind == "anti_pre_lie" else 1
-    for targets, (inner, cols) in zip(_INCIDENCE[kind], words):
-        targets = [(eq, p, ops[sign]) for eq, p, sign in targets]
-        for i, j, y in rows if targets else ():
-            for free, col in enumerate(cols):
-                t = (free, i, j) if inner else (i, j, free)
-                slots = [(((t[p0] * n + t[p1]) * n + t[p2]) * neq + eq, op)
-                         for eq, (p0, p1, p2), op in targets] if col else ()
+    words = ([[(l, x) for l in r if any(
+        x := [X[a][j][l] for X in Xs for j in r])] for a in r],
+             [[(l, x) for l in r if any(
+                 x := [X[j][c][l] for X in Xs for j in r])] for c in r])
+    poly = f.kind == "poly"
+    dot, acc = (_poly_dot, [{} for _ in range(2 * n ** 4)]) if poly else \
+        (_int_dot, [0] * (2 * n ** 4))
+    for cols, table in zip(words, _slot_table(kind, n, poly)):
+        for b, c, y in rows if table else ():
+            for col, slots in zip(cols, table[b][c]):
                 for l, x in col:
                     if v := dot(y, x):
-                        for slot, op in slots:
-                            k = slot * n + l
+                        for offset, op in slots:
+                            k = offset + l
                             acc[k] = op(acc[k], v)
+    if f.p:
+        acc = [x % f.p for x in acc]
+    if failing and not any(acc):
+        return []
+    neq = 2 if kind == "anti_pre_lie" else 1
     names = (name,) if neq == 1 else (name + "_1", name + "_2")
     zero, den = f.zero(), den * den
     out = []
     for slot in range(n ** 3 * neq):
         comps = acc[slot * n:slot * n + n]
-        if f.p:
-            comps = [x % f.p for x in comps]
         if failing and not any(comps):
             continue
         t, eq = divmod(slot, neq)
@@ -408,7 +450,20 @@ def anti_pre_lie_residuals(A: Algebra):
 
     Returned for all triples, zero or not, in lexicographic order.
     """
-    return _residuals("anti_pre_lie", [(A, A)], "anti_pre_lie")
+    return _residuals("anti_pre_lie", _plain_tables(A), [(0, 0)],
+                      "anti_pre_lie")
+
+
+def _identity_failures(A: Algebra, kind: str, tables, s: int, prefix=""):
+    """The failing rows of the identity `kind` (not "commutative") on
+    A = tables[s], named prefix + the identity; jacobi adds A's
+    antisymmetry violations."""
+    failures = _residuals(kind, tables, [(s, s)], prefix + kind,
+                          failing=True)
+    if kind == "jacobi":
+        failures += [(prefix + w, ix, v) for w, ix, v
+                     in _symmetry_failures(A, "antisymmetric")]
+    return failures
 
 
 def check_identity(A: Algebra, kind: str) -> CheckReport:
@@ -421,10 +476,7 @@ def check_identity(A: Algebra, kind: str) -> CheckReport:
         raise ValueError(f"unknown identity kind {kind!r}")
     if kind == "commutative":
         return make_report(_symmetry_failures(A, "commutative"))
-    failures = _residuals(kind, [(A, A)], kind, failing=True)
-    if kind == "jacobi":
-        failures += _symmetry_failures(A, "antisymmetric")
-    return make_report(failures)
+    return make_report(_identity_failures(A, kind, _plain_tables(A), 0))
 
 
 def mixed_pair_residuals(P: AlgebraPair):
@@ -437,25 +489,21 @@ def mixed_pair_residuals(P: AlgebraPair):
 
     Both are linear in the star product for a fixed circ product.
     """
-    return _residuals("anti_pre_lie", _mixed_pairs(P),
+    return _residuals("anti_pre_lie", _plain_tables(P.circ, P.star), _MIXED,
                       "compatible_mixed")
-
-
-def _relabel(report: CheckReport, prefix: str) -> CheckReport:
-    """Prefix every witness's identity with the member's name, keeping the
-    member's full failure count and witness order."""
-    witnesses = tuple(replace(w, identity=prefix + w.identity)
-                      for w in report.witnesses)
-    return replace(report, witnesses=witnesses)
 
 
 def _check_compatible(P: AlgebraPair, kind, prefixes, mixed_name):
     """Both members satisfy the identity, and so does the k1*k2 pencil
     coefficient (the mixed condition): together, every k1*circ + k2*star
-    does.  Reports are merged in the order circ, star, mixed."""
-    members = [_relabel(check_identity(A, kind), prefix)
-               for A, prefix in zip((P.circ, P.star), prefixes)]
-    mixed = _residuals(kind, _mixed_pairs(P), mixed_name, failing=True)
+    does.  Both tables are converted once for the three parts.  The
+    reports are merged in the order circ, star, mixed, each member's with
+    its own failure count and its witnesses named prefix + identity."""
+    tables = _plain_tables(P.circ, P.star)
+    members = [make_report(_identity_failures(A, kind, tables, s, prefix))
+               for s, (A, prefix) in enumerate(zip((P.circ, P.star),
+                                                   prefixes))]
+    mixed = _residuals(kind, tables, _MIXED, mixed_name, failing=True)
     return merge_reports(*members, make_report(mixed))
 
 

@@ -25,7 +25,7 @@ from .cocycles import (Deformation, is_automorphism, transform_deformation,
                        verify_family_membership)
 from .errors import ConstraintError, UnknownEntryError
 from .linalg import Matrix
-from .scalars import GF, QQ, Field, _residue, substitute
+from .scalars import GF, QQ, Field, _rational, _residue, substitute
 
 A_NAMES = tuple(f"A{i}" for i in range(1, 10))
 CA_NAMES = tuple(f"CA{i}" for i in range(1, 46))
@@ -115,7 +115,7 @@ class Family:
         if value not in values:
             raise ConstraintError(f"{self.name} needs a branch value from "
                                   f"{list(values)}, got {value!r}")
-        return {name: Fraction(value)}
+        return {name: _rational(value)}
 
     def _parsed(self):
         """(circ, star entries, constraints), all parsed over ring()."""
@@ -207,7 +207,7 @@ def instantiate(f: Family, assignment: dict | None = None, branch=None,
     mod p; a value whose denominator p divides raises ConstraintError.
     The point is substituted on every call, into entries parsed once.
     """
-    assignment = {k: Fraction(v) for k, v in (assignment or {}).items()}
+    assignment = {k: _rational(v) for k, v in (assignment or {}).items()}
     missing = [p for p in f.params if p not in assignment]
     if missing:
         raise ConstraintError(f"{f.name}: missing parameters {missing}")
@@ -256,7 +256,7 @@ class AutomorphismFamily:
                    for row in self.matrix_entries]))
 
     def concrete_matrix(self, assignment: dict) -> Matrix:
-        assignment = {k: Fraction(v) for k, v in (assignment or {}).items()}
+        assignment = {k: _rational(v) for k, v in (assignment or {}).items()}
         for p in self.params:
             if p not in assignment:
                 raise ConstraintError(f"missing automorphism parameter {p!r}")
@@ -315,7 +315,8 @@ def case_for(name: str, lam, prime: int | None = None):
     cases = load_catalog()["cocycle_families"].get(name, {})
     if "generic" not in cases:
         return None
-    key = Fraction if prime is None else lambda c: _residue(Fraction(c), prime)
+    key = _rational if prime is None else \
+        lambda c: _residue(_rational(c), prime)
     special = {key(c): c for c in cases if c != "generic"}
     return special.get(key(lam), "generic")
 

@@ -24,6 +24,15 @@ concrete map: `check_anti_o`, `check_strong`, `check_anti_rota_baxter`,
 the failing residuals are wrapped back into Scalars, so reports are
 those of the direct check.
 
+The induced products are built from the same plain constants, not
+only the checks.  The domain products of `induce_on_domain`,
+`induce_from_rb` and `induce_on_image` are
+sc[i][j][k] = -sum_c T[c][i] act(e_c)[k][j], one dot product of a
+column of T with R's negated action entries; `induce_from_invertible`
+contracts the conjugates -T act(e_i) T^{-1} from the plain values of T
+and T^{-1}.  Each entry is wrapped into a Scalar once, and the tables
+are built by `Algebra._trusted`, since they come from checked inputs.
+
 Conditions quantified over all pencil coefficients (k1, k2) are decided
 coefficient-wise: two coefficients for the bilinear operator identity,
 three (k1^2, k1*k2, k2^2) for the cyclic "strong" conditions and the
@@ -167,6 +176,29 @@ def _converse_residuals(cols, rows, consts, times, dot):
                        for (name, _), Xq, Aq in zip(_PENCIL, Xp, Ak)]
 
 
+def _plain_map(T: Matrix, f):
+    """(den, rows, cols, times, dot): T's entries as plain values on one
+    denominator den, by rows and by columns, with the product and the dot
+    product of plain values over f."""
+    den, value = _plain(f, [x for row in T.entries for x in row])
+    rows = [list(map(value, row)) for row in T.entries]
+    times, dot = (_poly_mul, _poly_dot) if f.kind == "poly" else \
+        (mul, _int_dot)
+    return den, rows, [list(col) for col in zip(*rows)], times, dot
+
+
+def _wrapped(f, den):
+    """Plain value -> Scalar on the denominator den over f, reduced mod p
+    over GF(p), with zero as f's shared zero."""
+    zero, p = f.zero(), f.p
+
+    def wrap(s):
+        if p:
+            s %= p
+        return _scalar(f, s, den) if s else zero
+    return wrap
+
+
 def _failures(T: Matrix, R: RepresentationPair, residuals, prefix):
     """The failing rows of the residual function `residuals` at T, as
     (prefix + name, indices, residual Scalars), computed on plain values
@@ -177,11 +209,7 @@ def _failures(T: Matrix, R: RepresentationPair, residuals, prefix):
     if T.field != f:
         raise FieldMismatchError("T and the representation pair are over "
                                  "different fields")
-    t_den, value = _plain(f, [x for row in T.entries for x in row])
-    rows = [list(map(value, row)) for row in T.entries]
-    cols = [list(col) for col in zip(*rows)]
-    times, dot = (_poly_mul, _poly_dot) if f.kind == "poly" else \
-        (mul, _int_dot)
+    t_den, rows, cols, times, dot = _plain_map(T, f)
     den, residuals = residuals(cols, rows, _constants(R), times, dot)
     if f.p:
         residuals = [(name, ix, [s % f.p for s in sums])
@@ -235,14 +263,21 @@ def induce_on_domain(T: Matrix, R: RepresentationPair) -> AlgebraPair:
 
 def _domain_pair(T: Matrix, R: RepresentationPair,
                  basis=None) -> AlgebraPair:
-    """The products of `induce_on_domain`, for a T already checked."""
-    Tu = T.columns()
+    """The products of `induce_on_domain`, for a T already checked:
+    sc[i][j][k] = -sum_c T[c][i] act(e_c)[k][j], one dot product of
+    column i of T with R's negated action entries per entry."""
+    f, m = R.field, R.v_dim
+    t_den, _, cols, _, dot = _plain_map(T, f)
+    _, _, nA, _, den = _constants(R)
+    wrap = _wrapped(f, den * t_den)
 
-    def build(act):
-        sc = [[[-x for x in col] for col in act(t).columns()] for t in Tu]
-        return Algebra(R.field, R.v_dim, sc, basis)
+    def build(nAt):
+        # nAt[j][c * m + k] = -act(e_c)[k][j]
+        return Algebra._trusted(f, m, [[[wrap(dot(col, nAj[k::m]))
+                                         for k in range(m)] for nAj in nAt]
+                                       for col in cols], basis)
 
-    return AlgebraPair(build(R.rho_of), build(R.mu_of))
+    return AlgebraPair(*map(build, nA))
 
 
 def _column_echelon_basis(T: Matrix):
@@ -303,8 +338,10 @@ def check_rb_converse(Rop: Matrix, G: AlgebraPair) -> CheckReport:
 
 def induce_from_invertible(T: Matrix, R: RepresentationPair) -> AlgebraPair:
     """Products on g itself from an invertible anti-O-operator:
-    x.y = -T(rho(x) T^{-1} y); the commutator pair recovers g's brackets."""
-    n = R.g.dim
+    x.y = -T(rho(x) T^{-1} y); the commutator pair recovers g's brackets.
+    The table of e_i is the conjugate -T act(e_i) T^{-1}, contracted from
+    the plain values of T, T^{-1} and R's action entries."""
+    n, f = R.g.dim, R.field
     if (T.rows, T.cols) != (n, R.v_dim) or R.v_dim != n:
         raise ShapeMismatchError("invertible operator requires V ~ g")
     # both limits before a polynomial det, which costs n!
@@ -313,12 +350,19 @@ def induce_from_invertible(T: Matrix, R: RepresentationPair) -> AlgebraPair:
     if T.det().is_zero():
         raise NotInvertibleError("T is singular")
     check_anti_o(T, R).require("T is not an anti-O-operator")
-    tinv_cols = T.inverse().columns()
+    t_den, rows, _, _, dot = _plain_map(T, f)
+    inv_den, _, inv_cols, _, _ = _plain_map(T.inverse(), f)
+    _, _, nA, _, den = _constants(R)
+    wrap = _wrapped(f, t_den * den * inv_den)
 
-    def build(mats):
-        # rho(e_i) is the stored matrix mats[i]
-        sc = [[[-x for x in T.apply(mat.apply(t))] for t in tinv_cols]
-              for mat in mats]
-        return Algebra(R.field, n, sc, R.g.basis)
+    def build(nAt):
+        # -act(e_i) T^{-1} e_j, row a, is the dot of
+        # nAt[b][i * n + a] = -act(e_i)[a][b] over b with column j of T^{-1}
+        sc = []
+        for i in range(n):
+            nact = [[nAb[i * n + a] for nAb in nAt] for a in range(n)]
+            planes = [[dot(row, col) for row in nact] for col in inv_cols]
+            sc.append([[wrap(dot(Tk, w)) for Tk in rows] for w in planes])
+        return Algebra._trusted(f, n, sc, R.g.basis)
 
-    return AlgebraPair(build(R.rho), build(R.mu))
+    return AlgebraPair(*map(build, nA))

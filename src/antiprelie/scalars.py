@@ -108,18 +108,29 @@ class Field:
             return self._one
 
     def scalar(self, value) -> Scalar:
-        """Coerce an int, Fraction or Scalar into this field."""
-        if isinstance(value, Scalar):
+        """Coerce a value into this field, the one coercion of the
+        toolkit: an int directly (value % p over GF(p)), a Fraction or a
+        Scalar as a rational or by `cast_scalar`, a str through the
+        coefficient grammar (`parse`, whose exponents are bounded);
+        anything else, a float included, raises TypeError."""
+        if isinstance(value, int):
+            if self.kind == "GF":
+                return _make(self, value % self.p)
+            q = Fraction(value)
+        elif isinstance(value, Fraction):
+            q = value
+        elif isinstance(value, Scalar):
             return cast_scalar(value, self)
-        q = Fraction(value)
+        elif isinstance(value, str):
+            return self.parse(value)
+        else:
+            raise TypeError(f"cannot coerce {type(value).__name__} "
+                            f"{value!r} into {self!r}")
         if self.kind == "Q":
-            return Scalar(self, q)
+            return _make(self, q)
         if self.kind == "GF":
-            return Scalar(self, _residue(q, self.p))
-        if q == 0:
-            return Scalar(self, {})
-        zero_mono = (0,) * len(self.variables)
-        return Scalar(self, {zero_mono: q})
+            return _make(self, _residue(q, self.p))
+        return _make(self, {(0,) * len(self.variables): q} if q else {})
 
     def variable(self, name: str) -> Scalar:
         if self.kind != "poly" or name not in self.variables:
@@ -160,6 +171,11 @@ def GF(p: int) -> Field:
 
 def poly_ring(variables, units=()) -> Field:
     return Field("poly", variables=variables, units=units)
+
+
+def _rational(value) -> Fraction:
+    """value as a Fraction, through `Field.scalar` over Q."""
+    return QQ.scalar(value).value
 
 
 def _residue(q: Fraction, p: int) -> int:
@@ -309,7 +325,7 @@ class Scalar:
                     raise ValueError(f"no assignment for variable {v!r}")
                 vals[v] = Fraction(0)
                 continue
-            q = Fraction(assignment[v])
+            q = _rational(assignment[v])
             if v in f.units and q == 0:
                 raise ValueError(f"unit variable {v!r} assigned zero")
             vals[v] = q

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 from functools import lru_cache
 from itertools import product as iproduct
 
@@ -13,7 +14,9 @@ from antiprelie import (GF, QQ, Algebra, AlgebraPair, FieldMismatchError,
                         check_compatible_lie, check_compatible_pair,
                         check_identity, commutator, get_family, instantiate,
                         multiply, pair_to_json, pencil, poly_ring)
-from antiprelie.algebra import (MAX_DIM, _relabel, _vadd, _vec_is_zero, _vsub,
+import antiprelie.algebra as algebra
+from antiprelie.algebra import (MAX_DIM, MAX_WITNESSES, _vadd, _vec_is_zero,
+                                _vsub,
                                 anti_pre_lie_residuals, make_report,
                                 merge_reports, mixed_pair_residuals)
 from conftest import rand_fraction, random_instance
@@ -392,6 +395,14 @@ def old_mixed_pair_residuals(P):
     return out
 
 
+def _relabel(report, prefix):
+    """Prefix every witness's identity with the member's name, keeping the
+    member's full failure count and witness order."""
+    witnesses = tuple(replace(w, identity=prefix + w.identity)
+                      for w in report.witnesses)
+    return replace(report, witnesses=witnesses)
+
+
 def old_check_compatible_lie(P):
     e = _basis(P.circ)
     failures = []
@@ -428,6 +439,33 @@ def old_check_compatible_associative(P):
         _relabel(old_check_identity(P.circ, "associative"), "prod1_"),
         _relabel(old_check_identity(P.star, "associative"), "prod2_"),
         make_report(failures))
+
+
+def old_check_compatible(P, kind, prefixes, mixed_name):
+    """The three-call pair check: each member through check_identity on
+    its own conversion, relabelled, then the mixed part on a third."""
+    members = [_relabel(check_identity(A, kind), prefix)
+               for A, prefix in zip((P.circ, P.star), prefixes)]
+    mixed = algebra._residuals(kind, algebra._plain_tables(P.circ, P.star),
+                               ((0, 1), (1, 0)), mixed_name, failing=True)
+    return merge_reports(*members, make_report(mixed))
+
+
+# each pair checker with its identity, member prefixes and mixed name
+COMPATIBLE_CHECKS = (
+    (check_compatible_pair, "anti_pre_lie", ("circ_", "star_"),
+     "compatible_mixed"),
+    (check_compatible_lie, "jacobi", ("bracket1_", "bracket2_"),
+     "compatible_lie_mixed"),
+    (check_compatible_associative, "associative", ("prod1_", "prod2_"),
+     "compatible_assoc_mixed"))
+
+
+def _pair_checks_agree(P):
+    for check, *spec in COMPATIBLE_CHECKS:
+        report = check(P)
+        want = old_check_compatible(P, *spec)
+        assert report == want and report.to_json() == want.to_json()
 
 
 LAURENT = poly_ring(["s", "u"], units=["u"])
@@ -467,6 +505,7 @@ def _kernel_agrees(P):
     assert check_compatible_lie(P) == old_check_compatible_lie(P)
     assert check_compatible_associative(P) == \
         old_check_compatible_associative(P)
+    _pair_checks_agree(P)
 
 
 @settings(max_examples=60, deadline=None)
@@ -484,6 +523,45 @@ def test_basis_aware_kernel_matches_oracle_on_dense_dim5(name):
         (i, j, k, coeffs[(25 * i + 5 * j + k + shift) % len(coeffs)])
         for i, j, k in iproduct(range(1, 6), repeat=3)]) for shift in (0, 3)]
     _kernel_agrees(AlgebraPair(*tables))
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+def test_pair_checks_cap_witnesses_and_keep_member_counts(name):
+    """Dense dim-3 pairs fail far more than MAX_WITNESSES times: the
+    merged report keeps the first 16 witnesses in the order circ, star,
+    mixed, and its count is the members' counts plus the mixed one."""
+    field, coeffs = KERNEL_FIELDS[name]
+    rng = random.Random(name)
+    dense = [Algebra.from_entries(field, 3, [
+        (i, j, k, rng.choice(coeffs))
+        for i, j, k in iproduct(range(1, 4), repeat=3)]) for _ in range(2)]
+    zero = Algebra.zero_algebra(field, 3)
+    for P in (AlgebraPair(*dense), AlgebraPair(zero, dense[1]),
+              AlgebraPair(dense[0], zero)):
+        _pair_checks_agree(P)
+        for check, kind, prefixes, mixed_name in COMPATIBLE_CHECKS:
+            report = check(P)
+            members = [check_identity(A, kind) for A in (P.circ, P.star)]
+            mixed = algebra._residuals(
+                kind, algebra._plain_tables(P.circ, P.star),
+                ((0, 1), (1, 0)), mixed_name, failing=True)
+            counts = [r.failure_count for r in members] + [len(mixed)]
+            assert report.failure_count == sum(counts) > MAX_WITNESSES
+            assert len(report.witnesses) == MAX_WITNESSES
+            owners = [prefixes[0]] * counts[0] + [prefixes[1]] * counts[1] \
+                + [mixed_name] * counts[2]
+            assert [w.identity.startswith(owner) for w, owner
+                    in zip(report.witnesses, owners)] == \
+                [True] * MAX_WITNESSES
+
+
+def test_algebra_refuses_off_field_entries():
+    with pytest.raises(FieldMismatchError):
+        Algebra(GF(5), 1, [[[QQ.one()]]])
+    with pytest.raises(FieldMismatchError):
+        Algebra(QQ, 1, [[[1]]])
+    with pytest.raises(FieldMismatchError):
+        Algebra(GF(5), 2, [[[GF(5).one(), GF(7).one()]] * 2] * 2)
 
 
 @pytest.mark.parametrize("name", ["A6", "A8", "CA10", "CA26", "CA38"])

@@ -412,6 +412,36 @@ def old_induce_from_invertible(T, R):
     return AlgebraPair(build(R.rho_of), build(R.mu_of))
 
 
+def old_domain_pair(T, R, basis=None):
+    """The domain products from the Scalar matrices: -act(T e_i) e_j, the
+    negated columns of the action of each column of T."""
+    def build(act):
+        sc = [[[-x for x in col] for col in act(t).columns()]
+              for t in T.columns()]
+        return Algebra(R.field, R.v_dim, sc, basis)
+
+    return AlgebraPair(build(R.rho_of), build(R.mu_of))
+
+
+def old_induce_on_domain(T, R):
+    if not old_check_anti_o(T, R).passed:
+        raise PreconditionError("T is not an anti-O-operator")
+    return old_domain_pair(T, R)
+
+
+def _checked_tables(P):
+    """Every table of P passes the checked Algebra constructor unchanged:
+    the products built without checks hold only Scalars of their field."""
+    for A in (P.circ, P.star):
+        assert Algebra(A.field, A.dim, A.sc, A.basis) == A
+        assert all(type(row) is tuple for plane in A.sc for row in plane)
+
+
+def _same_pair(new, old):
+    assert new == old and pair_to_json(new) == pair_to_json(old)
+    _checked_tables(new)
+
+
 def _plain(out):
     if isinstance(out, tuple):  # induce_on_image: (pair, image basis)
         pair, basis = out
@@ -427,7 +457,11 @@ def _same_outcome(new, old, *args):
         with pytest.raises(type(exc)):
             new(*args)
         return False
-    assert _plain(new(*args)) == _plain(want)
+    got = new(*args)
+    assert _plain(got) == _plain(want)
+    pair = got[0] if isinstance(got, tuple) else got
+    if isinstance(pair, AlgebraPair):
+        _checked_tables(pair)
     return True
 
 
@@ -447,6 +481,8 @@ def _agrees_with_oracles(T, R):
     assert operators._failures(T, R, operators._strong_residuals,
                                "strong_") == old_strong_failures(T, R)
     passed = _same_outcome(check_strong, old_check_strong, T, R)
+    _same_pair(operators._domain_pair(T, R), old_domain_pair(T, R))
+    _same_outcome(induce_on_domain, old_induce_on_domain, T, R)
     _same_outcome(induce_from_invertible, old_induce_from_invertible, T, R)
     _same_outcome(induce_on_image, old_induce_on_image, T, R)
     return passed
@@ -495,6 +531,34 @@ def operator_inputs(draw):
 @given(operator_inputs())
 def test_operator_checks_match_per_pair_oracles(inputs):
     _agrees_with_oracles(*inputs)
+
+
+@pytest.mark.parametrize("field_name", sorted(OPERATOR_FIELDS))
+@pytest.mark.parametrize("n, m", [(1, 2), (1, 3), (2, 3), (3, 2)])
+def test_induce_on_domain_matches_oracle_when_n_differs_from_m(field_name,
+                                                               n, m):
+    # abelian g and actions with image in ker T make T anti-O, with
+    # nonzero domain products u.v = -rho(Tu)v in ker T
+    field, coeffs = OPERATOR_FIELDS[field_name]
+    rng = random.Random(n * 10 + m)
+    rank = min(n, m - 1)
+    one, zero = field.one(), field.zero()
+    T = Matrix(field, [[one if c == r < rank else zero for c in range(m)]
+                       for r in range(n)])
+
+    def action():
+        return Matrix(field, [[field.parse(rng.choice(coeffs))
+                               if r >= rank else zero for _ in range(m)]
+                              for r in range(m)])
+
+    g = AlgebraPair(Algebra.zero_algebra(field, n),
+                    Algebra.zero_algebra(field, n))
+    R = RepresentationPair(g, m, tuple(action() for _ in range(n)),
+                           tuple(action() for _ in range(n)))
+    induced = induce_on_domain(T, R)
+    _same_pair(induced, old_induce_on_domain(T, R))
+    assert induced.dim == m and not induced.circ.is_zero()
+    assert _agrees_with_oracles(T, R)
 
 
 @pytest.mark.parametrize("name, assignment, branch", [
@@ -772,6 +836,8 @@ def _rb_agrees_with_oracles(Rop, G):
     assert failures == old_anti_rota_baxter_failures(Rop, G, True)
     _converse_agrees_with_oracle(Rop, G)
     _same_outcome(induce_on_image, old_induce_on_image, Rop, adjoint_pair(G))
+    _same_pair(operators._domain_pair(Rop, ad, G.basis),
+               old_domain_pair(Rop, ad, G.basis))
     return _same_outcome(induce_from_rb, old_induce_from_rb, Rop, G)
 
 

@@ -1,13 +1,14 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antiprelie import (GF, QQ, FieldMismatchError, NotInvertibleError,
-                        ParseError, Scalar, cast_scalar, format_scalar,
-                        poly_ring, substitute)
+from antiprelie import (GF, QQ, ConstraintError, FieldMismatchError,
+                        NotInvertibleError, ParseError, Scalar, cast_scalar,
+                        format_scalar, poly_ring, substitute)
 from antiprelie.scalars import (MAX_EXPONENT, MAX_MODULUS, Field,
                                 parse_json_scalar)
 
@@ -256,3 +257,93 @@ def test_json_integer_coefficient_reads_as_its_text():
     for field in (QQ, GF(5), poly_ring(["x"])):
         assert parse_json_scalar(-3, field) == parse_json_scalar("-3", field)
         assert parse_json_scalar(12, field) == field.parse("12")
+
+
+# ---------------------------------------------------------------------------
+# coercion: one path for ints, rationals, Scalars and grammar strings
+# ---------------------------------------------------------------------------
+
+def old_scalar(field, value):
+    """The coercion through Fraction, for ints, Fractions and Scalars."""
+    if isinstance(value, Scalar):
+        return cast_scalar(value, field)
+    q = Fraction(value)
+    if field.kind == "Q":
+        return Scalar(field, q)
+    if field.kind == "GF":
+        return Scalar(field, q.numerator % field.p
+                      * pow(q.denominator % field.p, -1, field.p) % field.p)
+    return Scalar(field, {(0,) * len(field.variables): q} if q else {})
+
+
+COERCION_FIELDS = (QQ, GF(2), GF(5), GF(2 ** 31 - 1), LAM, AB)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(COERCION_FIELDS),
+       st.one_of(st.integers(-10 ** 30, 10 ** 30), st.booleans(),
+                 st.fractions(max_denominator=10 ** 6).filter(
+                     lambda q: q.denominator % 5 and q.denominator % 2
+                     and q.denominator % (2 ** 31 - 1))))
+def test_scalar_coercion_matches_fraction_path(field, value):
+    got = field.scalar(value)
+    assert got == old_scalar(field, value)
+    assert got.field is field and format_scalar(got) == \
+        format_scalar(old_scalar(field, value))
+    # the same value written in the grammar reads the same
+    assert field.scalar(format_scalar(QQ.scalar(value))) == got
+
+
+def test_scalar_coercion_of_scalars_and_strings():
+    assert GF(5).scalar(QQ.scalar(Fraction(1, 2))) == GF(5).scalar(3)
+    assert LAM.scalar(LAM.variable("lambda")) == LAM.variable("lambda")
+    assert LAM.scalar("lambda^2-1") == LAM.parse("lambda^2-1")
+    assert GF(5).scalar("-1/2") == GF(5).scalar(2)
+    assert QQ.scalar("(1/2)^3") == QQ.scalar(Fraction(1, 8))
+
+
+@pytest.mark.parametrize("value", [0.1, 1.0, float("inf"), None, [1],
+                                   complex(1, 0)])
+def test_scalar_coercion_refuses_other_types(value):
+    for field in (QQ, GF(5), LAM):
+        with pytest.raises(TypeError, match="cannot coerce"):
+            field.scalar(value)
+
+
+HOSTILE = ["1e30000000", "1e10000000", "2E3", "1.5", "-.5", "1_000"]
+
+
+@pytest.fixture
+def fraction_guard(monkeypatch):
+    """Fails at once if a string reaches Fraction, which would read
+    e-notation by building 10**exp in full."""
+    new = Fraction.__new__
+
+    def guard(cls, numerator=0, *args, **kwargs):
+        if isinstance(numerator, str):
+            raise AssertionError(f"Fraction parses {numerator!r}")
+        return new(cls, numerator, *args, **kwargs)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(guard))
+
+
+@pytest.mark.parametrize("value", HOSTILE)
+def test_hostile_strings_fail_fast_in_every_coercion(fraction_guard, value):
+    from antiprelie.catalog import (automorphism_of, case_for, get_family,
+                                    instantiate)
+    t0 = time.perf_counter()
+    for field in (QQ, GF(5), LAM):
+        with pytest.raises(ParseError):
+            field.scalar(value)
+    with pytest.raises(ParseError):
+        LAM.parse("lambda+1").eval_at({"lambda": value})
+    with pytest.raises(ParseError):
+        instantiate(get_family("A6"), {"lambda": value})
+    with pytest.raises(ConstraintError):  # not a listed branch value
+        instantiate(get_family("CA11"), {"alpha": 1}, branch=value)
+    with pytest.raises(ParseError):
+        case_for("A6", value)
+    with pytest.raises(ParseError):
+        case_for("A8", value, prime=5)
+    with pytest.raises(ParseError):
+        automorphism_of("A2", {"a": value})
+    assert time.perf_counter() - t0 < 0.5
