@@ -10,15 +10,14 @@ The checkers never multiply basis vectors.  Each quadratic identity
 degree-3 words, the inner e_a * (e_b * e_c) and the outer
 (e_a * e_b) * e_c, at permutations of the triple, and is written once,
 as a row of the incidence table `_INCIDENCE`.  `_residuals` works on
-structure constants converted once to plain values (`_plain_tables`,
-see `linalg`), takes each word component as one dot product of a
+structure constants converted once to the plain values of `linalg`
+(`_plain_tables`), takes each word component as one dot product of a
 nonzero table row with a nonzero column, and adds it into the residual
-components the incidence table lists.  Their accumulator slots are read
-from `_slot_table`, built once per (identity, dimension) and cached.
-Components are reduced mod p once, and only nonzero ones are wrapped
-back into Scalars.  Exact arithmetic makes the residuals equal to
-`multiply`'s.  A pair check converts its two tables once, for both
-member checks and the mixed condition.
+components the incidence table lists, at slots from `_slot_table`,
+built once per (identity, dimension, ring).  Only the nonzero residual
+rows are wrapped back into Scalars.  Exact arithmetic makes the
+residuals equal to `multiply`'s.  A pair check converts its two tables
+once, for both member checks and the mixed condition.
 
 Words are summed over ordered product pairs (X, Y): [(A, A)] checks A,
 and [(circ, star), (star, circ)] is the k1*k2 coefficient of the
@@ -30,17 +29,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product as iproduct
-from operator import add, sub
 
 from .errors import (FieldMismatchError, ParseError, PreconditionError,
                      ShapeMismatchError)
-from .linalg import (_axpy, _int_dot, _plain, _scalar, _vadd, _vec_is_zero,
-                     _vsub)
-from .scalars import (Field, Scalar, _json_int, _poly_add, _poly_dot,
-                      _read_json, cast_scalar, format_scalar,
-                      parse_json_scalar)
+from .linalg import (_axpy, _plain, _ring, _vadd, _vec_is_zero, _vsub,
+                     _way_back)
+from .scalars import (Field, Scalar, _json_int, _read_json, cast_scalar,
+                      format_scalar, parse_json_scalar)
 
 MAX_WITNESSES = 16
 MAX_DIM = 64  # .alg.json input; the toolkit's own tables stay far below
@@ -358,23 +355,22 @@ def _plain_tables(*algebras):
     one field and dimension, converted once to plain values on their
     common denominator den (see `linalg`), one n^3 nested list each."""
     f, n = algebras[0].field, algebras[0].dim
-    den, value = _plain(f, [x for A in algebras for p in A.sc
-                            for row in p for x in row])
-    return f, n, den, [[[list(map(value, row)) for row in p] for p in A.sc]
+    den, values = _plain(f, [x for A in algebras for p in A.sc
+                             for row in p for x in row])
+    return f, n, den, [[list(map(values, p)) for p in A.sc]
                        for A in algebras]
 
 
 @lru_cache(maxsize=32)
-def _slot_table(kind: str, n: int, poly: bool):
+def _slot_table(kind: str, n: int, add, sub):
     """Per word (inner, outer), the incidence of `_INCIDENCE[kind]` as
     table[b][c][free]: the (offset, op) pairs that add word component l
-    into the accumulator slot offset + l, with op `add` or `sub` (their
-    Laurent-dict forms when poly).  The row (b, c) and free index stand
-    for the triple (free, b, c) of the inner word and (b, c, free) of the
-    outer one.  A word that no equation of `kind` uses gets no table."""
+    into the accumulator slot offset + l, with op the plain ring's `add`
+    or `sub`.  The row (b, c) and free index stand for the triple
+    (free, b, c) of the inner word and (b, c, free) of the outer one.  A
+    word that no equation of `kind` uses gets no table."""
     neq = 2 if kind == "anti_pre_lie" else 1
-    ops = {1: _poly_add, -1: partial(_poly_add, sign=-1)} if poly else \
-        {1: add, -1: sub}
+    ops = {1: add, -1: sub}
     r = range(n)
 
     def slots(t, targets):
@@ -400,8 +396,9 @@ def _residuals(kind: str, tables, pairs, name: str, failing: bool = False):
     column (e_a *X e_j)_l over j for the inner word, of e_a *Y e_b with
     (e_j *X e_c)_l for the outer one, each joined over the pairs.  Zero
     rows and columns are skipped, and each nonzero word component is
-    added into the residual components that `_slot_table` lists.  Only
-    nonzero components are wrapped back into Scalars.
+    added into the residual components that `_slot_table` lists.  The
+    components are tested for zero as reduced plain values, so a passing
+    check builds no Scalar, and only the rows returned are wrapped.
     """
     f, n, den, plain = tables
     r = range(n)
@@ -414,10 +411,9 @@ def _residuals(kind: str, tables, pairs, name: str, failing: bool = False):
         x := [X[a][j][l] for X in Xs for j in r])] for a in r],
              [[(l, x) for l in r if any(
                  x := [X[j][c][l] for X in Xs for j in r])] for c in r])
-    poly = f.kind == "poly"
-    dot, acc = (_poly_dot, [{} for _ in range(2 * n ** 4)]) if poly else \
-        (_int_dot, [0] * (2 * n ** 4))
-    for cols, table in zip(words, _slot_table(kind, n, poly)):
+    ring = _ring(f)
+    dot, acc = ring.dot, [ring.zero] * (2 * n ** 4)
+    for cols, table in zip(words, _slot_table(kind, n, ring.add, ring.sub)):
         for b, c, y in rows if table else ():
             for col, slots in zip(cols, table[b][c]):
                 for l, x in col:
@@ -425,13 +421,12 @@ def _residuals(kind: str, tables, pairs, name: str, failing: bool = False):
                         for offset, op in slots:
                             k = offset + l
                             acc[k] = op(acc[k], v)
-    if f.p:
-        acc = [x % f.p for x in acc]
+    reduce, wrap = _way_back(f)
+    acc, den = reduce(acc), den * den
     if failing and not any(acc):
         return []
     neq = 2 if kind == "anti_pre_lie" else 1
     names = (name,) if neq == 1 else (name + "_1", name + "_2")
-    zero, den = f.zero(), den * den
     out = []
     for slot in range(n ** 3 * neq):
         comps = acc[slot * n:slot * n + n]
@@ -439,7 +434,7 @@ def _residuals(kind: str, tables, pairs, name: str, failing: bool = False):
             continue
         t, eq = divmod(slot, neq)
         out.append((names[eq], (t // (n * n), t // n % n, t % n),
-                    [_scalar(f, x, den) if x else zero for x in comps]))
+                    wrap(comps, den)))
     return out
 
 

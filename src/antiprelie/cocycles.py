@@ -23,9 +23,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
 
-from .algebra import (Algebra, AlgebraPair, CheckReport,
-                      anti_pre_lie_residuals, cast_algebra, make_report,
-                      mixed_pair_residuals, transported)
+from .algebra import (_MIXED, Algebra, AlgebraPair, CheckReport,
+                      _plain_tables, _residuals, anti_pre_lie_residuals,
+                      cast_algebra, make_report, mixed_pair_residuals,
+                      transported)
 from .errors import (BudgetExceededError, FieldMismatchError,
                      NotInvertibleError, ParseError, PreconditionError,
                      ShapeMismatchError)
@@ -63,12 +64,15 @@ class Deformation:
 
 
 def check_step1_conditions(d: Deformation) -> CheckReport:
-    """All four conditions on all basis triples; exact over any field."""
-    residuals = anti_pre_lie_residuals(d.phi) + \
-        mixed_pair_residuals(AlgebraPair(d.base, d.phi))
+    """All four conditions on all basis triples; exact over any field.
+    (base, phi) is converted once, and only failing rows are wrapped."""
+    tables = _plain_tables(d.base, d.phi)
+    failures = _residuals("anti_pre_lie", tables, [(1, 1)], "anti_pre_lie",
+                          failing=True) + \
+        _residuals("anti_pre_lie", tables, _MIXED, "compatible_mixed",
+                   failing=True)
     return make_report([(_STEP1_NAMES[name], idx, vec)
-                        for name, idx, vec in residuals
-                        if not _vec_is_zero(vec)])
+                        for name, idx, vec in failures])
 
 
 @lru_cache(maxsize=16)

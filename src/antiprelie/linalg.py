@@ -11,21 +11,24 @@ The exact vector kernel lives here too: coefficient vectors are lists
 of Scalars, and their dot products, axpys and sums go through `_dot`,
 `_axpy`, `_vadd`, `_vsub` and `_vec_is_zero`.
 
-The identity checks of `algebra` and the operator checks of `operators`
-work on plain values instead of Scalars: `_plain` converts Scalars once
-to residues, integers on one common denominator or integer-coefficient
-Laurent dicts; `_int_dot` and `scalars`' `_poly_dot` and `_poly_mul`
-multiply and sum them; `_scalar` wraps a result back into a Scalar.
+Only this module knows the plain values that the elimination and the
+checks of `algebra` and `operators` compute on instead of Scalars:
+`_plain` converts Scalars once to residues, integers on one common
+denominator or integer-coefficient Laurent dicts, `_ring` gives their
+arithmetic, and `_way_back` reduces results mod p and wraps them back.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm, prod
-from operator import attrgetter, mul
+from operator import add, mul, neg, sub
 
 from .errors import (BudgetExceededError, FieldMismatchError,
                      NotInvertibleError, ParseError, ShapeMismatchError)
-from .scalars import Field, Scalar, _json_int, _make, parse_json_scalar
+from .scalars import (Field, Scalar, _json_int, _make, _poly_add, _poly_dot,
+                      _poly_mul, _poly_neg, _poly_sub, parse_json_scalar)
 
 MAX_COFACTOR_DIM = 8  # polynomial det costs n!, the adjugate n^2 (n-1)!
 
@@ -61,37 +64,62 @@ def _vadd(*vs):
 
 
 def _plain(field, scalars):
-    """(den, value): value maps each of the Scalars to a plain value on
-    the common denominator den of all their coefficients: a residue over
-    GF(p) (den 1), an integer over Q, and over a Laurent ring a dict
-    {exponents: integer}."""
+    """(den, values): values(xs) lists the plain values of Scalars xs
+    from `scalars` on the common denominator den of all their
+    coefficients: residues over GF(p) (den 1), integers over Q, and over
+    a Laurent ring dicts {exponents: integer}.  The field's shared zero
+    is read as 0 without looking at its value."""
     if field.kind == "GF":
-        return 1, attrgetter("value")
+        return 1, lambda xs: [x.value for x in xs]
+    zero = field.zero()
     if field.kind == "Q":
-        den = lcm(*(x.value.denominator for x in scalars))
-        return den, lambda x: x.value.numerator * (den // x.value.denominator)
-    den = lcm(*(c.denominator for x in scalars for c in x.value.values()))
-    return den, lambda x: {mono: c.numerator * (den // c.denominator)
-                           for mono, c in x.value.items()}
+        den = lcm(*[x.value.denominator for x in scalars if x is not zero])
+        return den, lambda xs: [0 if x is zero else x.value.numerator * (
+            den // x.value.denominator) for x in xs]
+    den = lcm(*[c.denominator for x in scalars for c in x.value.values()])
+    return den, lambda xs: [{mono: c.numerator * (den // c.denominator)
+                             for mono, c in x.value.items()} for x in xs]
 
 
 def _int_dot(xs, ys):
     return sum(map(mul, xs, ys))
 
 
-def _scalar(f, s, den):
-    """The Scalar of a plain value s on the denominator den.  s comes from
-    checked Scalars through ring operations, so it is canonical."""
-    if f.kind == "GF":
-        return _make(f, s)
-    if f.kind == "Q":
-        return _make(f, Fraction(s, den))
-    return _make(f, {mono: Fraction(c, den) for mono, c in s.items()})
+_Ring = namedtuple("_Ring", "zero mul dot add sub neg")
+_INTEGERS = _Ring(0, mul, _int_dot, add, sub, neg)
+_LAURENT = _Ring({}, _poly_mul, _poly_dot, _poly_add, _poly_sub, _poly_neg)
+
+
+def _ring(field):
+    """The ring of the plain values over field: the integers, residues
+    included, or integer-coefficient Laurent dicts.  Its operations
+    return new values and never change their arguments, so its zero may
+    be shared."""
+    return _LAURENT if field.kind == "poly" else _INTEGERS
+
+
+def _way_back(field):
+    """(reduce, wrap) for lists of plain values over field.  reduce(xs)
+    reduces them mod p over GF(p) (and is xs otherwise), so a zero test
+    on them is exact; wrap(xs, den) lists the Scalars of values on the
+    denominator den, reduced mod p, the field's shared zero for zero.
+    The values come from checked Scalars through `_ring`, so the Scalars
+    are canonical."""
+    zero, p = field.zero(), field.p
+    if p:
+        return (lambda xs: [x % p for x in xs], lambda xs, den: [
+            _make(field, r) if (r := x % p) else zero for x in xs])
+    if field.kind == "Q":
+        return (lambda xs: xs, lambda xs, den: [
+            _make(field, Fraction(x, den)) if x else zero for x in xs])
+    return (lambda xs: xs, lambda xs, den: [_make(field, {
+        mono: Fraction(c, den) for mono, c in x.items()}) if x else zero
+        for x in xs])
 
 
 def _rref_mod(m, cols, p):
     """Gauss-Jordan on rows of residues mod p, in place: the pivot
-    columns and the determinant residue, as in `Matrix._eliminate`.
+    columns and the determinant residue over 1, as in `_rref_int`.
 
     Each pivot row is scaled to pivot 1, and each row operation runs
     only over the pivot row's nonzero entries.
@@ -121,20 +149,7 @@ def _rref_mod(m, cols, p):
                 for k, x in nonzero:
                     row[k] = (row[k] - a * x) % p
         pivots.append(c)
-    return pivots, det if len(pivots) == len(m) else 0
-
-
-def _integer_rows(rows, zero):
-    """Rows of Q Scalars as integer rows, each on the lcm of its
-    denominators, and the product of those lcms.  Entries that are the
-    shared `zero` are skipped without reading their value."""
-    out, den = [], 1
-    for row in rows:
-        d = lcm(*[x.value.denominator for x in row if x is not zero])
-        out.append([0 if x is zero else x.value.numerator
-                    * (d // x.value.denominator) for x in row])
-        den *= d
-    return out, den
+    return pivots, det if len(pivots) == len(m) else 0, 1
 
 
 def _rref_int(m, cols):
@@ -144,10 +159,10 @@ def _rref_int(m, cols):
     row i by a row_i - b row_r, with a = pv/g, b = c/g, g = gcd(pv, c).
     Row r of m ends as a positive multiple of reduced row r.
 
-    Returns the pivot columns and the determinant as a Fraction, as in
-    `Matrix._eliminate`: the product of the final pivots, corrected for
-    the swaps and negations, the multipliers `scaled` and the contents
-    `divided`.
+    Returns the pivot columns and the determinant of m as an integer
+    numerator and denominator, as in `Matrix._eliminate`: the product of
+    the final pivots, corrected for the swaps and negations, the
+    multipliers `scaled` and the contents `divided`.
     """
     sign, scaled, divided = 1, [], []
     for r, row in enumerate(m):
@@ -192,9 +207,9 @@ def _rref_int(m, cols):
             m[i] = row
         pivots.append(c)
     if len(pivots) < len(m):
-        return pivots, Fraction(0)
+        return pivots, 0, 1
     num = prod(row[c] for row, c in zip(m, pivots)) * prod(divided)
-    return pivots, Fraction(sign * num, prod(scaled))
+    return pivots, sign * num, prod(scaled)
 
 
 class Matrix:
@@ -323,27 +338,24 @@ class Matrix:
         list, determinant).  The determinant is the product of the pivots
         with a sign per row swap, zero unless every row holds a pivot.
 
-        The pass runs on plain values (`_rref_mod`, `_rref_int`), and its
-        results are wrapped into Scalars once.  Requires a field with
-        division (Q or GF); polynomial entries are rejected.
+        The pass runs on the plain values of the entries (`_rref_mod`,
+        `_rref_int`), on their common denominator den, and its results
+        are wrapped into Scalars once: each pivot row on its pivot, the
+        determinant on den^rows times the denominator the pass returns.
+        Requires a field with division (Q or GF); polynomial entries are
+        rejected.
         """
         f = self.field
         if f.kind == "poly":
             raise NotInvertibleError("row reduction needs a division field")
-        zero = f.zero()
-        if f.kind == "GF":
-            m = [[x.value for x in row] for row in self.entries]
-            pivots, det = _rref_mod(m, self.cols, f.p)
-            rows = [[_make(f, x) if x else zero for x in row]
-                    for row in m[:len(pivots)]]
-        else:
-            m, den = _integer_rows(self.entries, zero)
-            pivots, det = _rref_int(m, self.cols)
-            det /= den
-            rows = [[_make(f, Fraction(x, row[c])) if x else zero
-                     for x in row] for row, c in zip(m, pivots)]
+        den, values = _plain(f, chain.from_iterable(self.entries))
+        m = list(map(values, self.entries))
+        pivots, det, det_den = _rref_mod(m, self.cols, f.p) if f.p else \
+            _rref_int(m, self.cols)
+        wrap, zero = _way_back(f)[1], f.zero()
+        rows = [wrap(row, row[c]) for row, c in zip(m, pivots)]
         rows += [[zero] * self.cols for _ in range(self.rows - len(pivots))]
-        return rows, pivots, _make(f, det) if det else zero
+        return rows, pivots, wrap([det], det_den * den ** self.rows)[0]
 
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot column list).

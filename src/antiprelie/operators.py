@@ -2,9 +2,7 @@
 
 For a fixed representation pair R, the anti-O and strong residuals of a
 map T: V -> g are quadratic in the n*m entries of T and are evaluated on
-the plain values of `linalg`, shared with the identity checks: residues
-over GF(p), reduced mod p once per component; integers on one common
-denominator over Q; integer-coefficient dicts over a Laurent ring, as
+the plain values of `linalg`, shared with the identity checks, as
 Fraction arithmetic would cost more than the check itself.  R's
 structure constants and action matrices are converted once, on first
 use, and kept on R outside the dataclass fields, so R's ==, hash and
@@ -47,25 +45,19 @@ converse takes any bracket pair.
 from __future__ import annotations
 
 from itertools import product as iproduct
-from operator import mul
 
 from .algebra import (_PENCIL, Algebra, AlgebraPair, CheckReport,
                       _symmetry_failures, make_report, transported)
 from .errors import (FieldMismatchError, NotInvertibleError,
                      PreconditionError, ShapeMismatchError)
-from .linalg import Matrix, _int_dot, _plain, _scalar
+from .linalg import Matrix, _plain, _ring, _way_back
 from .representations import RepresentationPair, adjoint_pair
-from .scalars import _poly_dot, _poly_mul
 
 __all__ = [
     "check_anti_o", "check_strong", "check_anti_rota_baxter",
     "induce_on_domain", "induce_on_image", "induce_from_rb",
     "check_rb_converse", "induce_from_invertible",
 ]
-
-
-def _negated(x):
-    return {mono: -c for mono, c in x.items()} if isinstance(x, dict) else -x
 
 
 def _constants(R: RepresentationPair):
@@ -86,21 +78,22 @@ def _build_constants(R: RepresentationPair):
     pencil part and k.  All are plain values on one denominator den."""
     n, m = R.g.dim, R.v_dim
     brackets, actions = (R.g.circ, R.g.star), (R.rho, R.mu)
-    den, value = _plain(R.field, [x for B in brackets for p in B.sc
-                                  for r in p for x in r] +
-                        [x for ms in actions for M in ms
-                         for r in M.entries for x in r])
-    S = [[[value(B.sc[i][j][k]) for i in range(n) for j in range(n)]
+    den, values = _plain(R.field, [x for B in brackets for p in B.sc
+                                   for r in p for x in r] +
+                         [x for ms in actions for M in ms
+                          for r in M.entries for x in r])
+    S = [[values([B.sc[i][j][k] for i in range(n) for j in range(n)])
           for k in range(n)] for B in brackets]
-    A = [[[value(M.entries[c][x]) for M in ms for c in range(m)]
+    A = [[values([M.entries[c][x] for M in ms for c in range(m)])
           for x in range(m)] for ms in actions]
-    nA = [[list(map(_negated, col)) for col in At] for At in A]
+    neg = _ring(R.field).neg
+    nA = [[list(map(neg, col)) for col in At] for At in A]
     Ak = [[[[A[s][w][k * m + r] for s, _ in combos for k in range(n)]
             for w in range(m)] for r in range(m)] for _, combos in _PENCIL]
     return S, A, nA, Ak, den
 
 
-def _anti_o_residuals(cols, rows, consts, times, dot, left=None):
+def _anti_o_residuals(cols, rows, consts, ring, left=None):
     """(den, rows) of the anti-O form: rows (name, (a, b), X) in the order
     of (t, a, b), name "1" or "2" for t = 0, 1, where X lists over k
     sum_ij T_ia T_jb [e_i, e_j]_k + sum_jc T_jb T_kc left[t][a][(j, c)]
@@ -109,7 +102,7 @@ def _anti_o_residuals(cols, rows, consts, times, dot, left=None):
     default, X is the anti-O residual
     [Te_a, Te_b]_k - T(act(Te_b) e_a - act(Te_a) e_b)_k."""
     S, A, nA, _, den = consts
-    m = len(cols)
+    times, dot, m = ring.mul, ring.dot, len(cols)
     # P[a][b] lists T_ia T_jb over (i, j), Q[k][x] T_jx T_kc over (j, c)
     P = [[[times(x, y) for x in ca for y in cb] for cb in cols] for ca in cols]
     Q = [[[times(x, y) for x in col for y in row] for col in cols]
@@ -131,7 +124,7 @@ def _by_part(X, m):
               for q in range(m)] for p in range(m)] for _, combos in _PENCIL]
 
 
-def _strong_residuals(cols, rows, consts, times, dot):
+def _strong_residuals(cols, rows, consts, ring):
     """(den, rows) of the strong identity: component r of the k1^2, k1*k2
     and k2^2 parts of the cyclic sum of act(X(Te_p, Te_q)) e_w over the
     words (p, q, w) of (a, b, c), with act = k1 rho + k2 mu and
@@ -141,7 +134,7 @@ def _strong_residuals(cols, rows, consts, times, dot):
     the brackets [Te_p, Te_q]_t.  The rotations of (a, b, c) have the
     same words, so they share one evaluation."""
     S, _, _, Ak, den = consts
-    m = len(cols)
+    times, dot, m = ring.mul, ring.dot, len(cols)
     P = [[[times(x, y) for x in cp for y in cq] for cq in cols] for cp in cols]
     # the brackets [Te_p, Te_q]_t in the order of (t, p, q)
     Xp = _by_part([[dot(Ppq, Sk) for Sk in St] for St in S for Pp in P
@@ -159,44 +152,29 @@ def _strong_residuals(cols, rows, consts, times, dot):
     return den * den, out
 
 
-def _converse_residuals(cols, rows, consts, times, dot):
+def _converse_residuals(cols, rows, consts, ring):
     """(den, rows) of the anti-Rota-Baxter converse on G's adjoint pair:
     X_t(i, j) = [Re_i, Re_j]_t + R([e_i, Re_j]_t + [Re_i, e_j]_t) is the
     anti-O form with left[t][a] = [e_a, e_j]_t over (j, c), G's right
     multiplications (nA when G is antisymmetric), and a pencil part sums
     [X_t(i, j), e_k]_s over its pairs (s, t) on the one word (i, j, k)."""
     S, _, _, Ak, den = consts
-    n = len(cols)
+    dot, n = ring.dot, len(cols)
     right = [[[St[c][a * n + j] for j in range(n) for c in range(n)]
               for a in range(n)] for St in S]
-    _, form = _anti_o_residuals(cols, rows, consts, times, dot, right)
+    _, form = _anti_o_residuals(cols, rows, consts, ring, right)
     Xp = _by_part([X for _, _, X in form], n)
     return den * den, [(name, (i, j, k), [dot(Xq[i][j], Ar[k]) for Ar in Aq])
                        for i, j, k in iproduct(range(n), repeat=3)
                        for (name, _), Xq, Aq in zip(_PENCIL, Xp, Ak)]
 
 
-def _plain_map(T: Matrix, f):
-    """(den, rows, cols, times, dot): T's entries as plain values on one
-    denominator den, by rows and by columns, with the product and the dot
-    product of plain values over f."""
-    den, value = _plain(f, [x for row in T.entries for x in row])
-    rows = [list(map(value, row)) for row in T.entries]
-    times, dot = (_poly_mul, _poly_dot) if f.kind == "poly" else \
-        (mul, _int_dot)
-    return den, rows, [list(col) for col in zip(*rows)], times, dot
-
-
-def _wrapped(f, den):
-    """Plain value -> Scalar on the denominator den over f, reduced mod p
-    over GF(p), with zero as f's shared zero."""
-    zero, p = f.zero(), f.p
-
-    def wrap(s):
-        if p:
-            s %= p
-        return _scalar(f, s, den) if s else zero
-    return wrap
+def _plain_map(T: Matrix):
+    """(den, rows, cols): T's entries as plain values on one denominator
+    den, by rows and by columns."""
+    den, values = _plain(T.field, [x for row in T.entries for x in row])
+    rows = list(map(values, T.entries))
+    return den, rows, [list(col) for col in zip(*rows)]
 
 
 def _failures(T: Matrix, R: RepresentationPair, residuals, prefix):
@@ -209,14 +187,12 @@ def _failures(T: Matrix, R: RepresentationPair, residuals, prefix):
     if T.field != f:
         raise FieldMismatchError("T and the representation pair are over "
                                  "different fields")
-    t_den, rows, cols, times, dot = _plain_map(T, f)
-    den, residuals = residuals(cols, rows, _constants(R), times, dot)
-    if f.p:
-        residuals = [(name, ix, [s % f.p for s in sums])
-                     for name, ix, sums in residuals]
+    t_den, rows, cols = _plain_map(T)
+    den, residuals = residuals(cols, rows, _constants(R), _ring(f))
+    reduce, wrap = _way_back(f)
     den *= t_den * t_den
-    return [(prefix + name, ix, [_scalar(f, s, den) for s in sums])
-            for name, ix, sums in residuals if any(sums)]
+    return [(prefix + name, ix, wrap(sums, den))
+            for name, ix, raw in residuals if any(sums := reduce(raw))]
 
 
 def check_anti_o(T: Matrix, R: RepresentationPair) -> CheckReport:
@@ -267,15 +243,16 @@ def _domain_pair(T: Matrix, R: RepresentationPair,
     sc[i][j][k] = -sum_c T[c][i] act(e_c)[k][j], one dot product of
     column i of T with R's negated action entries per entry."""
     f, m = R.field, R.v_dim
-    t_den, _, cols, _, dot = _plain_map(T, f)
+    t_den, _, cols = _plain_map(T)
     _, _, nA, _, den = _constants(R)
-    wrap = _wrapped(f, den * t_den)
+    dot, (_, wrap), den = _ring(f).dot, _way_back(f), den * t_den
 
     def build(nAt):
         # nAt[j][c * m + k] = -act(e_c)[k][j]
-        return Algebra._trusted(f, m, [[[wrap(dot(col, nAj[k::m]))
-                                         for k in range(m)] for nAj in nAt]
-                                       for col in cols], basis)
+        return Algebra._trusted(f, m, [[wrap([dot(col, nAj[k::m])
+                                              for k in range(m)], den)
+                                        for nAj in nAt] for col in cols],
+                                basis)
 
     return AlgebraPair(*map(build, nA))
 
@@ -350,10 +327,10 @@ def induce_from_invertible(T: Matrix, R: RepresentationPair) -> AlgebraPair:
     if T.det().is_zero():
         raise NotInvertibleError("T is singular")
     check_anti_o(T, R).require("T is not an anti-O-operator")
-    t_den, rows, _, _, dot = _plain_map(T, f)
-    inv_den, _, inv_cols, _, _ = _plain_map(T.inverse(), f)
+    t_den, rows, _ = _plain_map(T)
+    inv_den, _, inv_cols = _plain_map(T.inverse())
     _, _, nA, _, den = _constants(R)
-    wrap = _wrapped(f, t_den * den * inv_den)
+    dot, (_, wrap), den = _ring(f).dot, _way_back(f), t_den * den * inv_den
 
     def build(nAt):
         # -act(e_i) T^{-1} e_j, row a, is the dot of
@@ -362,7 +339,8 @@ def induce_from_invertible(T: Matrix, R: RepresentationPair) -> AlgebraPair:
         for i in range(n):
             nact = [[nAb[i * n + a] for nAb in nAt] for a in range(n)]
             planes = [[dot(row, col) for row in nact] for col in inv_cols]
-            sc.append([[wrap(dot(Tk, w)) for Tk in rows] for w in planes])
+            sc.append([wrap([dot(Tk, w) for Tk in rows], den)
+                       for w in planes])
         return Algebra._trusted(f, n, sc, R.g.basis)
 
     return AlgebraPair(*map(build, nA))

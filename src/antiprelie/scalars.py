@@ -12,9 +12,9 @@ The ring operations keep it by construction and skip those checks
 sums drop cancelled terms, and products only add exponents, so a
 negative one appears only where an operand had one, on a unit.  Values
 are never mutated, so results may share them, and ``Field.zero()`` and
-``Field.one()`` are built once per field.  `_poly_add`, `_poly_dot` and
-`_poly_mul` act on bare coefficient dicts: those of Scalars and the
-integer ones of the evaluators in `algebra` and `operators`.
+``Field.one()`` are built once per field.  The `_poly_*` helpers act on
+bare coefficient dicts: those of Scalars and the integer ones of the
+plain values of `linalg`.
 """
 from __future__ import annotations
 
@@ -253,7 +253,7 @@ class Scalar:
         a, b = self.value, other.value
         if f.kind == "poly":
             return self if not b else -other if not a else \
-                _make(f, _poly_add(a, b, -1))
+                _make(f, _poly_sub(a, b))
         return _make(f, a - b if f.kind == "Q" else (a - b) % f.p)
 
     def __neg__(self):
@@ -262,7 +262,7 @@ class Scalar:
             return _make(f, -self.value)
         if f.kind == "GF":
             return _make(f, -self.value % f.p)
-        return _make(f, {m: -c for m, c in self.value.items()})
+        return _make(f, _poly_neg(self.value))
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -370,6 +370,14 @@ def _poly_add(a: dict, b: dict, sign: int = 1) -> dict:
     return out
 
 
+def _poly_sub(a: dict, b: dict) -> dict:
+    return _poly_add(a, b, -1)
+
+
+def _poly_neg(a: dict) -> dict:
+    return {m: -c for m, c in a.items()}
+
+
 def _poly_dot(xs, ys) -> dict:
     """sum_a x_a y_a of coefficient dicts, dropping cancelled terms."""
     acc = {}
@@ -409,8 +417,9 @@ def cast_scalar(x: Scalar, field: Field) -> Scalar:
             out[tuple(m)] = c
         return Scalar(field, out)
     if x.field.kind == "poly" and field.kind in ("Q", "GF"):
-        const = x.eval_at({})  # raises if any variable actually occurs
-        return field.scalar(const.value)
+        if any(any(mono) for mono in x.value):
+            raise FieldMismatchError(f"{x} is not a constant of {x.field!r}")
+        return field.scalar(sum(x.value.values(), Fraction(0)))
     raise FieldMismatchError(f"cannot embed {x.field!r} into {field!r}")
 
 

@@ -18,10 +18,11 @@ from antiprelie import (GF, QQ, Algebra, AlgebraPair, BudgetExceededError,
                         transform_deformation, verify_family_membership,
                         poly_ring)
 from antiprelie.algebra import (anti_pre_lie_residuals, cast_algebra,
-                               mixed_pair_residuals)
+                               make_report, mixed_pair_residuals)
 from antiprelie.cocycles import (_linear_rows, _quadratic_coefficients,
                                  instantiate_family_gf)
 from antiprelie.catalog import cocycle_cases_of, cocycle_families_of
+from antiprelie.linalg import _vec_is_zero
 
 LINEAR_DIMS = {
     ("A2", None): 5, ("A3", None): 6, ("A4", None): 4, ("A5", None): 4,
@@ -65,6 +66,76 @@ def test_step1_failure_reports_condition():
     rep = check_step1_conditions(Deformation(base, phi))
     assert not rep.passed
     assert all(w.identity.startswith("step1_") for w in rep.witnesses)
+
+
+def old_check_step1_conditions(d):
+    """The Step-1 check before it converted (base, phi) once: both
+    residual passes over every triple, wrapped, then the zero rows
+    dropped."""
+    residuals = anti_pre_lie_residuals(d.phi) + \
+        mixed_pair_residuals(AlgebraPair(d.base, d.phi))
+    return make_report([(cocycles._STEP1_NAMES[name], idx, vec)
+                        for name, idx, vec in residuals
+                        if not _vec_is_zero(vec)])
+
+
+STEP1_FIELDS = {
+    "Q": (QQ, (-2, -1, 1, 3, Fraction(1, 2), Fraction(-2, 3))),
+    "GF5": (GF(5), (1, 2, 3, 4)),
+    "Laurent": (poly_ring(["x", "t"], units=["t"]),
+                ("1", "-1", "x", "t^-1", "1/2*x-t", "x*t^-2+3/4")),
+}
+
+
+@st.composite
+def step1_deformations(draw):
+    """Deformations of dim 1-3 over Q, GF(5) and a Laurent ring, from
+    empty to dense base and phi tables, phi sometimes zero or the base."""
+    field, coeffs = STEP1_FIELDS[draw(st.sampled_from(sorted(STEP1_FIELDS)))]
+    n = draw(st.integers(1, 3 if field.kind != "poly" else 2))
+
+    def table():
+        density = draw(st.integers(0, 4))
+        return Algebra.from_entries(field, n, [
+            (i, j, k, draw(st.sampled_from(coeffs)))
+            for i, j, k in iproduct(range(1, n + 1), repeat=3)
+            if draw(st.integers(1, 4)) <= density])
+    base = table()
+    phi = draw(st.sampled_from(["zero", "base", "other"]))
+    phi = Algebra.zero_algebra(field, n) if phi == "zero" else \
+        base if phi == "base" else table()
+    return Deformation(base, phi)
+
+
+@settings(max_examples=80, deadline=None)
+@given(step1_deformations())
+def test_step1_check_matches_the_two_pass_oracle(d):
+    got, want = check_step1_conditions(d), old_check_step1_conditions(d)
+    assert got == want
+    assert got.to_json() == want.to_json()
+
+
+def test_step1_check_matches_the_oracle_on_catalog_families(monkeypatch):
+    """Every catalog family membership, and each family with one entry
+    moved by one, reports as the oracle does."""
+    from antiprelie.catalog import _cocycle_jobs
+    real, verdicts = cocycles.check_step1_conditions, []
+
+    def both(d):
+        got = real(d)
+        assert got == old_check_step1_conditions(d)
+        assert got.to_json() == old_check_step1_conditions(d).to_json()
+        verdicts.append(got.passed)
+        return got
+    monkeypatch.setattr(cocycles, "check_step1_conditions", both)
+    jobs = list(_cocycle_jobs())
+    for *_, base, phi in jobs:
+        assert verify_family_membership(base, phi).passed
+        sc = [[list(row) for row in plane] for plane in phi.sc]
+        sc[1][0][1] = sc[1][0][1] + phi.field.one()
+        verify_family_membership(base, Algebra(phi.field, phi.dim, sc))
+    assert len(jobs) == 22 and len(verdicts) == 44
+    assert not all(verdicts[1::2])
 
 
 def test_linear_space_abelian_full():

@@ -129,6 +129,34 @@ def test_cast_and_reduce():
     assert lifted == LAM.scalar(2)
 
 
+def test_non_constant_polynomial_does_not_cast_to_a_constant_field():
+    from antiprelie import Algebra
+    from antiprelie.algebra import cast_algebra
+    x = poly_ring(["x"]).variable("x")
+    with pytest.raises(FieldMismatchError, match="not a constant"):
+        QQ.scalar(x)
+    for field in (QQ, GF(5)):
+        for value in (x, x.field.parse("x+1"), AB.parse("a^-1"),
+                      AB.parse("2*beta-1")):
+            with pytest.raises(FieldMismatchError, match="not a constant"):
+                cast_scalar(value, field)
+    with pytest.raises(FieldMismatchError, match="not a constant"):
+        cast_algebra(Algebra.from_entries(AB, 1, [(1, 1, 1, "a+1")]), GF(5))
+    # constants still cast, over any ring, and eval_at keeps its error
+    for field in (QQ, GF(5)):
+        for ring, text in ((LAM, "7/3"), (AB, "-2/3"), (AB, "0"),
+                           (poly_ring([]), "4")):
+            want = field.scalar(Fraction(text))
+            assert cast_scalar(ring.parse(text), field) == want
+            assert field.scalar(ring.parse(text)) == want
+            assert cast_algebra(Algebra.from_entries(ring, 1, [
+                (1, 1, 1, text)]), field).sc[0][0][0] == want
+    with pytest.raises(ZeroDivisionError):
+        cast_scalar(LAM.parse("1/5"), GF(5))
+    with pytest.raises(ValueError, match="no assignment"):
+        x.eval_at({})
+
+
 def test_substitute_composition():
     ring = poly_ring(["alpha", "beta"])
     x = ring.parse("alpha^2+beta")
