@@ -9,18 +9,33 @@ use, and kept on R outside the dataclass fields, so R's ==, hash and
 repr ignore them; they hold O(n^3 + n*m^2) values, the size of R itself.
 
 Each anti-O residual component is one dot product of products of
-entries of T with R's constants, O(n^3 m^2 + n^2 m^3) per check.  The
-strong residuals first take the brackets [Te_p, Te_q] and then one dot
-product per component with the action entries, O(m^2 n^3 + n m^4); the
+entries of T with R's constants, taken only for the basis pairs a < b.
+The T-action terms of the residual X_t at (a, b) use nA = -A, so they
+cancel when a and b are swapped, and over every ring
+
+    X_t(a, b) + X_t(b, a) = sum_ij T_ia T_jb ([e_i,e_j]_t + [e_j,e_i]_t)_k
+    X_t(a, a) = sum_ij T_ia T_ja [e_i,e_j]_t,k
+
+R's constants include a sparse table of each bracket's symmetric part,
+the entries left nonzero by reduction, so the rows (b, a) are -X_t(a, b)
+plus that table's terms and the rows (a, a) are its terms alone.  The
+table is empty for antisymmetric brackets, which makes the rows (b, a)
+the negated rows (a, b) and the rows (a, a) zero.  A check then costs
+O(n^3 m^2 + n^2 m^3) / 2 for the contractions and O(m^2 (n + s)) for
+the derived rows, with s entries in the table.  The strong residuals
+first take the brackets [Te_p, Te_q], by one dot product per entry for
+p < q and by the same identity for the others, and then one dot product
+per component with the action entries, O(m^2 n^3 / 2 + n m^4); the
 rotations of an index triple share one evaluation, as they have the
 same cyclic words.  The anti-Rota-Baxter converse is the same
 contraction on a single word, applied to the anti-O form on G's adjoint
 pair with G's right multiplications in place of the negated left
-action.  One evaluator, `_failures`, serves every operator identity on a
-concrete map: `check_anti_o`, `check_strong`, `check_anti_rota_baxter`,
-`check_rb_converse` and the preconditions of the constructions.  Only
-the failing residuals are wrapped back into Scalars, so reports are
-those of the direct check.
+action; there the T-action terms of a swap add up to G's symmetric
+part, read off the same table.  One evaluator, `_failures`, serves
+every operator identity on a concrete map: `check_anti_o`,
+`check_strong`, `check_anti_rota_baxter`, `check_rb_converse` and the
+preconditions of the constructions.  Only the failing residuals are
+wrapped back into Scalars, so reports are those of the direct check.
 
 The induced products are built from the same plain constants, not
 only the checks.  The domain products of `induce_on_domain`,
@@ -44,6 +59,7 @@ converse takes any bracket pair.
 """
 from __future__ import annotations
 
+from itertools import combinations, combinations_with_replacement
 from itertools import product as iproduct
 
 from .algebra import (_PENCIL, Algebra, AlgebraPair, CheckReport,
@@ -71,49 +87,109 @@ def _constants(R: RepresentationPair):
 
 
 def _build_constants(R: RepresentationPair):
-    """(S, A, nA, Ak, den): for t = 0, 1 (bracket 1 with rho, bracket 2
-    with mu), S[t][k] lists [e_i, e_j]_k over (i, j), A[t][x] lists
-    act(e_j)[c][x] over (j, c) and nA = -A; Ak[part][r][w] lists
+    """(S, A, nA, Ak, sym, den): for t = 0, 1 (bracket 1 with rho,
+    bracket 2 with mu), S[t][k] lists [e_i, e_j]_k over (i, j), A[t][x]
+    lists act(e_j)[c][x] over (j, c) and nA = -A; Ak[part][r][w] lists
     act_s(e_k)[r][w] over the (action, bracket) pairs (s, t) of each
-    pencil part and k.  All are plain values on one denominator den."""
-    n, m = R.g.dim, R.v_dim
+    pencil part and k; sym[t] is the symmetric part of bracket t, the
+    entries (k, i, j, c) with i <= j and c = [e_i, e_j]_k + [e_j, e_i]_k
+    (c = [e_i, e_i]_k when i = j) that are nonzero after reduction, empty
+    for an antisymmetric bracket.  All are plain values on one
+    denominator den."""
+    n, m, f = R.g.dim, R.v_dim, R.field
     brackets, actions = (R.g.circ, R.g.star), (R.rho, R.mu)
-    den, values = _plain(R.field, [x for B in brackets for p in B.sc
-                                   for r in p for x in r] +
+    den, values = _plain(f, [x for B in brackets for p in B.sc
+                             for r in p for x in r] +
                          [x for ms in actions for M in ms
                           for r in M.entries for x in r])
     S = [[values([B.sc[i][j][k] for i in range(n) for j in range(n)])
           for k in range(n)] for B in brackets]
     A = [[values([M.entries[c][x] for M in ms for c in range(m)])
           for x in range(m)] for ms in actions]
-    neg = _ring(R.field).neg
-    nA = [[list(map(neg, col)) for col in At] for At in A]
+    ring, (reduce, _) = _ring(f), _way_back(f)
+    nA = [[list(map(ring.neg, col)) for col in At] for At in A]
     Ak = [[[[A[s][w][k * m + r] for s, _ in combos for k in range(n)]
             for w in range(m)] for r in range(m)] for _, combos in _PENCIL]
-    return S, A, nA, Ak, den
+    upper = list(combinations_with_replacement(range(n), 2))
+    sym = [[(k, i, j, c) for k, Sk in enumerate(St)
+            for (i, j), c in zip(upper, reduce([
+                ring.add(Sk[i * n + j], Sk[j * n + i]) if i < j
+                else Sk[i * n + i] for i, j in upper])) if c]
+           for St in S]
+    return S, A, nA, Ak, sym, den
+
+
+def _swapped(x, symt, ca, cb, ring):
+    """Row (b, a) of a bracket form from its row x at (a, b), a != b:
+    the T-action terms cancel under the swap, so the two rows sum to
+    sum_ij T_ia T_jb ([e_i, e_j] + [e_j, e_i])_k, that is, over the
+    entries (k, i, j, c) of the symmetric table symt,
+    c (T_ia T_jb + T_ja T_ib).  ca, cb are the columns a, b of T."""
+    add, times = ring.add, ring.mul
+    y = list(map(ring.neg, x))
+    for k, i, j, c in symt:
+        y[k] = add(y[k], times(c, add(times(ca[i], cb[j]),
+                                      times(ca[j], cb[i]))))
+    return y
+
+
+def _diagonal(symt, ca, ring, n):
+    """Row (a, a) of a bracket form, whose T-action terms cancel:
+    sum_ij T_ia T_ja [e_i, e_j]_k, that is c T_ia T_ja summed over the
+    entries (k, i, j, c) of the symmetric table symt."""
+    add, times = ring.add, ring.mul
+    y = [ring.zero] * n
+    for k, i, j, c in symt:
+        y[k] = add(y[k], times(c, times(ca[i], ca[j])))
+    return y
 
 
 def _anti_o_residuals(cols, rows, consts, ring, left=None):
     """(den, rows) of the anti-O form: rows (name, (a, b), X) in the order
     of (t, a, b), name "1" or "2" for t = 0, 1, where X lists over k
     sum_ij T_ia T_jb [e_i, e_j]_k + sum_jc T_jb T_kc left[t][a][(j, c)]
-    + sum_jc T_ja T_kc act(e_j)[c][b], one dot product each, with
-    (bracket, act) = (circ, rho), (star, mu).  With left = nA, the
+    + sum_jc T_ja T_kc act(e_j)[c][b], one dot product each for a < b,
+    with (bracket, act) = (circ, rho), (star, mu).  With left = nA, the
     default, X is the anti-O residual
-    [Te_a, Te_b]_k - T(act(Te_b) e_a - act(Te_a) e_b)_k."""
-    S, A, nA, _, den = consts
-    times, dot, m = ring.mul, ring.dot, len(cols)
-    # P[a][b] lists T_ia T_jb over (i, j), Q[k][x] T_jx T_kc over (j, c)
-    P = [[[times(x, y) for x in ca for y in cb] for cb in cols] for ca in cols]
+    [Te_a, Te_b]_k - T(act(Te_b) e_a - act(Te_a) e_b)_k, and the rows
+    (b, a) and (a, a) follow from the swap identity of `_swapped` and
+    `_diagonal`.  Another left comes as (left, lift), where lift[t][x]
+    lists the entries (j * m + c, v) of the sum v = left[t][x] + A[t][x]
+    at (j, c) that the swap no longer cancels."""
+    S, A, nA, _, sym, den = consts
+    add, times, dot = ring.add, ring.mul, ring.dot
+    n, m = len(rows), len(cols)
+    L, lift = left or (nA, [[()] * m] * 2)
+    # Q[k][x] lists T_jx T_kc over (j, c)
     Q = [[[times(x, y) for x in col for y in row] for col in cols]
          for row in rows]
+    # V[a, b][k] joins T_ia T_jb over (i, j), Q[k][b] and Q[k][a], a < b
+    V = {}
+    for a, b in combinations(range(m), 2):
+        Pab = [times(x, y) for x in cols[a] for y in cols[b]]
+        V[a, b] = [Pab + Qk[b] + Qk[a] for Qk in Q]
+
+    def lifted(y, b, lta):
+        # y_k + sum_jc T_jb T_kc lta[(j, c)], for lta = lift[t][a]
+        for u, v in lta:
+            for k, Qk in enumerate(Q):
+                y[k] = add(y[k], times(Qk[b][u], v))
+        return y
+
     out = []
-    for name, St, Lt, At in zip("12", S, nA if left is None else left, A):
+    for name, St, Lt, At, symt, lt in zip("12", S, L, A, sym, lift):
+        X = {}
         for ab in iproduct(range(m), repeat=2):
             a, b = ab
-            Pab, C = P[a][b], Lt[a] + At[b]
-            out.append((name, ab, [dot(Pab + Qk[b] + Qk[a], Sk + C)
-                                   for Qk, Sk in zip(Q, St)]))
+            if a < b:
+                C = Lt[a] + At[b]
+                X[ab] = x = [dot(Vk, Sk + C) for Vk, Sk in zip(V[ab], St)]
+            elif a > b:
+                x = lifted(lifted(_swapped(X[b, a], symt, cols[b], cols[a],
+                                           ring), a, lt[b]), b, lt[a])
+            else:
+                x = lifted(_diagonal(symt, cols[a], ring, n), a, lt[a])
+            out.append((name, ab, x))
     return den, out
 
 
@@ -131,14 +207,27 @@ def _strong_residuals(cols, rows, consts, ring):
     X = k1 [,]_1 + k2 [,]_2.  A part sums
     sum_k [Te_p, Te_q]_t,k act_s(e_k)[r][w] over its (action, bracket)
     pairs (s, t): one dot product per component, after one per entry of
-    the brackets [Te_p, Te_q]_t.  The rotations of (a, b, c) have the
+    the brackets [Te_p, Te_q]_t for p < q; the brackets at q >= p follow
+    by `_swapped` and `_diagonal`.  The rotations of (a, b, c) have the
     same words, so they share one evaluation."""
-    S, _, _, Ak, den = consts
-    times, dot, m = ring.mul, ring.dot, len(cols)
-    P = [[[times(x, y) for x in cp for y in cq] for cq in cols] for cp in cols]
+    S, _, _, Ak, sym, den = consts
+    times, dot, n, m = ring.mul, ring.dot, len(rows), len(cols)
+    P = {(p, q): [times(x, y) for x in cols[p] for y in cols[q]]
+         for p, q in combinations(range(m), 2)}
+    B = []
+    for St, symt in zip(S, sym):
+        X = {}
+        for pq in iproduct(range(m), repeat=2):
+            p, q = pq
+            if p < q:
+                X[pq] = x = [dot(P[pq], Sk) for Sk in St]
+            elif p > q:
+                x = _swapped(X[q, p], symt, cols[q], cols[p], ring)
+            else:
+                x = _diagonal(symt, cols[p], ring, n)
+            B.append(x)
     # the brackets [Te_p, Te_q]_t in the order of (t, p, q)
-    Xp = _by_part([[dot(Ppq, Sk) for Sk in St] for St in S for Pp in P
-                   for Ppq in Pp], m)
+    Xp = _by_part(B, m)
     out, seen = [], {}
     for abc in iproduct(range(m), repeat=3):
         a, b, c = abc
@@ -158,11 +247,22 @@ def _converse_residuals(cols, rows, consts, ring):
     anti-O form with left[t][a] = [e_a, e_j]_t over (j, c), G's right
     multiplications (nA when G is antisymmetric), and a pencil part sums
     [X_t(i, j), e_k]_s over its pairs (s, t) on the one word (i, j, k)."""
-    S, _, _, Ak, den = consts
-    dot, n = ring.dot, len(cols)
+    S, _, _, Ak, sym, den = consts
+    add, dot, n = ring.add, ring.dot, len(cols)
     right = [[[St[c][a * n + j] for j in range(n) for c in range(n)]
               for a in range(n)] for St in S]
-    _, form = _anti_o_residuals(cols, rows, consts, ring, right)
+    # as act(e_j)[c][a] = [e_j, e_a]_c, the lift at a is G's symmetric
+    # part [e_a, e_j]_c + [e_j, e_a]_c: the entry (c, i, j, v) of the
+    # symmetric table at a = i and at a = j, twice v when i = j
+    lift = [[[] for _ in range(n)] for _ in sym]
+    for symt, lt in zip(sym, lift):
+        for c, i, j, v in symt:
+            if i < j:
+                lt[i].append((j * n + c, v))
+                lt[j].append((i * n + c, v))
+            else:
+                lt[i].append((i * n + c, add(v, v)))
+    _, form = _anti_o_residuals(cols, rows, consts, ring, (right, lift))
     Xp = _by_part([X for _, _, X in form], n)
     return den * den, [(name, (i, j, k), [dot(Xq[i][j], Ar[k]) for Ar in Aq])
                        for i, j, k in iproduct(range(n), repeat=3)
@@ -244,7 +344,7 @@ def _domain_pair(T: Matrix, R: RepresentationPair,
     column i of T with R's negated action entries per entry."""
     f, m = R.field, R.v_dim
     t_den, _, cols = _plain_map(T)
-    _, _, nA, _, den = _constants(R)
+    _, _, nA, _, _, den = _constants(R)
     dot, (_, wrap), den = _ring(f).dot, _way_back(f), den * t_den
 
     def build(nAt):
@@ -324,12 +424,19 @@ def induce_from_invertible(T: Matrix, R: RepresentationPair) -> AlgebraPair:
     # both limits before a polynomial det, which costs n!
     T._require_det_rows()
     T._require_adjugate_rows()
-    if T.det().is_zero():
-        raise NotInvertibleError("T is singular")
+    try:
+        inverse = T.inverse()
+    except NotInvertibleError:
+        # the det only names the cause: a singular T comes first, then
+        # a T that is not anti-O, then a det that is no unit of the ring
+        if T.det().is_zero():
+            raise NotInvertibleError("T is singular") from None
+        check_anti_o(T, R).require("T is not an anti-O-operator")
+        raise
     check_anti_o(T, R).require("T is not an anti-O-operator")
     t_den, rows, _ = _plain_map(T)
-    inv_den, _, inv_cols = _plain_map(T.inverse())
-    _, _, nA, _, den = _constants(R)
+    inv_den, _, inv_cols = _plain_map(inverse)
+    _, _, nA, _, _, den = _constants(R)
     dot, (_, wrap), den = _ring(f).dot, _way_back(f), t_den * den * inv_den
 
     def build(nAt):

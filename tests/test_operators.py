@@ -500,7 +500,9 @@ OPERATOR_FIELDS = {
 def operator_inputs(draw):
     """A random bracket pair g (dim n), random rho/mu on V (dim m, maybe
     != n) and T: V -> g.  Each part has its own density from 0 (all
-    zero, so anti-O passes) to 4 (dense, so checks mostly fail)."""
+    zero, so anti-O passes) to 4 (dense, so checks mostly fail).  Half
+    the pairs g are the commutators of the random tables: antisymmetric,
+    so the rows (b, a) of the checks are the negated rows (a, b)."""
     field, coeffs = OPERATOR_FIELDS[draw(st.sampled_from(
         sorted(OPERATOR_FIELDS)))]
     n = draw(st.integers(1, 3))
@@ -522,6 +524,8 @@ def operator_inputs(draw):
     g_density, rep_density, t_density = (draw(st.integers(0, 4))
                                          for _ in range(3))
     g = AlgebraPair(table(g_density), table(g_density))
+    if draw(st.booleans()):
+        g = commutator_pair(g)
     rho = tuple(matrix(m, m, rep_density) for _ in range(n))
     mu = tuple(matrix(m, m, rep_density) for _ in range(n))
     return matrix(n, m, t_density), RepresentationPair(g, m, rho, mu)
@@ -1056,6 +1060,107 @@ def test_constants_are_built_once_per_pair(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# The swap identity: the rows (b, a) and (a, a) of the anti-O, strong and
+# converse forms come from the rows a < b and R's symmetric tables.
+# ---------------------------------------------------------------------------
+
+def symmetric_tables(R):
+    return operators._constants(R)[4]
+
+
+def test_symmetric_tables_of_the_workload_pairs_are_empty():
+    for name, assignment, branch in (
+            ("CA30", {"beta": 1, "gamma": 2}, None),
+            ("CA35", {"lambda": 1, "alpha": 2, "beta": 1}, 1),
+            ("CA38", {"lambda": 1, "alpha": 1, "beta": 2}, 1)):
+        pair = gf5_pair(name, assignment, branch)
+        assert symmetric_tables(left_multiplication_pair(pair)) == [[], []]
+        G = commutator_pair(pair)
+        assert symmetric_tables(adjoint_pair(G)) == [[], []]
+
+
+def test_symmetric_table_lists_the_nonzero_symmetric_part():
+    # [e1, e2] = e1 and [e2, e1] = 0 in one bracket: the one entry
+    # (k, i, j, c) = (0, 0, 1, 1); the other bracket is zero
+    in_circ, in_star = non_antisymmetric_pairs()
+    assert symmetric_tables(adjoint_pair(in_circ)) == [[(0, 0, 1, 1)], []]
+    assert symmetric_tables(adjoint_pair(in_star)) == [[], [(0, 0, 1, 1)]]
+
+
+def residue_sum_pair():
+    # [e1, e2] = 2e1, [e2, e1] = 3e1 and [e1, e2] = e2, [e2, e1] = 4e2:
+    # antisymmetric over GF(5), though the plain residues sum to 5
+    f = GF(5)
+    return AlgebraPair(
+        Algebra.from_entries(f, 2, [(1, 2, 1, 2), (2, 1, 1, 3)], ["x1", "x2"]),
+        Algebra.from_entries(f, 2, [(1, 2, 2, 1), (2, 1, 2, 4)], ["x1", "x2"]))
+
+
+def test_residues_that_sum_to_p_leave_the_symmetric_table_empty():
+    G = residue_sum_pair()
+    assert symmetric_tables(adjoint_pair(G)) == [[], []]
+    rng = random.Random(25)
+    f = GF(5)
+    maps = rng.sample(list(all_maps(f)), 120) + [Matrix.zero(f, 2, 2)]
+    assert 0 < sum(_rb_agrees_with_oracles(Rop, G) for Rop in maps) < 121
+
+    def matrix(rows, cols):
+        return Matrix.from_rows(f, [[rng.randrange(5) for _ in range(cols)]
+                                    for _ in range(rows)])
+
+    # the same brackets with dense actions on V = k^3
+    R = RepresentationPair(G, 3, tuple(matrix(3, 3) for _ in range(2)),
+                           tuple(matrix(3, 3) for _ in range(2)))
+    assert symmetric_tables(R) == [[], []]
+    assert _agrees_with_oracles(Matrix.zero(f, 2, 3), R)
+    for _ in range(40):
+        _agrees_with_oracles(matrix(2, 3), R)
+
+
+def test_an_undoubled_diagonal_keeps_the_gf2_square_bracket():
+    # over GF(2), [e1, e1] = e1 passes the antisymmetry test, as
+    # [e1, e1] + [e1, e1] = 0, but the rows (a, a) need it: the table
+    # keeps [e_i, e_i]_k itself, not the sum of the two orders
+    f = GF(2)
+    bracket = Algebra.from_entries(f, 2, [(1, 1, 1, 1), (1, 2, 2, 1),
+                                          (2, 1, 2, 1)], ["x1", "x2"])
+    G = AlgebraPair(bracket, Algebra.zero_algebra(f, 2, ["x1", "x2"]))
+    assert symmetric_tables(adjoint_pair(G)) == [[(0, 0, 0, 1)], []]
+    assert 0 < sum(_rb_agrees_with_oracles(Rop, G)
+                   for Rop in all_maps(f)) < 16
+
+
+@pytest.mark.parametrize("kind", ["GF5", "Q"])
+def test_dense_non_antisymmetric_checks_match_the_oracles_at_dim_5(kind):
+    # past the hypothesis sizes: every bracket entry is random, so both
+    # symmetric tables are full and every derived row carries them
+    field, coeffs = OPERATOR_FIELDS[kind]
+    T, R = dense_inputs(field, coeffs, 5, 5, seed=25)
+    assert all(len(table) > 5 for table in symmetric_tables(R))
+    _same_report(check_anti_o(T, R), old_check_anti_o(T, R))
+    assert operators._failures(T, R, operators._anti_o_residuals,
+                               "anti_o_") == old_anti_o_failures(T, R)
+    assert operators._failures(T, R, operators._strong_residuals,
+                               "strong_") == old_strong_failures(T, R)
+    _converse_agrees_with_oracle(T, R.g)
+
+
+def _leaves(x):
+    return sum(map(_leaves, x)) if isinstance(x, (list, tuple)) else 1
+
+
+def test_plain_constants_stay_linear_in_the_size_of_the_pair():
+    # R's constants are O(n^3 + n m^2) values; tables per basis pair,
+    # S_k + left[a] + A[b] for every (a, b, k), would hold
+    # n m^2 (n^2 + 2 n m) = 98,304 values at n = m = 8
+    n = m = 8
+    T, R = dense_inputs(GF(5), ["1", "2", "3", "4"], n, m, seed=8)
+    check_anti_o(T, R)
+    assert all(symmetric_tables(R))
+    assert _leaves(operators._constants(R)) <= 16 * (n ** 3 + n * m * m)
+
+
+# ---------------------------------------------------------------------------
 # induce_from_invertible refuses a polynomial map past the adjugate limit
 # before it expands any determinant.
 # ---------------------------------------------------------------------------
@@ -1100,3 +1205,34 @@ def test_induce_from_invertible_messages_below_the_limit():
     with pytest.raises(NotInvertibleError,
                        match="x involves non-unit variable 'x'"):
         induce_from_invertible(Matrix(ring, [[x, zero], [zero, one]]), R)
+
+
+def test_induce_from_invertible_names_a_singular_map_first():
+    R = left_multiplication_pair(gf5_pair("CA30", {"beta": 1, "gamma": 2}))
+    T = next(T for T in all_maps(GF(5))
+             if T.det().is_zero() and not check_anti_o(T, R).passed)
+    with pytest.raises(NotInvertibleError, match="T is singular"):
+        induce_from_invertible(T, R)
+
+
+def test_induce_from_invertible_checks_anti_o_before_a_non_unit_det():
+    # det T = x is no unit of Z[x], and T is not anti-O on ad(g)
+    ring = poly_ring(["x"])
+    x, zero, one = ring.variable("x"), ring.zero(), ring.one()
+    lie = Algebra.from_entries(ring, 2, [(1, 2, 1, 1), (2, 1, 1, -1)])
+    R = adjoint_pair(AlgebraPair(lie, lie))
+    T = Matrix(ring, [[x, zero], [zero, one]])
+    assert not check_anti_o(T, R).passed
+    with pytest.raises(PreconditionError, match="not an anti-O-operator"):
+        induce_from_invertible(T, R)
+
+
+def test_induce_from_invertible_takes_no_det_of_an_invertible_map(
+        monkeypatch, rng):
+    monkeypatch.setattr(Matrix, "det", lambda self: pytest.fail(
+        "det computed"))
+    for R, field in ((left_multiplication_pair(
+            gf5_pair("CA30", {"beta": 1, "gamma": 2})), GF(5)),
+            (left_multiplication_pair(random_instance("CA10", rng)), QQ)):
+        out = induce_from_invertible(Matrix.identity(field, 2), R)
+        assert out.dim == 2
